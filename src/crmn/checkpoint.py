@@ -13,6 +13,7 @@ so a reloaded model evaluates identically.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -51,6 +52,20 @@ def save_tensors(path, extra, tensors):
             fh.write(buf)
 
 
+def _entry_layout(path, entry):
+    """Validate one manifest entry; returns (name, dtype, shape)."""
+    if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+        raise FormatError(f"{path}: tensor entry without a name: {entry!r}")
+    name, tag, shape = entry["name"], entry.get("dtype"), entry.get("shape")
+    dtype = _TAG_DTYPES.get(tag) if isinstance(tag, str) else None
+    if dtype is None:
+        raise FormatError(f"{path}: unknown dtype tag {tag!r} for {name!r}")
+    if not isinstance(shape, list) or not all(
+            type(dim) is int and dim >= 0 for dim in shape):
+        raise FormatError(f"{path}: {name!r} has invalid shape {shape!r}")
+    return name, dtype, tuple(shape)
+
+
 def load_tensors(path):
     """Read a container; returns (manifest, ordered dict of name -> array)."""
     with open(path, "rb") as fh:
@@ -65,21 +80,23 @@ def load_tensors(path):
         manifest = json.loads(data[start:start + blob_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: unreadable manifest: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{path}: manifest is not a JSON object")
     if manifest.get("format") != FORMAT_NAME:
         raise FormatError(f"{path}: unknown format {manifest.get('format')!r}")
+    listing = manifest.get("tensors")
+    if not isinstance(listing, list):
+        raise FormatError(f"{path}: manifest has no tensor list")
     offset = start + blob_len
     tensors = {}
-    for entry in manifest["tensors"]:
-        dtype = _TAG_DTYPES.get(entry["dtype"])
-        if dtype is None:
-            raise FormatError(f"{path}: unknown dtype tag {entry['dtype']!r}")
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+    for entry in listing:
+        name, dtype, shape = _entry_layout(path, entry)
+        count = math.prod(shape)
         nbytes = count * dtype.itemsize
         if offset + nbytes > len(data):
-            raise FormatError(f"{path}: truncated at byte {offset} reading {entry['name']!r}")
+            raise FormatError(f"{path}: truncated at byte {offset} reading {name!r}")
         arr = np.frombuffer(data, dtype=dtype, count=count, offset=offset).reshape(shape)
-        tensors[entry["name"]] = arr.copy()
+        tensors[name] = arr.copy()
         offset += nbytes
     if offset != len(data):
         raise FormatError(f"{path}: {len(data) - offset} trailing bytes")

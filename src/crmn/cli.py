@@ -19,7 +19,7 @@ from .analysis import config_for, cost_report, default_grid, render_table
 from .checkpoint import load_model, save_model
 from .data import (AugmentPolicy, load_cifar_binary, load_raw_dataset, normalize,
                    split_train_val, synth_dataset)
-from .errors import ContractError, FormatError, InputError, TrainingError
+from .errors import CrmnError, InputError, TrainingError
 from .gradcheck import run_scope
 from .model import TAP_FLATTEN_ORDER, build_crmn, build_resnet
 from .tensor import deterministic_mode
@@ -262,7 +262,7 @@ def main(argv=None):
     except TrainingError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
-    except (FormatError, InputError, ContractError, OSError) as exc:
+    except (CrmnError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -1,9 +1,12 @@
 """Tensor container and model checkpoints: bit-exact round trips."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
-from crmn.checkpoint import load_model, load_tensors, save_model, save_tensors
+from crmn.checkpoint import MAGIC, load_model, load_tensors, save_model, save_tensors
 from crmn.errors import FormatError
 from crmn.model import build_crmn, build_resnet
 from crmn.resnet import NetworkConfig
@@ -62,6 +65,47 @@ def test_container_detects_corruption(tmp_path):
     retagged.write_bytes(blob.replace(b'"<f4"', b'"<i4"', 1))
     with pytest.raises(FormatError):
         load_tensors(retagged)
+
+
+def write_container(path, manifest, payload=b""):
+    """A container with a hand-written manifest, for malformed-input tests."""
+    blob = json.dumps(manifest).encode("utf-8")
+    path.write_bytes(MAGIC + struct.pack("<Q", len(blob)) + blob + payload)
+    return path
+
+
+GOOD_ENTRY = {"name": "w", "dtype": "<f4", "shape": [2, 2]}
+PAYLOAD = np.ones((2, 2), dtype="<f4").tobytes()
+
+
+def test_container_rejects_a_manifest_that_is_a_list(tmp_path):
+    path = write_container(tmp_path / "list.crmn", [GOOD_ENTRY], PAYLOAD)
+    with pytest.raises(FormatError, match="not a JSON object"):
+        load_tensors(path)
+
+
+def test_container_rejects_a_manifest_without_tensors(tmp_path):
+    path = write_container(tmp_path / "bare.crmn", {"format": "crmn-tensors-1"}, PAYLOAD)
+    with pytest.raises(FormatError, match="no tensor list"):
+        load_tensors(path)
+
+
+@pytest.mark.parametrize("missing, message", [("shape", "invalid shape"),
+                                              ("name", "without a name")])
+def test_container_rejects_an_entry_missing_a_field(tmp_path, missing, message):
+    entry = {key: value for key, value in GOOD_ENTRY.items() if key != missing}
+    path = write_container(tmp_path / "entry.crmn",
+                           {"format": "crmn-tensors-1", "tensors": [entry]}, PAYLOAD)
+    with pytest.raises(FormatError, match=message):
+        load_tensors(path)
+
+
+def test_container_rejects_a_negative_dimension(tmp_path):
+    entry = dict(GOOD_ENTRY, shape=[-2, 2])
+    path = write_container(tmp_path / "negative.crmn",
+                           {"format": "crmn-tensors-1", "tensors": [entry]}, PAYLOAD)
+    with pytest.raises(FormatError, match=r"invalid shape \[-2, 2\]"):
+        load_tensors(path)
 
 
 def test_model_checkpoint_roundtrip_restores_everything(tmp_path):

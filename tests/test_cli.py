@@ -150,6 +150,17 @@ def test_missing_and_malformed_files_exit_three(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_dataset_extent_mismatch_exits_three(tmp_path, capsys):
+    # the model is built for 32x32 inputs; a 16x16 dataset fails at the
+    # first batch with a DimensionError, which must not escape as a traceback
+    data = tmp_path / "small.crtd"
+    save_raw_dataset(synth_dataset(3, 8, seed=1, extent=16), data)
+    argv = ["train", "--data", str(data), "--format", "raw",
+            "--max-epochs", "1", "--out-dir", str(tmp_path / "run")] + TRAIN_FLAGS
+    assert main(argv) == 3
+    assert "expects b*3*32*32 input" in capsys.readouterr().err
+
+
 def test_gradcheck_ops_passes(capsys):
     assert main(["gradcheck", "--scope", "ops"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -75,6 +75,68 @@ def test_conv_gradients_match_finite_differences():
             assert relative_error(tensor.grad, numeric).max() < 1e-6
 
 
+@pytest.mark.parametrize("ci, co, extent, k, stride, x_grad", [
+    (2, 3, 5, 3, 1, True),
+    (2, 3, 5, 3, 2, True),   # odd extent: 5 -> 3
+    (3, 2, 4, 1, 1, True),   # 1x1 kernel, no padding
+    (3, 2, 5, 1, 2, True),
+    (2, 2, 5, 3, 2, False),  # frozen input: only the weight gets a gradient
+])
+def test_conv_gradients_under_a_weighted_loss(ci, co, extent, k, stride, x_grad):
+    # a random weighting gives each output its own upstream gradient, so an
+    # error that is symmetric across outputs cannot cancel out
+    rng = np.random.default_rng(11)
+    x = t64(rng.standard_normal((2, ci, extent, extent)), requires_grad=x_grad)
+    w = t64(0.3 * rng.standard_normal((co, ci, k, k)))
+    ho = (extent + 2 * ((k - 1) // 2) - k) // stride + 1
+    weights = Tensor(rng.standard_normal((2, co, ho, ho)), dtype=np.float64)
+
+    def loss_fn():
+        return sum_all(conv2d(x, w, stride=stride) * weights)
+
+    with Tape() as tape:
+        tape.backward(loss_fn())
+    assert (x.grad is not None) == x_grad
+    for tensor in (x, w) if x_grad else (w,):
+        numeric = numeric_gradient(lambda: loss_fn().item(), tensor)
+        assert tensor.grad.shape == tensor.shape
+        assert relative_error(tensor.grad, numeric).max() < 1e-6
+
+
+def _einsum_conv_backward(x, weight, g, stride):
+    """The per-tap einsum backward the GEMM form replaced, kept as an oracle."""
+    k = weight.shape[2]
+    pad = (k - 1) // 2
+    ho, wo = g.shape[2:]
+    h, w = x.shape[2:]
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    gw = np.empty_like(weight)
+    gxp = np.zeros_like(xp)
+    for i in range(k):
+        for j in range(k):
+            taps = (slice(None), slice(None),
+                    slice(i, i + ho * stride, stride), slice(j, j + wo * stride, stride))
+            gw[:, :, i, j] = np.einsum("bohw,bchw->oc", g, xp[taps])
+            gxp[taps] += np.einsum("bohw,oc->bchw", g, weight[:, :, i, j])
+    return gxp[:, :, pad:pad + h, pad:pad + w], gw
+
+
+@pytest.mark.parametrize("ci, co, stride", [(16, 16, 1), (16, 32, 2)])
+def test_conv_backward_matches_the_einsum_oracle(ci, co, stride):
+    # float32 at a stage-1 shape and at a stage-transition shape
+    rng = np.random.default_rng(12)
+    x = Tensor(rng.standard_normal((4, ci, 32, 32)).astype(np.float32), requires_grad=True)
+    w = he_conv_weight(rng, co, ci, 3)
+    out_extent = 32 // stride
+    weights = rng.standard_normal((4, co, out_extent, out_extent)).astype(np.float32)
+    with Tape() as tape:
+        tape.backward(sum_all(conv2d(x, w, stride=stride) * Tensor(weights)))
+    gx, gw = _einsum_conv_backward(x.data, w.data, weights, stride)
+    for got, want in ((x.grad, gx), (w.grad, gw)):
+        assert got.dtype == np.float32
+        assert np.abs(got - want).max() / np.abs(want).max() <= 1e-5
+
+
 def test_batch_norm_standardizes_per_map_in_training():
     rng = np.random.default_rng(1)
     x = Tensor(rng.standard_normal((8, 3, 4, 4)) * 3.0 + 5.0, dtype=np.float64)
