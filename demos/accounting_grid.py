@@ -4,8 +4,7 @@ import json
 
 import numpy as np
 
-from crmn.analysis import (config_for, cost_report, default_grid,
-                           flop_estimate, param_count, render_table)
+from crmn.analysis import config_for, cost_report, default_grid, render_table
 from crmn.model import build_crmn
 from crmn.tensor import Tensor, count_ops
 
@@ -21,8 +20,8 @@ print()
 # The memory path costs the same number of parameters at any depth: grow
 # the trunk and the difference to a plain residual network stays put.
 for layers in (20, 32, 50):
-    crmn = param_count("crmn", config_for(layers, 1)).params_total
-    plain = param_count("resnet", config_for(layers, 1)).params_total
+    crmn = cost_report("crmn", config_for(layers, 1)).params_total
+    plain = cost_report("resnet", config_for(layers, 1)).params_total
     print(f"{layers:3d} layers: memory path adds {crmn - plain:,} parameters")
 print()
 
@@ -33,5 +32,5 @@ model = build_crmn(cfg, seed=0)
 x = Tensor(np.random.default_rng(0).random((1, 3, 32, 32), dtype=np.float32))
 with count_ops() as measured:
     model.forward(x, training=False)
-estimate = flop_estimate("crmn", cfg, batch=1)
+estimate = cost_report("crmn", cfg, batch=1)
 print("measured:", measured.total, " estimated:", estimate.flops["total"])

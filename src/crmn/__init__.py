@@ -8,27 +8,4 @@ a patience-based training protocol with optional round-robin per-component
 learning rates, and dataset plumbing.
 """
 
-from .analysis import (CostReport, config_for, cost_report, default_grid,
-                       flop_estimate, lstm_step_ops, param_count, render_table)
-from .checkpoint import load_model, load_tensors, save_model, save_tensors
-from .data import (AugmentPolicy, ImageDataset, augment, load_cifar_binary,
-                   load_raw_dataset, normalize, save_raw_dataset, split_train_val,
-                   synth_dataset)
-from .errors import (ContractError, CrmnError, DimensionError, FormatError,
-                     InputError, TrainingError)
-from .gradcheck import (GradReport, check_full, check_lstm, check_ops,
-                        numeric_gradient, relative_error, run_scope)
-from .layers import (BatchNorm, Conv2d, Dense, batch_norm, conv2d,
-                     global_avg_pool, meanpool2x2)
-from .lstm import LstmParams, LstmState, init_lstm, initial_state, lstm_step, run_sequence
-from .model import (CrmnModel, ResnetModel, TAP_FLATTEN_ORDER, adapt_tap,
-                    adapter_trace, build_crmn, build_resnet, max_lstm_width)
-from .resnet import (BlockSpec, NetworkConfig, ResidualTrunk, block_plan,
-                     build_trunk, trunk_forward)
-from .tensor import (OpCounter, Tape, Tensor, backward, count_ops, matmul,
-                     softmax_cross_entropy)
-from .training import (Decision, PatienceController, SgdOptimizer, TrainConfig,
-                       TrainResult, evaluate_model, read_history, read_schedule,
-                       train, write_history, write_schedule)
-
 __version__ = "0.1.0"

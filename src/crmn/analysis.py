@@ -6,9 +6,10 @@ is one operation; data movement (padding, subsampling, reshapes, concat,
 broadcast) is free; batch-norm costs two operations per element in either
 mode since the normalization constants fold into one scale-and-shift.
 
-The flop estimate walks the same block plan the builder uses and applies
-the same per-op formulas the instrumented tensor ops charge, so an
-instrumented forward pass must agree exactly.
+The report walks the same block plan the builder uses and applies the same
+per-op formulas the instrumented tensor ops charge, totalled in the same
+``OpCounter`` that ``count_ops()`` yields, so an instrumented forward pass
+must agree exactly.
 """
 
 from __future__ import annotations
@@ -18,44 +19,35 @@ from dataclasses import dataclass, field
 from .errors import InputError
 from .model import max_lstm_width
 from .resnet import NetworkConfig, block_plan
+from .tensor import OpCounter
 
 KINDS = ("resnet", "crmn")
 
 
-class _Ops:
-    __slots__ = ("mults", "adds", "activations")
+def _conv(ops, b, co, e_out, ci, k):
+    n = b * co * e_out * e_out * ci * k * k
+    ops.mults += n
+    ops.adds += n
 
-    def __init__(self):
-        self.mults = 0
-        self.adds = 0
-        self.activations = 0
 
-    @property
-    def total(self):
-        return self.mults + self.adds + self.activations
+def _norm(ops, size):
+    ops.mults += size
+    ops.adds += size
 
-    def as_dict(self):
-        return {"mults": self.mults, "adds": self.adds,
-                "activations": self.activations, "total": self.total}
 
-    def conv(self, b, co, e_out, ci, k):
-        n = b * co * e_out * e_out * ci * k * k
-        self.mults += n
-        self.adds += n
+def _act(ops, size):
+    ops.activations += size
 
-    def norm(self, size):
-        self.mults += size
-        self.adds += size
 
-    def act(self, size):
-        self.activations += size
+def _matmul(ops, m, k, p):
+    ops.mults += m * k * p
+    ops.adds += m * k * p
 
-    def add(self, size):
-        self.adds += size
 
-    def matmul(self, m, k, p):
-        self.mults += m * k * p
-        self.adds += m * k * p
+def _add_into(ops, part, times=1):
+    ops.mults += times * part.mults
+    ops.adds += times * part.adds
+    ops.activations += times * part.activations
 
 
 @dataclass
@@ -126,46 +118,44 @@ def lstm_param_count(i, h, learn_c0=True):
 
 def _trunk_flops(cfg: NetworkConfig, batch, breakdown):
     variant = cfg.resolved_variant
-    ops = _Ops()
+    ops = OpCounter()
     e = cfg.input_extent
     b = batch
-    ops.conv(b, cfg.base_maps, e, 3, 3)
+    _conv(ops, b, cfg.base_maps, e, 3, 3)
     if variant == "original":
-        ops.norm(b * cfg.base_maps * e * e)
-        ops.act(b * cfg.base_maps * e * e)
+        _norm(ops, b * cfg.base_maps * e * e)
+        _act(ops, b * cfg.base_maps * e * e)
     for spec in block_plan(cfg):
-        block = _Ops()
+        block = OpCounter()
         m_in, m = spec.in_maps, spec.out_maps
         e_in, e_out = spec.in_extent, spec.out_extent
         if variant == "original":
-            block.conv(b, m, e_out, m_in, 3)
-            block.norm(b * m * e_out * e_out)
-            block.act(b * m * e_out * e_out)
-            block.conv(b, m, e_out, m, 3)
-            block.norm(b * m * e_out * e_out)
+            _conv(block, b, m, e_out, m_in, 3)
+            _norm(block, b * m * e_out * e_out)
+            _act(block, b * m * e_out * e_out)
+            _conv(block, b, m, e_out, m, 3)
+            _norm(block, b * m * e_out * e_out)
         else:
-            block.norm(b * m_in * e_in * e_in)
-            block.act(b * m_in * e_in * e_in)
-            block.conv(b, m, e_out, m_in, 3)
-            block.norm(b * m * e_out * e_out)
-            block.act(b * m * e_out * e_out)
-            block.conv(b, m, e_out, m, 3)
+            _norm(block, b * m_in * e_in * e_in)
+            _act(block, b * m_in * e_in * e_in)
+            _conv(block, b, m, e_out, m_in, 3)
+            _norm(block, b * m * e_out * e_out)
+            _act(block, b * m * e_out * e_out)
+            _conv(block, b, m, e_out, m, 3)
         if spec.changes_shape and cfg.shortcut == "projection":
-            block.conv(b, m, e_out, m_in, 1)
-            block.norm(b * m * e_out * e_out)
-        block.add(b * m * e_out * e_out)
+            _conv(block, b, m, e_out, m_in, 1)
+            _norm(block, b * m * e_out * e_out)
+        block.adds += b * m * e_out * e_out
         if variant == "original":
-            block.act(b * m * e_out * e_out)
+            _act(block, b * m * e_out * e_out)
         breakdown.append({"stage": spec.stage, "index": spec.index, "maps": m,
                           "extent": e_out, "kernel": 3, "cost": block.total})
-        ops.mults += block.mults
-        ops.adds += block.adds
-        ops.activations += block.activations
+        _add_into(ops, block)
     final_maps = cfg.stage_maps[-1]
     final_extent = cfg.input_extent // 4
     if variant == "preactivation":
-        ops.norm(b * final_maps * final_extent * final_extent)
-        ops.act(b * final_maps * final_extent * final_extent)
+        _norm(ops, b * final_maps * final_extent * final_extent)
+        _act(ops, b * final_maps * final_extent * final_extent)
     # global average pool
     ops.mults += b * final_maps
     ops.adds += b * final_maps * final_extent * final_extent
@@ -173,7 +163,7 @@ def _trunk_flops(cfg: NetworkConfig, batch, breakdown):
 
 
 def _adapter_flops(cfg: NetworkConfig, batch):
-    ops = _Ops()
+    ops = OpCounter()
     for spec in block_plan(cfg):
         out = batch * spec.out_maps * (spec.out_extent // 2) ** 2
         ops.mults += out
@@ -183,7 +173,7 @@ def _adapter_flops(cfg: NetworkConfig, batch):
 
 def lstm_step_ops(i, h, batch=1):
     """Exact per-step operation counts of one cell update."""
-    ops = _Ops()
+    ops = OpCounter()
     ops.mults = batch * (4 * (h * i + h * h) + 6 * h)
     ops.adds = batch * (4 * (h * i + h * h) + 12 * h)
     ops.activations = batch * 5 * h
@@ -191,9 +181,9 @@ def lstm_step_ops(i, h, batch=1):
 
 
 def _head_flops(d, classes, batch):
-    ops = _Ops()
-    ops.matmul(batch, d, classes)
-    ops.add(batch * classes)
+    ops = OpCounter()
+    _matmul(ops, batch, d, classes)
+    ops.adds += batch * classes
     return ops
 
 
@@ -210,11 +200,8 @@ def cost_report(kind, cfg: NetworkConfig, batch=1) -> CostReport:
         width = max_lstm_width(cfg)
         adapter_ops = _adapter_flops(cfg, batch)
         step = lstm_step_ops(width, h, batch)
-        lstm_ops = _Ops()
-        steps = 3 * cfg.n
-        lstm_ops.mults = steps * step.mults
-        lstm_ops.adds = steps * step.adds
-        lstm_ops.activations = steps * step.activations
+        lstm_ops = OpCounter()
+        _add_into(lstm_ops, step, times=3 * cfg.n)
         head_ops = _head_flops(cfg.stage_maps[-1] + h, cfg.classes, batch)
         flops["adapter"] = adapter_ops.as_dict()
         flops["lstm"] = lstm_ops.as_dict()
@@ -240,14 +227,6 @@ def cost_report(kind, cfg: NetworkConfig, batch=1) -> CostReport:
     if plain is not None:
         report.flops_ratio_vs_resnet = report.flops["total"] / plain.flops["total"]
     return report
-
-
-def param_count(kind, cfg: NetworkConfig) -> CostReport:
-    return cost_report(kind, cfg)
-
-
-def flop_estimate(kind, cfg: NetworkConfig, batch=1) -> CostReport:
-    return cost_report(kind, cfg, batch)
 
 
 def config_for(layers, fm_mult, hidden=100, classes=100, variant="auto",

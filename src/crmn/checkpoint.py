@@ -18,7 +18,7 @@ import struct
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, InputError
 from .model import TAP_FLATTEN_ORDER, build_crmn, build_resnet
 from .resnet import NetworkConfig
 
@@ -116,7 +116,10 @@ def save_model(model, path):
 
 def load_model(path):
     manifest, tensors = load_tensors(path)
-    cfg = NetworkConfig.from_dict(manifest["config"])
+    try:
+        cfg = NetworkConfig.from_dict(manifest.get("config"))
+    except InputError as exc:
+        raise FormatError(f"{path}: bad model config: {exc}") from None
     kind = manifest.get("kind")
     if kind == "crmn":
         model = build_crmn(cfg, seed=0)

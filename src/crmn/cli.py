@@ -35,7 +35,6 @@ def _add_network_flags(sub):
     sub.add_argument("--fm-mult", type=float, default=1.0,
                      help="first-stage map count as a multiple of 16")
     sub.add_argument("--hidden", type=int, default=100)
-    sub.add_argument("--classes", type=int, default=10)
     sub.add_argument("--variant", choices=("auto", "original", "preactivation"),
                      default="auto")
     sub.add_argument("--shortcut", choices=("pad", "projection"), default="pad")
@@ -51,10 +50,10 @@ def _add_data_flags(sub):
                      help="layout of --data")
 
 
-def _network_config(args, parser):
+def _network_config(args, parser, classes):
     try:
         return config_for(args.layers, args.fm_mult, hidden=args.hidden,
-                          classes=args.classes, variant=args.variant,
+                          classes=classes, variant=args.variant,
                           shortcut=args.shortcut, output_gate=args.output_gate)
     except InputError as exc:
         parser.error(str(exc))
@@ -80,7 +79,7 @@ def cmd_analyze(args, parser):
             parser.error(f"unknown table {args.table!r}")
         print(render_table(default_grid()))
         return 0
-    cfg = _network_config(args, parser)
+    cfg = _network_config(args, parser, args.classes)
     report = cost_report(args.kind, cfg)
     print(json.dumps(report.as_json(), indent=2))
     if args.pretty:
@@ -89,10 +88,10 @@ def cmd_analyze(args, parser):
 
 
 def cmd_train(args, parser):
-    cfg = _network_config(args, parser)
     raw_ds = _load_dataset(args, parser)
-    if cfg.classes != raw_ds.class_count:
-        cfg.classes = raw_ds.class_count
+    if raw_ds.class_count < 2:
+        raise InputError(f"dataset has {raw_ds.class_count} classes, need at least 2")
+    cfg = _network_config(args, parser, raw_ds.class_count)
     train_ds, val_ds = split_train_val(raw_ds, args.val_fraction, seed=args.seed)
     norm_stats = None
     if args.normalize != "none":
@@ -200,11 +199,12 @@ def build_parser():
 
     p = subs.add_parser("analyze", help="parameter and operation accounting")
     _add_network_flags(p)
+    p.add_argument("--classes", type=int, default=100)
     p.add_argument("--table", nargs="?", const="default-grid",
                    help="render the reference 12-row grid")
     p.add_argument("--pretty", action="store_true",
                    help="also print a human table to stderr")
-    p.set_defaults(func=cmd_analyze, classes=100)
+    p.set_defaults(func=cmd_analyze)
 
     p = subs.add_parser("train", help="train a model and record its schedule")
     _add_network_flags(p)
@@ -226,11 +226,8 @@ def build_parser():
     p.add_argument("--weight-decay", type=float, default=1e-4)
     p.add_argument("--decay-all", action="store_true")
     p.add_argument("--rrlr", action="store_true", help="round-robin per-group shifts")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--schedule-search", action="store_true", default=True,
-                       help="learn the shift schedule from validation (default)")
-    group.add_argument("--schedule-replay", metavar="JSON",
-                       help="apply a recorded schedule instead of searching")
+    p.add_argument("--schedule-replay", metavar="JSON",
+                   help="apply a recorded schedule instead of learning it from validation")
     p.set_defaults(func=cmd_train)
 
     p = subs.add_parser("evaluate", help="score a checkpoint on a dataset")

@@ -48,10 +48,9 @@ class LstmParams:
 
 
 class LstmState:
-    def __init__(self, h, c, step=0):
+    def __init__(self, h, c):
         self.h = h
         self.c = c
-        self.step = step
 
 
 def init_lstm(input_width, hidden, rng, bias_init=-1.0, learn_c0=True,
@@ -76,7 +75,7 @@ def init_lstm(input_width, hidden, rng, bias_init=-1.0, learn_c0=True,
 
 
 def initial_state(p: LstmParams, batch):
-    return LstmState(rows_from_vector(p.h0, batch), rows_from_vector(p.c0, batch), step=0)
+    return LstmState(rows_from_vector(p.h0, batch), rows_from_vector(p.c0, batch))
 
 
 def lstm_step(p: LstmParams, x, state: LstmState) -> LstmState:
@@ -98,7 +97,7 @@ def lstm_step(p: LstmParams, x, state: LstmState) -> LstmState:
     z_o = add(add(add(matmul(x, p.w_xo), matmul(h_prev, p.w_ho)), mul(c_new, p.p_o)), p.b_o)
     o_gate = tanh(z_o) if p.output_gate == "tanh" else sigmoid(z_o)
     h_new = mul(o_gate, tanh(c_new))
-    return LstmState(h_new, c_new, state.step + 1)
+    return LstmState(h_new, c_new)
 
 
 def run_sequence(p: LstmParams, xs):

@@ -7,10 +7,9 @@ the LSTM shallowest-first; the final hidden state is concatenated after the
 trunk's global-pool features and fed to a single dense layer.
 
 The LSTM only reads tap values; nothing feeds back into the trunk, so
-trunk activations are identical with and without the LSTM attached.
-
-A plain ResnetModel (trunk + pool + dense) is provided as the baseline with
-the identical trunk structure.
+trunk activations are identical with and without the LSTM attached. One
+model class covers both: built without an LSTM it is the plain ResNet
+baseline (trunk + pool + dense) on the identical trunk.
 """
 
 from __future__ import annotations
@@ -59,28 +58,34 @@ def _decays(name):
 
 
 class CrmnModel:
-    kind = "crmn"
+    """Trunk + pool + dense head, with the depth-wise memory path if ``lstm`` is set."""
 
-    def __init__(self, cfg: NetworkConfig, trunk: ResidualTrunk, lstm, head: Dense):
+    def __init__(self, cfg: NetworkConfig, trunk: ResidualTrunk, head: Dense, lstm=None):
         self.cfg = cfg
         self.trunk = trunk
-        self.lstm = lstm
         self.head = head
+        self.lstm = lstm
+        self.kind = "resnet" if lstm is None else "crmn"
         self.max_width = max_lstm_width(cfg)
 
     def forward(self, x, training=False, return_parts=False):
         pool_out, taps = trunk_forward(self.trunk, x, training)
-        adapted = [adapt_tap(t, self.max_width) for t in taps]
-        hidden = run_sequence(self.lstm, adapted)
-        logits = self.head.forward(concat_cols(pool_out, hidden))
+        parts = {"pool_out": pool_out, "taps": taps}
+        features = pool_out
+        if self.lstm is not None:
+            adapted = [adapt_tap(t, self.max_width) for t in taps]
+            parts["hidden"] = run_sequence(self.lstm, adapted)
+            features = concat_cols(pool_out, parts["hidden"])
+        logits = self.head.forward(features)
         if return_parts:
-            return logits, {"pool_out": pool_out, "taps": taps, "hidden": hidden}
+            return logits, parts
         return logits
 
     def named_params(self):
         """Ordered (name, tensor, decays) triples over all trainable scalars."""
         out = [(f"trunk.{n}", t) for n, t in self.trunk.named_params()]
-        out += [(f"lstm.{n}", t) for n, t in self.lstm.named_params()]
+        if self.lstm is not None:
+            out += [(f"lstm.{n}", t) for n, t in self.lstm.named_params()]
         out += [(f"head.{n}", t) for n, t in self.head.params()]
         return [(n, t, _decays(n)) for n, t in out if t.requires_grad]
 
@@ -99,31 +104,8 @@ class CrmnModel:
             a[...] = snap[n]
 
 
-class ResnetModel:
-    kind = "resnet"
-
-    def __init__(self, cfg: NetworkConfig, trunk: ResidualTrunk, head: Dense):
-        self.cfg = cfg
-        self.trunk = trunk
-        self.head = head
-
-    def forward(self, x, training=False, return_parts=False):
-        pool_out, taps = trunk_forward(self.trunk, x, training)
-        logits = self.head.forward(pool_out)
-        if return_parts:
-            return logits, {"pool_out": pool_out, "taps": taps}
-        return logits
-
-    def named_params(self):
-        out = [(f"trunk.{n}", t) for n, t in self.trunk.named_params()]
-        out += [(f"head.{n}", t) for n, t in self.head.params()]
-        return [(n, t, _decays(n)) for n, t in out if t.requires_grad]
-
-    def named_state(self):
-        return [(f"trunk.{n}", a) for n, a in self.trunk.named_state()]
-
-    snapshot = CrmnModel.snapshot
-    restore = CrmnModel.restore
+# kept as a name: bench/tracer.py wraps forward through vars() of both names
+ResnetModel = CrmnModel
 
 
 def _head(rng, fan_in, classes, dtype):
@@ -142,11 +124,11 @@ def build_crmn(cfg: NetworkConfig, seed=0, dtype=np.float32):
                      output_gate=cfg.output_gate, dtype=dtype)
     head = _head(np.random.default_rng(seed + 2),
                  cfg.stage_maps[-1] + cfg.hidden_size, cfg.classes, dtype)
-    return CrmnModel(cfg, trunk, lstm, head)
+    return CrmnModel(cfg, trunk, head, lstm)
 
 
 def build_resnet(cfg: NetworkConfig, seed=0, dtype=np.float32):
     cfg.validate()
     trunk = build_trunk(cfg, seed, dtype)
     head = _head(np.random.default_rng(seed + 2), cfg.stage_maps[-1], cfg.classes, dtype)
-    return ResnetModel(cfg, trunk, head)
+    return CrmnModel(cfg, trunk, head)

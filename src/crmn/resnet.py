@@ -21,7 +21,8 @@ convolution followed by batch norm is available as a config option.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -88,6 +89,21 @@ class NetworkConfig:
 
     @classmethod
     def from_dict(cls, d):
+        """Config from a plain dict such as a checkpoint manifest's ``config``.
+
+        A missing, unknown or wrongly typed field raises InputError.
+        """
+        if not isinstance(d, dict):
+            raise InputError(f"config must be an object, got {type(d).__name__}")
+        hints = get_type_hints(cls)
+        required = {f.name for f in fields(cls) if f.default is MISSING}
+        if set(d) - set(hints) or required - set(d):
+            raise InputError(f"config fields {sorted(d)} do not match {sorted(hints)}")
+        for name, value in d.items():
+            want = (int, float) if hints[name] is float else (hints[name],)
+            if type(value) not in want:
+                raise InputError(f"config field {name!r} is {value!r}, "
+                                 f"expected {hints[name].__name__}")
         return cls(**d).validate()
 
 

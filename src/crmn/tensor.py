@@ -10,6 +10,10 @@ Broadcasting is deliberately narrow: binary ops accept equal shapes, or a
 one-dimensional vector applied along the trailing axis of the other operand
 (the bias/peephole case). Anything else raises ``DimensionError``.
 
+Inside ``count_ops()`` every operation also charges its scalar multiplies,
+adds and activations to an ``OpCounter``; ``analysis`` totals its
+closed-form counts in the same class. Data movement is free.
+
 Two precisions are supported: float32 (training default) and float64 (used
 by the finite-difference gradient checks, which are too noisy at 32-bit).
 
@@ -249,19 +253,6 @@ def matmul(a, b):
     return out
 
 
-def transpose(a):
-    a = _tensor(a)
-    if a.ndim != 2:
-        raise DimensionError(f"transpose: expected rank 2, got shape {a.shape}")
-    out = Tensor(a.data.T, requires_grad=a.requires_grad)
-
-    def backward_fn(g, accum):
-        accum(a, g.T)
-
-    _record(out, backward_fn)
-    return out
-
-
 def add(a, b):
     a, b = _tensor(a), _tensor(b)
     mode = _binary_mode(a, b, "add")
@@ -337,18 +328,6 @@ def relu(x):
 
     _record(out, backward_fn)
     return out
-
-
-_ELEMENTWISE = {"add": add, "mul": mul, "sigmoid": sigmoid, "tanh": tanh, "relu": relu}
-
-
-def elementwise(op, *args):
-    """Dispatch an elementwise operation by name."""
-    try:
-        fn = _ELEMENTWISE[op]
-    except KeyError:
-        raise InputError(f"unknown elementwise op {op!r}") from None
-    return fn(*args)
 
 
 def sum_all(x):

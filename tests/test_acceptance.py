@@ -14,8 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from crmn.analysis import (config_for, flop_estimate, lstm_step_ops,
-                           param_count)
+from crmn.analysis import config_for, cost_report, lstm_step_ops
 from crmn.cli import main
 from crmn.data import split_train_val, synth_dataset
 from crmn.gradcheck import check_full, check_lstm
@@ -61,7 +60,7 @@ GRID = [
 @criterion(1, "parameter grid within 2%", budget=1.0)
 def test_acceptance_1_parameter_grid():
     for kind, layers, fm_mult, millions in GRID:
-        report = param_count(kind, config_for(layers, fm_mult))
+        report = cost_report(kind, config_for(layers, fm_mult))
         got = report.params_millions
         assert abs(got - millions) / millions < 0.02, (kind, layers, fm_mult, got)
         assert round(got, 2) == millions, (kind, layers, fm_mult, got)
@@ -84,7 +83,7 @@ def test_acceptance_2_structural_consistency():
         cfg = cfg.validate()
         builder = build_crmn if kind == "crmn" else build_resnet
         instantiated = sum(t.size for _, t, _ in builder(cfg, seed=0).named_params())
-        assert param_count(kind, cfg).params_total == instantiated, (kind, cfg)
+        assert cost_report(kind, cfg).params_total == instantiated, (kind, cfg)
 
 
 @criterion(3, "memory-path size independent of depth", budget=1.0)
@@ -92,8 +91,8 @@ def test_acceptance_3_constant_memory_parameters():
     for base in (16, 32):
         deltas = []
         for n in (3, 5, 8):
-            crmn = param_count("crmn", config_for(6 * n + 2, base / 16))
-            resnet = param_count("resnet", config_for(6 * n + 2, base / 16))
+            crmn = cost_report("crmn", config_for(6 * n + 2, base / 16))
+            resnet = cost_report("resnet", config_for(6 * n + 2, base / 16))
             deltas.append(crmn.params_total - resnet.params_total)
         assert deltas[0] == deltas[1] == deltas[2], (base, deltas)
 
@@ -145,7 +144,7 @@ def test_acceptance_6_flop_consistency():
                                                    dtype=np.float32))
         with count_ops() as measured:
             model.forward(x, training=False)
-        expected = flop_estimate(kind, cfg, batch=1).flops
+        expected = cost_report(kind, cfg, batch=1).flops
         parts = [v for k, v in expected.items() if k != "total"]
         for key in ("mults", "adds", "activations"):
             assert getattr(measured, key) == sum(p[key] for p in parts), (kind, key)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from crmn.analysis import (
-    config_for, cost_report, default_grid, flop_estimate, lstm_param_count,
-    lstm_step_ops, param_count, render_table, trunk_param_count,
+    config_for, cost_report, default_grid, lstm_param_count, lstm_step_ops,
+    render_table, trunk_param_count,
 )
 from crmn.errors import InputError
 from crmn.model import build_crmn, build_resnet
@@ -31,13 +31,13 @@ TABLE_CELLS = [
 
 @pytest.mark.parametrize("kind,layers,fm_mult,millions", TABLE_CELLS)
 def test_published_parameter_cells(kind, layers, fm_mult, millions):
-    report = param_count(kind, config_for(layers, fm_mult))
+    report = cost_report(kind, config_for(layers, fm_mult))
     assert abs(report.params_millions - millions) / millions < 0.02
     assert round(report.params_millions, 2) == millions
 
 
 def test_reference_example_resnet32_mult1():
-    report = param_count("resnet", config_for(32, 1))
+    report = cost_report("resnet", config_for(32, 1))
     assert report.params_total == 470_004
 
 
@@ -51,14 +51,14 @@ def test_memory_path_cost_is_depth_independent():
         deltas = []
         for n in (3, 5, 8):
             cfg = NetworkConfig(n=n, base_maps=base, classes=100).validate()
-            delta = (param_count("crmn", cfg).params_total
-                     - param_count("resnet", cfg).params_total)
+            delta = (cost_report("crmn", cfg).params_total
+                     - cost_report("resnet", cfg).params_total)
             deltas.append(delta)
         assert deltas[0] == deltas[1] == deltas[2]
     # at base 16 the reader adds the cell plus the extra head rows
     cfg16 = NetworkConfig(n=3, base_maps=16, classes=100).validate()
-    delta16 = (param_count("crmn", cfg16).params_total
-               - param_count("resnet", cfg16).params_total)
+    delta16 = (cost_report("crmn", cfg16).params_total
+               - cost_report("resnet", cfg16).params_total)
     assert delta16 == lstm_param_count(4096, 100) + 100 * 100
 
 
@@ -70,7 +70,7 @@ def test_trunk_params_are_affine_in_depth():
 
 
 def test_params_grow_with_width():
-    totals = [param_count("crmn", config_for(32, m)).params_total
+    totals = [cost_report("crmn", config_for(32, m)).params_total
               for m in (1, 1.5, 2, 4)]
     assert totals == sorted(totals)
 
@@ -102,7 +102,7 @@ def test_structural_equality_micro_configs():
         builder = build_crmn if kind == "crmn" else build_resnet
         model = builder(cfg, seed=0)
         instantiated = sum(t.size for _, t, _ in model.named_params())
-        assert param_count(kind, cfg).params_total == instantiated
+        assert cost_report(kind, cfg).params_total == instantiated
 
 
 def test_instrumented_forward_matches_the_estimate():
@@ -112,7 +112,7 @@ def test_instrumented_forward_matches_the_estimate():
         x = Tensor(np.random.default_rng(0).random((1, 3, 32, 32), dtype=np.float32))
         with count_ops() as measured:
             model.forward(x, training=False)
-        expected = flop_estimate(kind, cfg, batch=1).flops
+        expected = cost_report(kind, cfg, batch=1).flops
         parts = [v for k, v in expected.items() if k != "total"]
         for key in ("mults", "adds", "activations"):
             assert getattr(measured, key) == sum(p[key] for p in parts)

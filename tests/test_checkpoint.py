@@ -165,3 +165,24 @@ def test_checkpoint_rejects_mismatched_contents(tmp_path):
     save_tensors(bad_kind, extra, tensors)
     with pytest.raises(FormatError):
         load_model(bad_kind)
+
+
+@pytest.mark.parametrize("config, message", [
+    (None, "config must be an object"),
+    ([1, 16], "config must be an object"),
+    ({"colour": "red"}, "do not match"),
+    ({"n": "1"}, "'n' is '1', expected int"),
+], ids=["missing", "not-an-object", "unknown-field", "wrong-type"])
+def test_checkpoint_rejects_a_malformed_config(tmp_path, config, message):
+    model = build_resnet(micro_cfg(), seed=9)
+    if isinstance(config, dict):
+        config = {**model.cfg.as_dict(), **config}
+    extra = {"kind": "resnet", "flatten_order": "map,row,col"}
+    if config is not None:
+        extra["config"] = config
+    tensors = [(n, t.data) for n, t, _ in model.named_params()]
+    tensors += [(n, a) for n, a in model.named_state()]
+    path = tmp_path / "config.crmn"
+    save_tensors(path, extra, tensors)
+    with pytest.raises(FormatError, match=message):
+        load_model(path)

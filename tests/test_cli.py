@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import crmn.lstm
+from crmn.checkpoint import save_tensors
 from crmn.cli import main
-from crmn.data import save_raw_dataset, synth_dataset
+from crmn.data import ImageDataset, save_raw_dataset, synth_dataset
 from crmn.tensor import active_tape
 
 
@@ -150,6 +151,13 @@ def test_missing_and_malformed_files_exit_three(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_evaluate_rejects_a_checkpoint_without_a_config(tmp_path, capsys):
+    path = tmp_path / "noconfig.crmn"
+    save_tensors(path, {"kind": "crmn"}, [])
+    assert main(["evaluate", "--checkpoint", str(path), "--synth", "3,4"]) == 3
+    assert "bad model config" in capsys.readouterr().err
+
+
 def test_dataset_extent_mismatch_exits_three(tmp_path, capsys):
     # the model is built for 32x32 inputs; a 16x16 dataset fails at the
     # first batch with a DimensionError, which must not escape as a traceback
@@ -219,6 +227,19 @@ def test_train_on_raw_container_adopts_its_classes(tmp_path, capsys):
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["network"]["classes"] == 4
     assert manifest["dataset"]["classes"] == 4
+
+
+def test_train_takes_its_class_count_from_the_dataset_only(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_train(tmp_path / "run", "--classes", "7")
+    assert exc.value.code == 2
+    data = tmp_path / "one.crtd"
+    save_raw_dataset(ImageDataset(np.zeros((4, 3, 32, 32), np.float32),
+                                  np.zeros(4, np.int64), 1), data)
+    argv = ["train", "--data", str(data), "--format", "raw",
+            "--max-epochs", "1", "--out-dir", str(tmp_path / "run")] + TRAIN_FLAGS
+    assert main(argv) == 3
+    assert "1 classes" in capsys.readouterr().err
 
 
 def test_deterministic_env_flag_lands_in_the_manifest(tmp_path, capsys, monkeypatch):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import crmn.model
 from crmn.lstm import initial_state, lstm_step
 from crmn.model import (
     CrmnModel, TAP_FLATTEN_ORDER, adapt_tap, adapter_trace, build_crmn,
@@ -98,6 +99,18 @@ def test_forward_shapes_and_parts():
     assert parts["pool_out"].shape == (2, 32)
     assert parts["hidden"].shape == (2, 7)
     assert len(parts["taps"]) == 3
+
+
+def test_resnet_is_the_model_without_a_memory_path():
+    cfg = cfg_for(1, 8, hidden_size=7)
+    model = build_resnet(cfg, seed=1)
+    assert model.kind == "resnet" and model.lstm is None
+    assert build_crmn(cfg, seed=1).kind == "crmn"
+    assert not any(n.startswith("lstm.") for n, _, _ in model.named_params())
+    x = Tensor(np.random.default_rng(0).random((2, 3, 32, 32), dtype=np.float32))
+    _, parts = model.forward(x, return_parts=True)
+    assert set(parts) == {"pool_out", "taps"}
+    assert crmn.model.ResnetModel is CrmnModel
 
 
 def test_trunk_is_blind_to_the_memory_path():

@@ -8,7 +8,7 @@ from crmn.gradcheck import numeric_gradient, relative_error
 from crmn.tensor import (
     Tape, Tensor, add, backward, concat_cols, count_ops, matmul, mul,
     pad_cols, pad_maps, relu, reshape, rows_from_vector, sigmoid,
-    softmax_cross_entropy, space_subsample, sum_all, tanh, transpose,
+    softmax_cross_entropy, space_subsample, sum_all, tanh,
 )
 
 
@@ -61,15 +61,6 @@ def test_matmul_identity_passes_gradient_through():
         tape.backward(sum_all(out))
     assert np.array_equal(out.data, x.data)
     assert np.array_equal(x.grad, np.ones((2, 3)))
-
-
-def test_transpose_roundtrip_and_gradient():
-    x = t64([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    with Tape() as tape:
-        y = transpose(x)
-        tape.backward(sum_all(mul(y, y)))
-    assert y.shape == (3, 2)
-    assert np.array_equal(x.grad, 2.0 * x.data)
 
 
 def test_add_vector_broadcasts_over_trailing_axis():
@@ -281,7 +272,6 @@ def test_data_movement_is_free_under_op_counting():
         reshape(x, (4, 2))
         pad_cols(x, 6)
         concat_cols(x, x)
-        transpose(x)
     assert ops.total == 0
 
 
