@@ -1,0 +1,33 @@
+"""Crash-safe file writes: a reader sees either the old file or the whole new one."""
+
+from __future__ import annotations
+
+import contextlib
+import os
+
+
+@contextlib.contextmanager
+def atomic_open(path, mode="w", **kwargs):
+    """Open a temp file beside ``path`` for writing; on success rename it onto ``path``.
+
+    If the body raises, ``path`` keeps its old contents and the temp file is
+    removed. The temp file lives in the target's directory, so the rename
+    never crosses a file system. A symlink is written through, and a target
+    that is not a regular file (``/dev/null``, a pipe) is written directly,
+    since a rename would replace it.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, mode, **kwargs) as fh:
+            yield fh
+        return
+    head, tail = os.path.split(os.path.realpath(path))
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    fh = open(tmp, mode.replace("w", "x"), **kwargs)
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, os.path.join(head, tail))
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise

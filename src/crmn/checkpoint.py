@@ -18,6 +18,7 @@ import struct
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import FormatError, InputError
 from .model import TAP_FLATTEN_ORDER, build_crmn, build_resnet
 from .resnet import NetworkConfig
@@ -44,7 +45,7 @@ def save_tensors(path, extra, tensors):
     manifest["format"] = FORMAT_NAME
     manifest["tensors"] = listing
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)

@@ -8,6 +8,7 @@ tables go to stderr unless explicitly requested. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -16,6 +17,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import config_for, cost_report, default_grid, render_table
+from .atomic import atomic_open
 from .checkpoint import load_model, save_model
 from .data import (AugmentPolicy, load_cifar_binary, load_raw_dataset, normalize,
                    split_train_val, synth_dataset)
@@ -34,11 +36,12 @@ def _add_network_flags(sub):
     sub.add_argument("--layers", type=int, default=32, help="depth, must be 6n+2")
     sub.add_argument("--fm-mult", type=float, default=1.0,
                      help="first-stage map count as a multiple of 16")
-    sub.add_argument("--hidden", type=int, default=100)
+    sub.add_argument("--hidden", type=int, help="LSTM width (crmn only, default 100)")
     sub.add_argument("--variant", choices=("auto", "original", "preactivation"),
                      default="auto")
     sub.add_argument("--shortcut", choices=("pad", "projection"), default="pad")
-    sub.add_argument("--output-gate", choices=("tanh", "sigmoid"), default="tanh")
+    sub.add_argument("--output-gate", choices=("tanh", "sigmoid"),
+                     help="LSTM output squash (crmn only, default tanh)")
 
 
 def _add_data_flags(sub):
@@ -50,11 +53,22 @@ def _add_data_flags(sub):
                      help="layout of --data")
 
 
+def _lstm_flags(args, parser):
+    """The LSTM flags given on the command line, as config_for keywords."""
+    given = {name: value for name, value in (("hidden", args.hidden),
+                                             ("output_gate", args.output_gate))
+             if value is not None}
+    if given and args.kind == "resnet":
+        # a ResNet has no LSTM: the flags would change only its recorded config
+        parser.error("--hidden and --output-gate apply only to --kind crmn")
+    return given
+
+
 def _network_config(args, parser, classes):
     try:
-        return config_for(args.layers, args.fm_mult, hidden=args.hidden,
-                          classes=classes, variant=args.variant,
-                          shortcut=args.shortcut, output_gate=args.output_gate)
+        return config_for(args.layers, args.fm_mult, classes=classes,
+                          variant=args.variant, shortcut=args.shortcut,
+                          **_lstm_flags(args, parser))
     except InputError as exc:
         parser.error(str(exc))
 
@@ -88,10 +102,16 @@ def cmd_analyze(args, parser):
 
 
 def cmd_train(args, parser):
+    _lstm_flags(args, parser)  # usage errors come before any data is read
     raw_ds = _load_dataset(args, parser)
     if raw_ds.class_count < 2:
         raise InputError(f"dataset has {raw_ds.class_count} classes, need at least 2")
     cfg = _network_config(args, parser, raw_ds.class_count)
+    c, h, w = raw_ds.images.shape[1:]
+    e = cfg.input_extent
+    if (c, h, w) != (3, e, e):
+        raise InputError(f"dataset images are {c}*{h}*{w}; the model "
+                         f"expects b*3*{e}*{e} input (input_extent {e})")
     train_ds, val_ds = split_train_val(raw_ds, args.val_fraction, seed=args.seed)
     norm_stats = None
     if args.normalize != "none":
@@ -123,7 +143,8 @@ def cmd_train(args, parser):
     artifacts = [ckpt, hist, sched, man]
     if norm_stats is not None:
         stats_path = os.path.join(args.out_dir, "norm_stats.npy")
-        np.save(stats_path, norm_stats)
+        with atomic_open(stats_path, "wb") as fh:
+            np.save(fh, norm_stats)
         artifacts.insert(3, stats_path)
     manifest = {
         "tool": f"crmn {__version__}",
@@ -138,7 +159,7 @@ def cmd_train(args, parser):
         "dataset": {"checksum": raw_ds.checksum(), "n_train": len(train_ds),
                     "n_val": len(val_ds), "classes": raw_ds.class_count},
     }
-    with open(man, "w") as fh:
+    with atomic_open(man) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     last = result.history[-1]
@@ -177,15 +198,11 @@ def cmd_gradcheck(args, parser):
 
 def cmd_export_curves(args, parser):
     rows = read_history(args.history)
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
+    with atomic_open(args.out) if args.out else contextlib.nullcontext(sys.stdout) as out:
         out.write("series,epoch,value\n")
         for series in CURVE_SERIES:
             for row in rows:
                 out.write(f"{series},{row['epoch']},{row[series]!r}\n")
-    finally:
-        if args.out:
-            out.close()
     return 0
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import DimensionError, FormatError, InputError
 
 RAW_MAGIC = b"CRTD"
@@ -95,7 +96,7 @@ def save_raw_dataset(ds: ImageDataset, path):
     label_width = 1 if ds.class_count <= 256 else 2
     pixels = np.clip(np.rint(ds.images * 255.0), 0, 255).astype(np.uint8)
     labels = ds.labels.astype("<u2" if label_width == 2 else "u1")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(_RAW_HEADER.pack(RAW_MAGIC, RAW_VERSION, label_width,
                                   n, c, h, w, ds.class_count))
         fh.write(labels.tobytes())

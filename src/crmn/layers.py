@@ -8,8 +8,10 @@ bias term; every convolution in the network is followed by a batch norm
 whose shift plays that role.
 
 Both convolution passes are im2col GEMMs over a window view of the padded
-input (as_strided, no copy until the column matrix is formed). The forward
-is one BLAS call, cols @ W^T. The backward rebuilds cols from the window
+input (as_strided, no copy until the column matrix is formed). The view is
+laid out b*ci*k*k*ho*wo, so every copied run of the column matrix is a
+whole output row. The forward is one batched BLAS call, W @ cols, whose
+result is already b*co*(ho*wo). The backward rebuilds cols from the window
 view rather than keeping the forward's copy on the tape, takes the weight
 gradient as one GEMM, g^T @ cols, and the input gradient as one batched
 GEMM per kernel tap, W[:, :, i, j]^T @ g, scatter-added into the strided
@@ -59,24 +61,22 @@ def conv2d(x, weight, stride=1):
     s0, s1, s2, s3 = xp.strides
     windows = as_strided(
         xp,
-        shape=(b, ci, ho, wo, k, k),
-        strides=(s0, s1, s2 * stride, s3 * stride, s2, s3),
+        shape=(b, ci, k, k, ho, wo),
+        strides=(s0, s1, s2, s3, s2 * stride, s3 * stride),
     )
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(b * ho * wo, ci * k * k)
-    flat = cols @ weight.data.reshape(co, ci * k * k).T
-    out_data = flat.reshape(b, ho, wo, co).transpose(0, 3, 1, 2)
-    out = Tensor(np.ascontiguousarray(out_data),
+    cols = windows.reshape(b, ci * k * k, ho * wo)
+    out_data = np.matmul(weight.data.reshape(co, ci * k * k), cols)
+    out = Tensor(out_data.reshape(b, co, ho, wo),
                  requires_grad=x.requires_grad or weight.requires_grad)
     n = b * co * ho * wo * ci * k * k
     _bump(mults=n, adds=n)
 
     def backward_fn(g, accum):
         if weight.requires_grad:
-            # cols is built transposed, (ci*k*k) x (b*ho*wo): each of its rows
-            # copies whole output rows of xp, which is about twice as fast as
-            # the forward's layout, whose innermost runs are k elements long
+            # cols is rebuilt as one (ci*k*k) x (b*ho*wo) matrix, so the weight
+            # gradient is a single GEMM instead of a batched one summed over b
             gflat = g.transpose(1, 0, 2, 3).reshape(co, b * ho * wo)
-            gw = gflat @ windows.transpose(1, 4, 5, 0, 2, 3).reshape(ci * k * k, b * ho * wo).T
+            gw = gflat @ windows.transpose(1, 2, 3, 0, 4, 5).reshape(ci * k * k, b * ho * wo).T
             accum(weight, gw.reshape(co, ci, k, k))
         if x.requires_grad:
             gxp = np.zeros_like(xp)

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import atomic_open
 from .data import AugmentPolicy, ImageDataset, augment
 from .errors import ContractError, InputError, TrainingError
 from .tensor import Tape, Tensor, softmax_cross_entropy
@@ -294,7 +295,7 @@ def train(model, train_ds: ImageDataset, cfg: TrainConfig, val_ds=None, replay=N
 
 
 def write_history(path, history):
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(HISTORY_COLUMNS)
         for row in history:
@@ -316,7 +317,7 @@ def read_history(path):
 
 
 def write_schedule(path, records):
-    with open(path, "w") as fh:
+    with atomic_open(path, "w") as fh:
         json.dump(list(records), fh, indent=2)
         fh.write("\n")
 

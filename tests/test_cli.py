@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+import crmn.cli
 import crmn.lstm
 from crmn.checkpoint import save_tensors
 from crmn.cli import main
@@ -158,15 +159,39 @@ def test_evaluate_rejects_a_checkpoint_without_a_config(tmp_path, capsys):
     assert "bad model config" in capsys.readouterr().err
 
 
-def test_dataset_extent_mismatch_exits_three(tmp_path, capsys):
-    # the model is built for 32x32 inputs; a 16x16 dataset fails at the
-    # first batch with a DimensionError, which must not escape as a traceback
+def test_dataset_extent_mismatch_exits_three(tmp_path, capsys, monkeypatch):
+    # the model is built for 32x32 inputs; a 16x16 dataset is rejected right
+    # after loading, before a model is built or anything is written
     data = tmp_path / "small.crtd"
     save_raw_dataset(synth_dataset(3, 8, seed=1, extent=16), data)
+    monkeypatch.setattr(crmn.cli, "build_crmn", lambda *a, **k: pytest.fail("model built"))
     argv = ["train", "--data", str(data), "--format", "raw",
             "--max-epochs", "1", "--out-dir", str(tmp_path / "run")] + TRAIN_FLAGS
     assert main(argv) == 3
-    assert "expects b*3*32*32 input" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "expects b*3*32*32 input" in err
+    assert "3*16*16" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "analyze"])
+@pytest.mark.parametrize("flag", [["--hidden", "5"], ["--output-gate", "sigmoid"]])
+def test_lstm_flags_on_a_resnet_are_usage_errors(tmp_path, capsys, command, flag):
+    argv = [command, "--kind", "resnet", "--layers", "8"] + flag
+    if command == "train":
+        argv += ["--synth", "3,8", "--out-dir", str(tmp_path / "run")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "only to --kind crmn" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_a_resnet_records_the_default_lstm_fields(capsys):
+    # without the flags, a ResNet's config carries the same defaults as before
+    assert main(["analyze", "--kind", "resnet", "--layers", "8"]) == 0
+    network = json.loads(capsys.readouterr().out)["config"]
+    assert (network["hidden_size"], network["output_gate"]) == (100, "tanh")
 
 
 def test_gradcheck_ops_passes(capsys):

@@ -103,6 +103,60 @@ def test_conv_gradients_under_a_weighted_loss(ci, co, extent, k, stride, x_grad)
         assert relative_error(tensor.grad, numeric).max() < 1e-6
 
 
+def _rows_first_conv_forward(x, weight, stride):
+    """The (b*ho*wo) x (ci*k*k) forward the batched GEMM replaced, kept as an oracle."""
+    b, ci, h, w = x.shape
+    co, _, k, _ = weight.shape
+    pad = (k - 1) // 2
+    ho = (h + 2 * pad - k) // stride + 1
+    wo = (w + 2 * pad - k) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    s0, s1, s2, s3 = xp.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xp, shape=(b, ci, ho, wo, k, k),
+        strides=(s0, s1, s2 * stride, s3 * stride, s2, s3))
+    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(b * ho * wo, ci * k * k)
+    flat = cols @ weight.reshape(co, ci * k * k).T
+    return np.ascontiguousarray(flat.reshape(b, ho, wo, co).transpose(0, 3, 1, 2))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("b, ci, co, extent, k, stride, exact", [
+    (4, 16, 16, 32, 3, 1, True),   # stage 1
+    (4, 3, 16, 32, 3, 1, True),    # stem
+    (4, 16, 32, 32, 3, 2, True),   # stage transition, ci != co
+    (4, 16, 32, 32, 1, 2, True),   # 1x1 projection shortcut
+    (2, 2, 3, 5, 3, 2, False),     # odd extent: 5 -> 3
+    (1, 16, 16, 8, 3, 1, False),   # batch 1
+])
+def test_conv_forward_matches_the_rows_first_oracle(b, ci, co, extent, k, stride, exact,
+                                                    dtype):
+    # exact: bit-identical on the development machine (OpenBLAS); elsewhere
+    # only the GEMM's summation order may differ, so the bound is normwise
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((b, ci, extent, extent)).astype(dtype)
+    w = rng.standard_normal((co, ci, k, k)).astype(dtype)
+    got = conv2d(Tensor(x), Tensor(w), stride=stride).data
+    want = _rows_first_conv_forward(x, w, stride)
+    assert got.dtype == dtype and got.shape == want.shape
+    assert got.flags.c_contiguous
+    if exact:
+        assert np.array_equal(got, want)
+    else:
+        assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
+
+
+def test_conv_forward_of_a_sliced_view_matches_its_copy():
+    rng = np.random.default_rng(14)
+    base = rng.standard_normal((4, 32, 34, 34)).astype(np.float32)
+    view = base[:, ::2, 1:-1, 1:-1]  # every other map, border cropped
+    assert not view.flags.c_contiguous
+    w = rng.standard_normal((16, 16, 3, 3)).astype(np.float32)
+    got = conv2d(Tensor(view), Tensor(w)).data
+    assert np.array_equal(got, conv2d(Tensor(view.copy()), Tensor(w)).data)
+    assert np.array_equal(got, _rows_first_conv_forward(view, w, 1))
+
+
 def _einsum_conv_backward(x, weight, g, stride):
     """The per-tap einsum backward the GEMM form replaced, kept as an oracle."""
     k = weight.shape[2]
