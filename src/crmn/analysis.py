@@ -67,10 +67,6 @@ class CostReport:
         return self.params_trunk + self.params_lstm + self.params_head
 
     @property
-    def flops_forward_per_image(self):
-        return self.flops["total"]
-
-    @property
     def params_millions(self):
         return self.params_total / 1e6
 
@@ -193,40 +189,25 @@ def cost_report(kind, cfg: NetworkConfig, batch=1) -> CostReport:
     cfg.validate()
     breakdown = []
     trunk_ops = _trunk_flops(cfg, batch, breakdown)
+    resnet_total = trunk_ops.total + _head_flops(cfg.stage_maps[-1], cfg.classes, batch).total
     flops = {"trunk": trunk_ops.as_dict()}
-    params_trunk = trunk_param_count(cfg)
-    h = cfg.hidden_size
+    h, params_lstm, step_total = 0, 0, 0
     if kind == "crmn":
+        h = cfg.hidden_size
         width = max_lstm_width(cfg)
-        adapter_ops = _adapter_flops(cfg, batch)
         step = lstm_step_ops(width, h, batch)
         lstm_ops = OpCounter()
         _add_into(lstm_ops, step, times=3 * cfg.n)
-        head_ops = _head_flops(cfg.stage_maps[-1] + h, cfg.classes, batch)
-        flops["adapter"] = adapter_ops.as_dict()
+        flops["adapter"] = _adapter_flops(cfg, batch).as_dict()
         flops["lstm"] = lstm_ops.as_dict()
-        flops["head"] = head_ops.as_dict()
-        parts = (trunk_ops, adapter_ops, lstm_ops, head_ops)
         params_lstm = lstm_param_count(width, h, cfg.learn_c0)
-        params_head = (cfg.stage_maps[-1] + h) * cfg.classes + cfg.classes
         step_total = step.total
-        plain = cost_report("resnet", cfg, batch)
-        ratio = None
-    else:
-        head_ops = _head_flops(cfg.stage_maps[-1], cfg.classes, batch)
-        flops["head"] = head_ops.as_dict()
-        parts = (trunk_ops, head_ops)
-        params_lstm = 0
-        params_head = cfg.stage_maps[-1] * cfg.classes + cfg.classes
-        step_total = 0
-        plain = None
-        ratio = None
-    flops["total"] = sum(p.total for p in parts)
-    report = CostReport(kind, cfg.as_dict(), params_trunk, params_lstm, params_head,
-                        flops, breakdown, step_total, ratio)
-    if plain is not None:
-        report.flops_ratio_vs_resnet = report.flops["total"] / plain.flops["total"]
-    return report
+    flops["head"] = _head_flops(cfg.stage_maps[-1] + h, cfg.classes, batch).as_dict()
+    flops["total"] = sum(part["total"] for part in flops.values())
+    ratio = flops["total"] / resnet_total if kind == "crmn" else None
+    params_head = (cfg.stage_maps[-1] + h) * cfg.classes + cfg.classes
+    return CostReport(kind, cfg.as_dict(), trunk_param_count(cfg), params_lstm, params_head,
+                      flops, breakdown, step_total, ratio)
 
 
 def config_for(layers, fm_mult, hidden=100, classes=100, variant="auto",

@@ -18,6 +18,7 @@ import struct
 
 import numpy as np
 
+from .analysis import KINDS, cost_report
 from .atomic import atomic_open
 from .errors import FormatError, InputError
 from .model import TAP_FLATTEN_ORDER, build_crmn, build_resnet
@@ -79,7 +80,7 @@ def load_tensors(path):
         raise FormatError(f"{path}: truncated manifest ({len(data)} bytes)")
     try:
         manifest = json.loads(data[start:start + blob_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"{path}: unreadable manifest: {exc}") from exc
     if not isinstance(manifest, dict):
         raise FormatError(f"{path}: manifest is not a JSON object")
@@ -96,7 +97,10 @@ def load_tensors(path):
         nbytes = count * dtype.itemsize
         if offset + nbytes > len(data):
             raise FormatError(f"{path}: truncated at byte {offset} reading {name!r}")
-        arr = np.frombuffer(data, dtype=dtype, count=count, offset=offset).reshape(shape)
+        try:
+            arr = np.frombuffer(data, dtype=dtype, count=count, offset=offset).reshape(shape)
+        except ValueError as exc:  # an empty shape NumPy cannot hold (>64 dims, huge dims)
+            raise FormatError(f"{path}: {name!r} has shape {list(shape)}: {exc}") from None
         tensors[name] = arr.copy()
         offset += nbytes
     if offset != len(data):
@@ -110,9 +114,7 @@ def save_model(model, path):
         "config": model.cfg.as_dict(),
         "flatten_order": TAP_FLATTEN_ORDER,
     }
-    tensors = [(name, t.data) for name, t, _ in model.named_params()]
-    tensors += [(name, arr) for name, arr in model.named_state()]
-    save_tensors(path, extra, tensors)
+    save_tensors(path, extra, model.named_arrays())
 
 
 def load_model(path):
@@ -122,27 +124,25 @@ def load_model(path):
     except InputError as exc:
         raise FormatError(f"{path}: bad model config: {exc}") from None
     kind = manifest.get("kind")
-    if kind == "crmn":
-        model = build_crmn(cfg, seed=0)
-    elif kind == "resnet":
-        model = build_resnet(cfg, seed=0)
-    else:
+    if kind not in KINDS:
         raise FormatError(f"{path}: unknown model kind {kind!r}")
-    expected = {name for name, _, _ in model.named_params()}
-    expected.update(name for name, _ in model.named_state())
-    if expected != set(tensors):
-        missing = sorted(expected - set(tensors))[:3]
-        surplus = sorted(set(tensors) - expected)[:3]
+    # no real model has fewer values than n, maps, hidden units or classes; ruling
+    # those out first keeps cost_report's walk over 3n blocks short and its ratio finite
+    count = sum(arr.size for arr in tensors.values())
+    if (max(cfg.n, cfg.base_maps, cfg.hidden_size, cfg.classes) > count
+            or cost_report(kind, cfg).params_total > count):
+        raise FormatError(f"{path}: config needs more parameters than the "
+                          f"{count} values the file holds")
+    model = (build_crmn if kind == "crmn" else build_resnet)(cfg, seed=0)
+    arrays = dict(model.named_arrays())
+    if arrays.keys() != tensors.keys():
+        missing = sorted(arrays.keys() - tensors.keys())[:3]
+        surplus = sorted(tensors.keys() - arrays.keys())[:3]
         raise FormatError(f"{path}: tensor names do not match config "
                           f"(missing {missing}, surplus {surplus})")
-    for name, t, _ in model.named_params():
-        arr = tensors[name]
-        if arr.shape != t.data.shape:
-            raise FormatError(f"{path}: {name} has shape {arr.shape}, expected {t.data.shape}")
-        t.data = arr.astype(t.data.dtype, copy=False)
-    for name, stat in model.named_state():
-        arr = tensors[name]
-        if arr.shape != stat.shape:
-            raise FormatError(f"{path}: {name} has shape {arr.shape}, expected {stat.shape}")
-        stat[...] = arr
+    for name, dest in arrays.items():
+        if tensors[name].shape != dest.shape:
+            raise FormatError(f"{path}: {name} has shape {tensors[name].shape}, "
+                              f"expected {dest.shape}")
+        dest[...] = tensors[name]
     return model

@@ -86,8 +86,8 @@ def load_cifar_binary(path, variant="c10"):
     labels = data[:, label_bytes - 1].astype(np.int64)
     images = data[:, label_bytes:].reshape(-1, 3, 32, 32).astype(np.float32) / 255.0
     classes = 10 if variant == "c10" else 100
-    return ImageDataset(images, labels, classes,
-                        manifest={"source": "cifar-binary", "variant": variant}).validate()
+    return _loaded(path, images, labels, classes,
+                   {"source": "cifar-binary", "variant": variant})
 
 
 def save_raw_dataset(ds: ImageDataset, path):
@@ -124,9 +124,19 @@ def load_raw_dataset(path):
     labels = np.frombuffer(raw, dtype=ldtype, count=n, offset=offset).astype(np.int64)
     offset += n * label_width
     pixels = np.frombuffer(raw, dtype=np.uint8, count=n * c * h * w, offset=offset)
-    images = pixels.reshape(n, c, h, w).astype(np.float32) / 255.0
-    return ImageDataset(images, labels, classes,
-                        manifest={"source": "raw-container"}).validate()
+    try:
+        pixels = pixels.reshape(n, c, h, w)
+    except ValueError as exc:  # an empty payload whose other extents overflow int64
+        raise FormatError(f"{path}: cannot shape {n}x{c}x{h}x{w} images: {exc}") from None
+    images = pixels.astype(np.float32) / 255.0
+    return _loaded(path, images, labels, classes, {"source": "raw-container"})
+
+
+def _loaded(path, images, labels, classes, manifest):
+    """Dataset from decoded file contents; unsigned labels must be below ``classes``."""
+    if len(labels) and labels.max() >= classes:
+        raise FormatError(f"{path}: label {labels.max()} out of range for {classes} classes")
+    return ImageDataset(images, labels, classes, manifest=manifest).validate()
 
 
 def normalize(ds: ImageDataset, mode="mean_pixel", stats=None):

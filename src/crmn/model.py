@@ -92,15 +92,15 @@ class CrmnModel:
     def named_state(self):
         return [(f"trunk.{n}", a) for n, a in self.trunk.named_state()]
 
+    def named_arrays(self):
+        """Checkpoint order: the data of every named param, then batch-norm state."""
+        return [(n, t.data) for n, t, _ in self.named_params()] + self.named_state()
+
     def snapshot(self):
-        snap = {n: t.data.copy() for n, t, _ in self.named_params()}
-        snap.update({n: a.copy() for n, a in self.named_state()})
-        return snap
+        return {n: a.copy() for n, a in self.named_arrays()}
 
     def restore(self, snap):
-        for n, t, _ in self.named_params():
-            t.data[...] = snap[n]
-        for n, a in self.named_state():
+        for n, a in self.named_arrays():
             a[...] = snap[n]
 
 

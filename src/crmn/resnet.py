@@ -65,6 +65,8 @@ class NetworkConfig:
             raise InputError(f"shortcut must be one of {SHORTCUTS}, got {self.shortcut!r}")
         if self.output_gate not in OUTPUT_GATES:
             raise InputError(f"output_gate must be one of {OUTPUT_GATES}, got {self.output_gate!r}")
+        if not abs(self.lstm_bias_init) <= float(np.finfo(np.float32).max):
+            raise InputError(f"lstm_bias_init must be a finite float32, got {self.lstm_bias_init}")
         if self.input_extent < 8 or self.input_extent % 8:
             raise InputError(
                 f"input_extent must be a positive multiple of 8, got {self.input_extent}")
@@ -143,7 +145,6 @@ class ResidualBlock:
     def __init__(self, spec: BlockSpec, variant, shortcut, rng, dtype=np.float32):
         self.spec = spec
         self.variant = variant
-        self.shortcut_kind = shortcut
         m_in, m = spec.in_maps, spec.out_maps
         norm1_maps = m if variant == "original" else m_in
         self.conv1 = Conv2d(he_conv_weight(rng, m, m_in, 3, dtype), spec.stride)
@@ -180,7 +181,8 @@ class ResidualBlock:
             out = relu(out)
         return out
 
-    def _pieces(self):
+    def layers(self):
+        """(name, layer) pairs in checkpoint order."""
         if self.variant == "original":
             pieces = [("conv1", self.conv1), ("bn1", self.bn1),
                       ("conv2", self.conv2), ("bn2", self.bn2)]
@@ -190,20 +192,6 @@ class ResidualBlock:
         if self.proj is not None:
             pieces += [("proj", self.proj), ("proj_bn", self.proj_bn)]
         return pieces
-
-    def named_params(self):
-        out = []
-        for prefix, piece in self._pieces():
-            out += [(f"{prefix}.{name}", t) for name, t in piece.params()]
-        return out
-
-    def named_state(self):
-        out = []
-        for prefix, piece in self._pieces():
-            if isinstance(piece, BatchNorm):
-                out += [(f"{prefix}.running_mean", piece.running_mean),
-                        (f"{prefix}.running_var", piece.running_var)]
-        return out
 
 
 class ResidualTrunk:
@@ -245,29 +233,22 @@ class ResidualTrunk:
             features = relu(self.final_bn.forward(features, training))
         return features, taps
 
-    def named_params(self):
-        out = [("stem.conv.weight", self.stem.weight)]
-        if self.stem_bn is not None:
-            out += [(f"stem.bn.{n}", t) for n, t in self.stem_bn.params()]
+    def layers(self):
+        """(name, layer) pairs in checkpoint order: stem, blocks, final norm."""
+        out = [("stem.conv", self.stem), ("stem.bn", self.stem_bn)]
         for block in self.blocks:
             prefix = f"stage{block.spec.stage}.block{block.spec.index}"
-            out += [(f"{prefix}.{n}", t) for n, t in block.named_params()]
-        if self.final_bn is not None:
-            out += [(f"final.bn.{n}", t) for n, t in self.final_bn.params()]
-        return out
+            out += [(f"{prefix}.{name}", layer) for name, layer in block.layers()]
+        out.append(("final.bn", self.final_bn))
+        return [(name, layer) for name, layer in out if layer is not None]
+
+    def named_params(self):
+        return [(f"{prefix}.{n}", t) for prefix, layer in self.layers()
+                for n, t in layer.params()]
 
     def named_state(self):
-        out = []
-        if self.stem_bn is not None:
-            out += [("stem.bn.running_mean", self.stem_bn.running_mean),
-                    ("stem.bn.running_var", self.stem_bn.running_var)]
-        for block in self.blocks:
-            prefix = f"stage{block.spec.stage}.block{block.spec.index}"
-            out += [(f"{prefix}.{n}", a) for n, a in block.named_state()]
-        if self.final_bn is not None:
-            out += [("final.bn.running_mean", self.final_bn.running_mean),
-                    ("final.bn.running_var", self.final_bn.running_var)]
-        return out
+        return [(f"{prefix}.{n}", a) for prefix, layer in self.layers()
+                if isinstance(layer, BatchNorm) for n, a in layer.state()]
 
 
 def build_trunk(cfg: NetworkConfig, seed=0, dtype=np.float32):

@@ -160,9 +160,6 @@ class Tape:
         self._entries.append((out, backward_fn))
         self._outputs.add(id(out))
 
-    def __len__(self):
-        return len(self._entries)
-
     def backward(self, loss):
         if loss.size != 1:
             raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")

@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+import crmn.checkpoint
 from crmn.checkpoint import MAGIC, load_model, load_tensors, save_model, save_tensors
 from crmn.errors import FormatError
 from crmn.model import build_crmn, build_resnet
@@ -108,6 +109,16 @@ def test_container_rejects_a_negative_dimension(tmp_path):
         load_tensors(path)
 
 
+@pytest.mark.parametrize("shape", [[0, 2**70], [0, 2**62, 2**62], [0] * 70],
+                         ids=["dim-past-int64", "size-past-int64", "70-dims"])
+def test_container_rejects_an_empty_shape_numpy_cannot_hold(tmp_path, shape):
+    entry = dict(GOOD_ENTRY, shape=shape)
+    path = write_container(tmp_path / "empty.crmn",
+                           {"format": "crmn-tensors-1", "tensors": [entry]})
+    with pytest.raises(FormatError, match="'w' has shape"):
+        load_tensors(path)
+
+
 def test_model_checkpoint_roundtrip_restores_everything(tmp_path):
     model = build_crmn(micro_cfg(), seed=3)
     x = Tensor(np.random.default_rng(4).random((4, 3, 32, 32), dtype=np.float32))
@@ -185,4 +196,87 @@ def test_checkpoint_rejects_a_malformed_config(tmp_path, config, message):
     path = tmp_path / "config.crmn"
     save_tensors(path, extra, tensors)
     with pytest.raises(FormatError, match=message):
+        load_model(path)
+
+
+def test_container_rejects_a_deeply_nested_manifest(tmp_path):
+    blob = b"[" * 200_000
+    path = tmp_path / "nested.crmn"
+    path.write_bytes(MAGIC + struct.pack("<Q", len(blob)) + blob)
+    with pytest.raises(FormatError, match="unreadable manifest"):
+        load_tensors(path)
+
+
+@pytest.mark.parametrize("kind, config", [
+    ("crmn", {"input_extent": 2**31}),
+    ("crmn", {"n": 300, "base_maps": 512}),
+    ("resnet", {"n": 300, "base_maps": 512}),
+], ids=["crmn-extent", "crmn-depth-width", "resnet-depth-width"])
+def test_checkpoint_config_larger_than_the_file_is_rejected_unbuilt(tmp_path, monkeypatch,
+                                                                    kind, config):
+    model = (build_crmn if kind == "crmn" else build_resnet)(micro_cfg(), seed=10)
+    extra = {"kind": kind, "config": {**model.cfg.as_dict(), **config}}
+    path = tmp_path / "big.crmn"
+    save_tensors(path, extra, model.named_arrays())
+    for name in ("build_crmn", "build_resnet"):
+        monkeypatch.setattr(crmn.checkpoint, name, lambda *a, **k: pytest.fail("model built"))
+    with pytest.raises(FormatError, match="more parameters than"):
+        load_model(path)
+
+
+def micro_walk(stem, block, final):
+    """Layer names of a micro trunk (n=1) whose stages 2 and 3 project their shortcut."""
+    return stem + [f"stage{s}.block0.{name}" for s in (1, 2, 3)
+                   for name in block + ["proj", "proj_bn"] * (s > 1)] + final
+
+
+def checkpoint_names(layers):
+    """Trunk params, head params, then the running statistics of every norm layer."""
+    params = [f"trunk.{layer}.{p}" for layer in layers
+              for p in (["scale", "shift"] if "bn" in layer else ["weight"])]
+    stats = [f"trunk.{layer}.running_{s}" for layer in layers if "bn" in layer
+             for s in ("mean", "var")]
+    return params + ["head.weight", "head.bias"] + stats
+
+
+CHECKPOINT_ORDER = {
+    "original": checkpoint_names(
+        micro_walk(["stem.conv", "stem.bn"], ["conv1", "bn1", "conv2", "bn2"], [])),
+    "preactivation": checkpoint_names(
+        micro_walk(["stem.conv"], ["bn1", "conv1", "bn2", "conv2"], ["final.bn"])),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(CHECKPOINT_ORDER))
+def test_named_arrays_keep_the_checkpoint_order(tmp_path, variant):
+    model = build_resnet(micro_cfg(variant=variant, shortcut="projection"), seed=11)
+    path = tmp_path / "order.crmn"
+    save_model(model, path)
+    manifest, _ = load_tensors(path)
+    names = [n for n, _ in model.named_arrays()]
+    assert names == CHECKPOINT_ORDER[variant]
+    assert [e["name"] for e in manifest["tensors"]] == names
+    assert names == ([n for n, _, _ in model.named_params()]
+                     + [n for n, _ in model.named_state()])
+    back = load_model(path)
+    for (_, t, _), (_, a) in zip(back.named_params(), back.named_arrays()):
+        assert a is t.data
+
+
+def test_checkpoint_rejects_a_tensor_of_the_wrong_shape(tmp_path):
+    model = build_crmn(micro_cfg(), seed=13)
+    arrays = [(n, a.T if n == "lstm.w_xi" else a) for n, a in model.named_arrays()]
+    path = tmp_path / "shape.crmn"
+    save_tensors(path, {"kind": "crmn", "config": model.cfg.as_dict()}, arrays)
+    with pytest.raises(FormatError, match=r"lstm.w_xi has shape \(5, 1024\)"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("bias", [10**400, 1e300, float("nan")], ids=["int", "large", "nan"])
+def test_checkpoint_rejects_a_bias_init_outside_float32(tmp_path, bias):
+    model = build_crmn(micro_cfg(), seed=12)
+    extra = {"kind": "crmn", "config": {**model.cfg.as_dict(), "lstm_bias_init": bias}}
+    path = tmp_path / "bias.crmn"
+    save_tensors(path, extra, model.named_arrays())
+    with pytest.raises(FormatError, match="lstm_bias_init must be a finite float32"):
         load_model(path)

@@ -6,11 +6,14 @@ import os
 import numpy as np
 import pytest
 
+import crmn.checkpoint
 import crmn.cli
 import crmn.lstm
 from crmn.checkpoint import save_tensors
 from crmn.cli import main
 from crmn.data import ImageDataset, save_raw_dataset, synth_dataset
+from crmn.model import build_crmn
+from crmn.resnet import NetworkConfig
 from crmn.tensor import active_tape
 
 
@@ -157,6 +160,18 @@ def test_evaluate_rejects_a_checkpoint_without_a_config(tmp_path, capsys):
     save_tensors(path, {"kind": "crmn"}, [])
     assert main(["evaluate", "--checkpoint", str(path), "--synth", "3,4"]) == 3
     assert "bad model config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", [{"input_extent": 2**31}, {"n": 300, "base_maps": 512}],
+                         ids=["extent", "depth-width"])
+def test_evaluate_rejects_a_config_larger_than_the_file(tmp_path, capsys, monkeypatch, config):
+    model = build_crmn(NetworkConfig(n=1, base_maps=4, classes=3, hidden_size=5), seed=1)
+    path = tmp_path / "big.crmn"
+    save_tensors(path, {"kind": "crmn", "config": {**model.cfg.as_dict(), **config}},
+                 model.named_arrays())
+    monkeypatch.setattr(crmn.checkpoint, "build_crmn", lambda *a, **k: pytest.fail("model built"))
+    assert main(["evaluate", "--checkpoint", str(path), "--synth", "3,4"]) == 3
+    assert "more parameters than" in capsys.readouterr().err
 
 
 def test_dataset_extent_mismatch_exits_three(tmp_path, capsys, monkeypatch):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from crmn.data import (
-    AugmentPolicy, ImageDataset, augment, load_cifar_binary, load_raw_dataset,
-    normalize, save_raw_dataset, split_train_val, synth_dataset,
+    _RAW_HEADER, RAW_MAGIC, RAW_VERSION, AugmentPolicy, ImageDataset, augment,
+    load_cifar_binary, load_raw_dataset, normalize, save_raw_dataset, split_train_val,
+    synth_dataset,
 )
 from crmn.errors import DimensionError, FormatError, InputError
 
@@ -240,6 +241,29 @@ def test_dataset_checksum_tracks_content():
     assert a.checksum() == b.checksum()
     b.images[0, 0, 0, 0] += 0.5
     assert a.checksum() != b.checksum()
+
+
+def test_out_of_range_labels_in_a_file_are_format_errors(tmp_path):
+    c10 = write_c10(tmp_path / "label200.bin", [(1, 0), (200, 0)])
+    with pytest.raises(FormatError, match="label200.bin: label 200 out of range"):
+        load_cifar_binary(c10, "c10")
+    ds = ImageDataset(np.zeros((2, 3, 8, 8), dtype=np.float32), np.array([0, 5]), 6)
+    raw = tmp_path / "label5.crtd"
+    save_raw_dataset(ds, raw)
+    blob = bytearray(raw.read_bytes())
+    blob[28:32] = (2).to_bytes(4, "little")  # the header's class count
+    raw.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="label5.crtd: label 5 out of range for 2"):
+        load_raw_dataset(raw)
+
+
+@pytest.mark.parametrize("n, c, h, w", [(0, 2**32 - 1, 2**32 - 1, 2**32 - 1),
+                                        (1, 0, 2**32 - 1, 2**32 - 1)])
+def test_raw_container_rejects_empty_images_numpy_cannot_shape(tmp_path, n, c, h, w):
+    path = tmp_path / "empty.crtd"
+    path.write_bytes(_RAW_HEADER.pack(RAW_MAGIC, RAW_VERSION, 1, n, c, h, w, 3) + bytes(n))
+    with pytest.raises(FormatError, match="empty.crtd: cannot shape"):
+        load_raw_dataset(path)
 
 
 def test_dataset_validation_catches_bad_labels():

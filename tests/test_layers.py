@@ -275,6 +275,17 @@ def test_meanpool_blocks_are_disjoint():
     assert np.array_equal(out, [[2.5, 4.5], [10.5, 12.5]])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("b, maps, extent", [(100, 16, 32), (7, 32, 16), (1, 64, 8), (3, 5, 6)])
+def test_meanpool_matches_the_reshape_mean_oracle(dtype, b, maps, extent):
+    for seed in range(3):
+        x = np.random.default_rng(seed).standard_normal((b, maps, extent, extent)).astype(dtype)
+        want = x.reshape(b, maps, extent // 2, 2, extent // 2, 2).mean(axis=(3, 5))
+        got = meanpool2x2(x).data
+        assert got.dtype == dtype
+        assert np.array_equal(got, want)
+
+
 def test_global_avg_pool_constant_and_gradient():
     x = t64(np.full((2, 3, 4, 4), 0.0))
     x.data[0, 1] = 5.0
