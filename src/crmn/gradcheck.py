@@ -11,9 +11,10 @@ Three scopes:
           batch 2, training mode)
 
 The full sweep exploits the model's one-way dataflow: perturbing LSTM or
-head parameters cannot change trunk activations, so those numeric
-evaluations reuse cached tap/pool values and only replay the back half.
-The analytic side is still one whole-graph backward pass.
+head parameters cannot change trunk activations, so the taps are adapted
+once and those numeric evaluations replay only the LSTM and the head on the
+cached adapted taps and pool features. The analytic side is still one
+whole-graph backward pass.
 """
 
 from __future__ import annotations
@@ -243,14 +244,14 @@ def check_full(seed=0, eps=DEFAULT_EPS, batch=2) -> GradReport:
     with Tape() as tape:
         tape.backward(full_loss())
 
-    # cache trunk outputs once: LSTM/head perturbations cannot change them
+    # cache the trunk outputs and adapted taps once: LSTM/head perturbations
+    # cannot change them
     pool_out, taps = trunk_forward(model.trunk, x, training=True)
     pool_data = pool_out.data.copy()
-    tap_data = [t.data.copy() for t in taps]
     width = max_lstm_width(cfg)
+    adapted = [adapt_tap(Tensor(t.data), width) for t in taps]
 
     def back_half_loss():
-        adapted = [adapt_tap(Tensor(d), width) for d in tap_data]
         hidden = run_sequence(model.lstm, adapted)
         logits = model.head.forward(concat_cols(Tensor(pool_data), hidden))
         return softmax_cross_entropy(logits, labels)

@@ -280,12 +280,10 @@ def mul(a, b):
 
 
 def _stable_sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below: e <= 1
+    # never overflows, and the shared denominator is the same IEEE sum
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid(x):

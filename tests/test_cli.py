@@ -217,17 +217,18 @@ def test_gradcheck_ops_passes(capsys):
 
 
 def test_gradcheck_reports_failure_with_exit_four(capsys, monkeypatch):
-    original = crmn.lstm.tanh
+    original = crmn.lstm.lstm_step
 
-    def leaky_tanh(x):
-        out = original(x)
+    def leaky_step(p, x, state):
+        # scale the gradient into both closures the step just recorded by 2%
+        out = original(p, x, state)
         tape = active_tape()
-        if tape is not None and tape._entries and tape._entries[-1][0] is out:
-            _, fn = tape._entries[-1]
-            tape._entries[-1] = (out, lambda g, accum: fn(g * 1.02, accum))
+        if tape is not None and tape._entries and tape._entries[-1][0] is out.h:
+            tape._entries[-2:] = [(o, lambda g, accum, fn=fn: fn(g * 1.02, accum))
+                                  for o, fn in tape._entries[-2:]]
         return out
 
-    monkeypatch.setattr(crmn.lstm, "tanh", leaky_tanh)
+    monkeypatch.setattr(crmn.lstm, "lstm_step", leaky_step)
     assert main(["gradcheck", "--scope", "lstm"]) == 4
     assert json.loads(capsys.readouterr().out)["passed"] is False
 

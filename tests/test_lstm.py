@@ -5,9 +5,9 @@ import pytest
 
 from crmn.errors import ContractError, DimensionError
 from crmn.lstm import (
-    init_lstm, initial_state, lstm_step, orthogonal, run_sequence,
+    LstmState, init_lstm, initial_state, lstm_step, orthogonal, run_sequence,
 )
-from crmn.tensor import Tape, Tensor, sum_all
+from crmn.tensor import Tape, Tensor, add, count_ops, matmul, mul, sigmoid, sum_all, tanh
 
 
 def make_zeroed(width, hidden, output_gate="tanh"):
@@ -178,3 +178,73 @@ def test_named_params_cover_every_tensor_once():
     p = init_lstm(4, 3, np.random.default_rng(0))
     names = [n for n, _ in p.named_params()]
     assert len(names) == len(set(names)) == 17  # 8 matrices, 3 peepholes, 4 biases, h0, c0
+
+
+def composed_step(p, x, state):
+    """The step as a graph of primitive taped ops: the oracle of the fused step."""
+    h_prev, c_prev = state.h, state.c
+    z_i = add(add(add(matmul(x, p.w_xi), matmul(h_prev, p.w_hi)), mul(c_prev, p.p_i)), p.b_i)
+    i_gate = sigmoid(z_i)
+    z_f = add(add(add(matmul(x, p.w_xf), matmul(h_prev, p.w_hf)), mul(c_prev, p.p_f)), p.b_f)
+    f_gate = sigmoid(z_f)
+    z_c = add(add(matmul(x, p.w_xc), matmul(h_prev, p.w_hc)), p.b_c)
+    candidate = tanh(z_c)
+    c_new = add(mul(f_gate, c_prev), mul(i_gate, candidate))
+    z_o = add(add(add(matmul(x, p.w_xo), matmul(h_prev, p.w_ho)), mul(c_new, p.p_o)), p.b_o)
+    o_gate = tanh(z_o) if p.output_gate == "tanh" else sigmoid(z_o)
+    h_new = mul(o_gate, tanh(c_new))
+    return LstmState(h_new, c_new)
+
+
+def run_taped(step, dtype, output_gate, steps, width, hidden, batch):
+    """Fold ``step`` under a tape and an op counter; the loss reads every h and c."""
+    rng = np.random.default_rng(17)
+    p = init_lstm(width, hidden, np.random.default_rng(18), output_gate=output_gate,
+                  dtype=dtype)
+    for name in ("p_i", "p_f", "p_o", "h0", "c0"):
+        getattr(p, name).data += (rng.standard_normal(hidden) * 0.3).astype(dtype)
+    xs = [Tensor(rng.standard_normal((batch, width)), requires_grad=True, dtype=dtype)
+          for _ in range(steps)]
+    weights = [Tensor(rng.standard_normal((batch, hidden)), dtype=dtype)
+               for _ in range(2 * steps)]
+    entries, states = [], []
+    with Tape() as tape, count_ops() as ops:
+        state = initial_state(p, batch)
+        for x in xs:
+            before = len(tape._entries)
+            state = step(p, x, state)
+            entries.append(len(tape._entries) - before)
+            states.append(state)
+        # taped after every step, so each h and c has the loss's gradient
+        # before the next step's backward adds to it
+        loss = None
+        for k, s in enumerate(states):
+            for t, w in ((s.h, weights[2 * k]), (s.c, weights[2 * k + 1])):
+                term = sum_all(mul(t, w))
+                loss = term if loss is None else add(loss, term)
+        tape.backward(loss)
+    grads = [(name, t.grad) for name, t in p.named_params()]
+    grads += [(f"x{k}", x.grad) for k, x in enumerate(xs)]
+    return states, grads, ops.total, entries
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("output_gate", ["tanh", "sigmoid"])
+@pytest.mark.parametrize("steps,width,hidden,batch", [
+    (3, 8, 5, 2), (3, 1024, 5, 2), (15, 4096, 100, 50), (4, 16, 6, 1)])
+def test_fused_step_matches_the_composed_ops_bit_for_bit(
+        dtype, output_gate, steps, width, hidden, batch):
+    shape = (steps, width, hidden, batch)
+    states, grads, total, entries = run_taped(lstm_step, dtype, output_gate, *shape)
+    ref_states, ref_grads, ref_total, _ = run_taped(composed_step, dtype, output_gate, *shape)
+    for state, ref in zip(states, ref_states):
+        assert state.h.dtype == state.c.dtype == dtype
+        assert np.array_equal(state.h.data, ref.h.data)
+        assert np.array_equal(state.c.data, ref.c.data)
+    assert len(grads) == 17 + steps
+    for (name, g), (_, ref) in zip(grads, ref_grads):
+        assert g is not None and ref is not None, name
+        assert g.dtype == ref.dtype, name
+        assert np.array_equal(g, ref), name
+    assert total == ref_total
+    assert max(entries) <= 2

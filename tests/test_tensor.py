@@ -10,6 +10,7 @@ from crmn.tensor import (
     pad_cols, pad_maps, relu, reshape, rows_from_vector, sigmoid,
     softmax_cross_entropy, space_subsample, sum_all, tanh,
 )
+from crmn.tensor import _stable_sigmoid
 
 
 def t64(data, requires_grad=True):
@@ -290,3 +291,32 @@ def test_composite_gradient_matches_finite_differences():
     for tensor in (x, w):
         numeric = numeric_gradient(lambda: loss_fn().item(), tensor)
         assert relative_error(tensor.grad, numeric).max() < 1e-6
+
+
+def masked_sigmoid(x):
+    """The boolean-mask form of the stable sigmoid: the oracle of the np.where form."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_stable_sigmoid_matches_the_masked_form_bit_for_bit(dtype):
+    rng = np.random.default_rng(31)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 800.0, -800.0, 88.0, -88.0,
+                        1e-30, -1e-30], dtype=dtype)
+    cases = [special, special.reshape(1, -1)]
+    for size in (1, 2, 7, 100, 5000, 30000):
+        for scale in (1.0, 10.0, 100.0):
+            cases.append((rng.standard_normal(size) * scale).astype(dtype))
+    cases.append(rng.standard_normal((50, 100)).astype(dtype))
+    for x in cases:
+        with np.errstate(all="ignore"):
+            expected = masked_sigmoid(x)
+        got = _stable_sigmoid(x)
+        assert got.dtype == x.dtype == expected.dtype
+        assert got.shape == x.shape
+        assert np.array_equal(got, expected, equal_nan=True)
