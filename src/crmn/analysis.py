@@ -17,11 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InputError
-from .model import max_lstm_width
+from .model import adapter_trace, max_lstm_width
 from .resnet import NetworkConfig, block_plan
 from .tensor import OpCounter
 
-KINDS = ("resnet", "crmn")
+KINDS = ("crmn", "resnet")
 
 
 def _conv(ops, b, co, e_out, ci, k):
@@ -160,10 +160,9 @@ def _trunk_flops(cfg: NetworkConfig, batch, breakdown):
 
 def _adapter_flops(cfg: NetworkConfig, batch):
     ops = OpCounter()
-    for spec in block_plan(cfg):
-        out = batch * spec.out_maps * (spec.out_extent // 2) ** 2
-        ops.mults += out
-        ops.adds += 4 * out
+    out = batch * sum(tap.pooled_width for tap in adapter_trace(cfg))
+    ops.mults += out
+    ops.adds += 4 * out
     return ops
 
 
@@ -210,8 +209,7 @@ def cost_report(kind, cfg: NetworkConfig, batch=1) -> CostReport:
                       flops, breakdown, step_total, ratio)
 
 
-def config_for(layers, fm_mult, hidden=100, classes=100, variant="auto",
-               input_extent=32, **kwargs) -> NetworkConfig:
+def config_for(layers, fm_mult, hidden=100, classes=100, **kwargs) -> NetworkConfig:
     """Config from a Table-style (layers, feature-map multiplier) cell."""
     if layers < 8 or (layers - 2) % 6:
         raise InputError(f"layers must be 6n+2 for integer n >= 1, got {layers}")
@@ -219,8 +217,7 @@ def config_for(layers, fm_mult, hidden=100, classes=100, variant="auto",
     if abs(base - round(base)) > 1e-9 or round(base) < 1:
         raise InputError(f"fm-mult {fm_mult} does not give a whole positive map count")
     return NetworkConfig(n=(layers - 2) // 6, base_maps=int(round(base)), classes=classes,
-                         variant=variant, hidden_size=hidden, input_extent=input_extent,
-                         **kwargs).validate()
+                         hidden_size=hidden, **kwargs).validate()
 
 
 def default_grid():

@@ -16,15 +16,15 @@ import sys
 import numpy as np
 
 from . import __version__
-from .analysis import config_for, cost_report, default_grid, render_table
+from .analysis import KINDS, config_for, cost_report, default_grid, render_table
 from .atomic import atomic_open
 from .checkpoint import load_model, save_model
-from .data import (AugmentPolicy, load_cifar_binary, load_raw_dataset, normalize,
-                   split_train_val, synth_dataset)
+from .data import (NORMALIZE_MODES, AugmentPolicy, load_cifar_binary, load_raw_dataset,
+                   normalize, split_train_val, synth_dataset)
 from .errors import CrmnError, InputError, TrainingError
-from .gradcheck import run_scope
+from .gradcheck import SCOPES, run_scope
 from .model import TAP_FLATTEN_ORDER, build_crmn, build_resnet
-from .tensor import deterministic_mode
+from .resnet import OUTPUT_GATES, SHORTCUTS, VARIANTS
 from .training import (HISTORY_COLUMNS, TrainConfig, evaluate_model, read_history,
                        read_schedule, train, write_history, write_schedule)
 
@@ -32,15 +32,14 @@ CURVE_SERIES = ("train_loss", "val_error", "val_acc", "lr_trunk", "lr_lstm", "lr
 
 
 def _add_network_flags(sub):
-    sub.add_argument("--kind", choices=("crmn", "resnet"), default="crmn")
+    sub.add_argument("--kind", choices=KINDS, default="crmn")
     sub.add_argument("--layers", type=int, default=32, help="depth, must be 6n+2")
     sub.add_argument("--fm-mult", type=float, default=1.0,
                      help="first-stage map count as a multiple of 16")
     sub.add_argument("--hidden", type=int, help="LSTM width (crmn only, default 100)")
-    sub.add_argument("--variant", choices=("auto", "original", "preactivation"),
-                     default="auto")
-    sub.add_argument("--shortcut", choices=("pad", "projection"), default="pad")
-    sub.add_argument("--output-gate", choices=("tanh", "sigmoid"),
+    sub.add_argument("--variant", choices=("auto",) + VARIANTS, default="auto")
+    sub.add_argument("--shortcut", choices=SHORTCUTS, default="pad")
+    sub.add_argument("--output-gate", choices=OUTPUT_GATES,
                      help="LSTM output squash (crmn only, default tanh)")
 
 
@@ -103,6 +102,8 @@ def cmd_analyze(args, parser):
 
 def cmd_train(args, parser):
     _lstm_flags(args, parser)  # usage errors come before any data is read
+    if args.flip and not args.augment:
+        parser.error("--flip applies only with --augment")
     raw_ds = _load_dataset(args, parser)
     if raw_ds.class_count < 2:
         raise InputError(f"dataset has {raw_ds.class_count} classes, need at least 2")
@@ -154,7 +155,6 @@ def cmd_train(args, parser):
         "mode": "schedule-replay" if replay is not None else "schedule-search",
         "normalize": args.normalize,
         "flatten_order": TAP_FLATTEN_ORDER,
-        "deterministic": deterministic_mode(),
         "seeds": {"model": args.seed, "shuffle": tcfg.seed},
         "dataset": {"checksum": raw_ds.checksum(), "n_train": len(train_ds),
                     "n_val": len(val_ds), "classes": raw_ds.class_count},
@@ -188,10 +188,7 @@ def cmd_evaluate(args, parser):
 
 
 def cmd_gradcheck(args, parser):
-    try:
-        report = run_scope(args.scope, seed=args.seed, eps=args.eps)
-    except InputError as exc:
-        parser.error(str(exc))
+    report = run_scope(args.scope, seed=args.seed, eps=args.eps)
     print(json.dumps(report.as_json(), indent=2))
     return 0 if report.passed else 4
 
@@ -229,18 +226,20 @@ def build_parser():
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--val-fraction", type=float, default=0.1)
-    p.add_argument("--normalize", choices=("none", "mean_pixel", "gcn"), default="none")
+    p.add_argument("--normalize", choices=("none",) + NORMALIZE_MODES, default="none")
     p.add_argument("--augment", action="store_true", help="pad-4 random crop")
     p.add_argument("--flip", action="store_true", help="also flip horizontally")
-    p.add_argument("--batch-size", type=int, default=100)
-    p.add_argument("--ladder", default="0.1,0.01,0.001",
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--ladder", default=",".join(map(str, TrainConfig.lr_ladder)),
                    help="comma-separated descending learning rates")
-    p.add_argument("--patience", type=int, default=10, help="epochs without improvement")
-    p.add_argument("--min-epochs-first-shift", type=int, default=70)
+    p.add_argument("--patience", type=int, default=TrainConfig.patience,
+                   help="epochs without improvement")
+    p.add_argument("--min-epochs-first-shift", type=int,
+                   default=TrainConfig.min_epochs_first_shift)
     p.add_argument("--lr-floor", type=float, default=None)
-    p.add_argument("--max-epochs", type=int, default=100)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--weight-decay", type=float, default=1e-4)
+    p.add_argument("--max-epochs", type=int, default=TrainConfig.max_epochs)
+    p.add_argument("--momentum", type=float, default=TrainConfig.momentum)
+    p.add_argument("--weight-decay", type=float, default=TrainConfig.weight_decay)
     p.add_argument("--decay-all", action="store_true")
     p.add_argument("--rrlr", action="store_true", help="round-robin per-group shifts")
     p.add_argument("--schedule-replay", metavar="JSON",
@@ -251,12 +250,12 @@ def build_parser():
     _add_data_flags(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--batch-size", type=int, default=100)
-    p.add_argument("--normalize", choices=("none", "mean_pixel", "gcn"), default="none")
+    p.add_argument("--normalize", choices=("none",) + NORMALIZE_MODES, default="none")
     p.add_argument("--norm-stats", help="mean image saved by training")
     p.set_defaults(func=cmd_evaluate)
 
     p = subs.add_parser("gradcheck", help="finite-difference gradient verification")
-    p.add_argument("--scope", choices=("ops", "lstm", "full"), default="ops")
+    p.add_argument("--scope", choices=SCOPES, default="ops")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--eps", type=float, default=1e-5)
     p.set_defaults(func=cmd_gradcheck)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .errors import DimensionError, FormatError, InputError
 RAW_MAGIC = b"CRTD"
 RAW_VERSION = 1
 _RAW_HEADER = struct.Struct("<4sIIIIIII")  # magic, version, label_width, N, C, H, W, classes
+NORMALIZE_MODES = ("mean_pixel", "gcn")
 
 
 @dataclass
@@ -32,7 +33,6 @@ class ImageDataset:
     labels: np.ndarray  # N int64
     class_count: int
     split: str = "train"
-    manifest: dict = field(default_factory=dict)
 
     def __len__(self):
         return self.images.shape[0]
@@ -47,7 +47,7 @@ class ImageDataset:
 
     def subset(self, indices, split):
         return ImageDataset(self.images[indices], self.labels[indices],
-                            self.class_count, split, dict(self.manifest))
+                            self.class_count, split)
 
     def checksum(self):
         digest = hashlib.sha256()
@@ -86,8 +86,7 @@ def load_cifar_binary(path, variant="c10"):
     labels = data[:, label_bytes - 1].astype(np.int64)
     images = data[:, label_bytes:].reshape(-1, 3, 32, 32).astype(np.float32) / 255.0
     classes = 10 if variant == "c10" else 100
-    return _loaded(path, images, labels, classes,
-                   {"source": "cifar-binary", "variant": variant})
+    return _loaded(path, images, labels, classes)
 
 
 def save_raw_dataset(ds: ImageDataset, path):
@@ -129,14 +128,14 @@ def load_raw_dataset(path):
     except ValueError as exc:  # an empty payload whose other extents overflow int64
         raise FormatError(f"{path}: cannot shape {n}x{c}x{h}x{w} images: {exc}") from None
     images = pixels.astype(np.float32) / 255.0
-    return _loaded(path, images, labels, classes, {"source": "raw-container"})
+    return _loaded(path, images, labels, classes)
 
 
-def _loaded(path, images, labels, classes, manifest):
+def _loaded(path, images, labels, classes):
     """Dataset from decoded file contents; unsigned labels must be below ``classes``."""
     if len(labels) and labels.max() >= classes:
         raise FormatError(f"{path}: label {labels.max()} out of range for {classes} classes")
-    return ImageDataset(images, labels, classes, manifest=manifest).validate()
+    return ImageDataset(images, labels, classes).validate()
 
 
 def normalize(ds: ImageDataset, mode="mean_pixel", stats=None):
@@ -146,6 +145,8 @@ def normalize(ds: ImageDataset, mode="mean_pixel", stats=None):
     ``stats`` is None, which is only correct on the training split). gcn
     centers and scales each image by its own statistics.
     """
+    if mode not in NORMALIZE_MODES:
+        raise InputError(f"normalize mode must be one of {NORMALIZE_MODES}, got {mode!r}")
     if mode == "mean_pixel":
         if stats is None:
             stats = ds.images.mean(axis=0)
@@ -153,18 +154,13 @@ def normalize(ds: ImageDataset, mode="mean_pixel", stats=None):
             raise DimensionError(
                 f"mean image {stats.shape} does not match images {ds.images.shape[1:]}")
         images = ds.images - stats[None]
-    elif mode == "gcn":
+    else:
         flat = ds.images.reshape(len(ds), -1)
         mean = flat.mean(axis=1)
         std = np.maximum(flat.std(axis=1), 1e-8)
         images = ((flat - mean[:, None]) / std[:, None]).reshape(ds.images.shape)
         stats = None
-    else:
-        raise InputError(f"normalize mode must be mean_pixel or gcn, got {mode!r}")
-    manifest = dict(ds.manifest)
-    manifest["normalize"] = mode
-    out = ImageDataset(images.astype(np.float32), ds.labels, ds.class_count,
-                       ds.split, manifest)
+    out = ImageDataset(images.astype(np.float32), ds.labels, ds.class_count, ds.split)
     return out, stats
 
 
@@ -213,8 +209,7 @@ def synth_dataset(classes, per_class, seed=0, extent=32):
             img = color[:, None, None] + grating[None] + noise
             images[idx] = np.clip(img, 0.0, 1.0)
             labels[idx] = cls
-    return ImageDataset(images, labels, classes,
-                        manifest={"source": "synth", "seed": seed}).validate()
+    return ImageDataset(images, labels, classes).validate()
 
 
 def split_train_val(ds: ImageDataset, val_fraction=0.1, seed=0):

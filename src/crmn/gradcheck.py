@@ -267,12 +267,12 @@ def check_full(seed=0, eps=DEFAULT_EPS, batch=2) -> GradReport:
     return report
 
 
-_SCOPES = {"ops": check_ops, "lstm": check_lstm, "full": check_full}
+SCOPES = {"ops": check_ops, "lstm": check_lstm, "full": check_full}
 
 
 def run_scope(scope, seed=0, eps=DEFAULT_EPS) -> GradReport:
     try:
-        runner = _SCOPES[scope]
+        runner = SCOPES[scope]
     except KeyError:
-        raise InputError(f"scope must be one of {tuple(_SCOPES)}, got {scope!r}") from None
+        raise InputError(f"scope must be one of {tuple(SCOPES)}, got {scope!r}") from None
     return runner(seed=seed, eps=eps)

@@ -26,6 +26,9 @@ from numpy.lib.stride_tricks import as_strided
 from .errors import ContractError, DimensionError
 from .tensor import Tensor, _bump, _record, _tensor, add, matmul
 
+BN_MOMENTUM = 0.1  # weight of each batch's statistics in the running estimates
+BN_EPS = 1e-5
+
 
 def he_conv_weight(rng, out_maps, in_maps, k, dtype=np.float32):
     """Gaussian kernel scaled by sqrt(2 / (k*k*out_maps))."""
@@ -86,10 +89,7 @@ def conv2d(x, weight, stride=1):
                     spread = np.matmul(weight.data[:, :, i, j].T, gmaps)
                     gxp[:, :, i:i + ho * stride:stride, j:j + wo * stride:stride] += (
                         spread.reshape(b, ci, ho, wo))
-            if pad:
-                accum(x, gxp[:, :, pad:pad + h, pad:pad + w])
-            else:
-                accum(x, gxp)
+            accum(x, gxp[:, :, pad:pad + h, pad:pad + w])
 
     _record(out, backward_fn)
     return out
@@ -110,7 +110,7 @@ class Conv2d:
 
 
 def batch_norm(x, scale, shift, running_mean, running_var,
-               training, momentum=0.1, eps=1e-5):
+               training, momentum=BN_MOMENTUM):
     """Normalize each map over the batch and spatial axes, then rescale.
 
     Training mode uses batch statistics (biased variance) and folds them
@@ -140,7 +140,7 @@ def batch_norm(x, scale, shift, running_mean, running_var,
         mean = running_mean.astype(x.data.dtype, copy=False)
         var = running_var.astype(x.data.dtype, copy=False)
 
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat = (x.data - mean[:, None, None]) * inv_std[:, None, None]
     out_data = scale.data[:, None, None] * xhat + shift.data[:, None, None]
     out = Tensor(out_data, requires_grad=x.requires_grad or scale.requires_grad
@@ -170,17 +170,16 @@ def batch_norm(x, scale, shift, running_mean, running_var,
 class BatchNorm:
     """Per-map batch normalization with learned scale and shift."""
 
-    def __init__(self, maps, momentum=0.1, eps=1e-5, dtype=np.float32):
+    def __init__(self, maps, dtype=np.float32):
         self.scale = Tensor(np.ones(maps, dtype=dtype), requires_grad=True)
         self.shift = Tensor(np.zeros(maps, dtype=dtype), requires_grad=True)
         self.running_mean = np.zeros(maps, dtype=np.float64)
         self.running_var = np.ones(maps, dtype=np.float64)
-        self.momentum = momentum
-        self.eps = eps
+        self.momentum = BN_MOMENTUM
 
     def forward(self, x, training):
         return batch_norm(x, self.scale, self.shift, self.running_mean,
-                          self.running_var, training, self.momentum, self.eps)
+                          self.running_var, training, self.momentum)
 
     def params(self):
         return [("scale", self.scale), ("shift", self.shift)]

@@ -38,9 +38,11 @@ from .tensor import (Tensor, _bump, _record, _stable_sigmoid, _sum_to_vector,
                      rows_from_vector)
 
 GATES = ("i", "f", "c", "o")
+# checkpoint order of a cell's tensors
+PARAM_NAMES = ("w_xi", "w_hi", "w_xf", "w_hf", "w_xc", "w_hc", "w_xo", "w_ho",
+               "p_i", "p_f", "p_o", "b_i", "b_f", "b_c", "b_o", "h0", "c0")
 # every parameter a step reads; h0 and c0 enter through the state
-_STEP_PARAMS = ("w_xi", "w_hi", "w_xf", "w_hf", "w_xc", "w_hc", "w_xo", "w_ho",
-                "p_i", "p_f", "p_o", "b_i", "b_f", "b_c", "b_o")
+_STEP_PARAMS = PARAM_NAMES[:-2]
 
 
 def orthogonal(rng, rows, cols, dtype=np.float32):
@@ -60,11 +62,7 @@ class LstmParams:
         self.output_gate = output_gate
 
     def named_params(self):
-        names = []
-        for g in GATES:
-            names += [f"w_x{g}", f"w_h{g}"]
-        names += ["p_i", "p_f", "p_o", "b_i", "b_f", "b_c", "b_o", "h0", "c0"]
-        return [(name, getattr(self, name)) for name in names]
+        return [(name, getattr(self, name)) for name in PARAM_NAMES]
 
 
 class LstmState:

@@ -208,14 +208,6 @@ class ResidualTrunk:
         self.final_bn = (BatchNorm(cfg.stage_maps[-1], dtype=dtype)
                          if self.variant == "preactivation" else None)
 
-    @property
-    def layer_count(self):
-        return 6 * self.cfg.n + 2
-
-    @property
-    def tap_count(self):
-        return 3 * self.cfg.n
-
     def forward(self, x, training=False):
         """Return (features, taps): final pre-pool maps and all block outputs."""
         e = self.cfg.input_extent

@@ -18,14 +18,11 @@ Two precisions are supported: float32 (training default) and float64 (used
 by the finite-difference gradient checks, which are too noisy at 32-bit).
 
 Execution is sequential and numpy reductions run in a fixed order, so forward
-values and gradients are bit-reproducible for a given seed. The
-``CRMN_DETERMINISTIC`` environment variable is honored for interface
-compatibility; there is no non-deterministic fast path to switch off.
+values and gradients are bit-reproducible for a given seed.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 
 import numpy as np
@@ -33,10 +30,6 @@ import numpy as np
 from .errors import ContractError, DimensionError, InputError
 
 DEFAULT_DTYPE = np.float32
-
-
-def deterministic_mode() -> bool:
-    return os.environ.get("CRMN_DETERMINISTIC", "") == "1"
 
 
 def _as_array(data, dtype=None):

@@ -9,7 +9,9 @@ accuracy strictly rises; ties count as no improvement. After ``patience``
 consecutive non-improving epochs the controller reloads the best snapshot
 and shifts the learning rate, except that no shift may happen before epoch
 ``min_epochs_first_shift`` (first shift only). Training stops when a shift
-would walk off the ladder or below the floor.
+would walk off the ladder or below the floor. Each shift record names the
+epoch whose snapshot it reloaded, so a replay snapshots, reloads and shifts
+at the same epochs as the run it records.
 
 Weight decay skips biases, batch-norm shifts, and the learned initial
 state unless ``decay_all`` is set. Momentum velocities reset to zero
@@ -22,7 +24,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -69,14 +71,7 @@ class TrainConfig:
         return min(self.lr_ladder) if self.lr_floor is None else self.lr_floor
 
     def as_dict(self):
-        d = {k: getattr(self, k) for k in ("lr_ladder", "momentum", "weight_decay",
-                                           "batch_size", "patience",
-                                           "min_epochs_first_shift", "max_epochs",
-                                           "seed", "rrlr", "decay_all")}
-        d["lr_ladder"] = list(self.lr_ladder)
-        d["lr_floor"] = self.floor
-        d["augment"] = None if self.augment is None else vars(self.augment)
-        return d
+        return {**asdict(self), "lr_floor": self.floor}
 
 
 def _group_of(name):
@@ -119,7 +114,6 @@ class SgdOptimizer:
 class Decision:
     kind: str  # continue | shift | stop
     improved: bool = False
-    groups: tuple = ()
     lrs: dict = field(default_factory=dict)
 
 
@@ -164,12 +158,13 @@ class PatienceController:
             return Decision("stop", lrs=self.lrs())
         for g in groups:
             self.index[g] = next_index
-            self.records.append({"epoch": epoch, "group": g, "lr": self.ladder[next_index]})
+            self.records.append({"epoch": epoch, "group": g, "lr": self.ladder[next_index],
+                                 "reload": self.best_epoch})
         if self.rrlr:
             self.cursor = (self.cursor + 1) % len(GROUPS)
         self.shifted_once = True
         self.stall = 0
-        return Decision("shift", groups=groups, lrs=self.lrs())
+        return Decision("shift", lrs=self.lrs())
 
 
 @dataclass
@@ -203,13 +198,22 @@ def evaluate_model(model, ds: ImageDataset, batch_size=100):
     return total_loss / n, correct / n
 
 
+def _replayed(records, epoch, lrs) -> Decision:
+    """The controller's decision at ``epoch``, read back from its records."""
+    improved = any(r.get("reload") == epoch for r in records)
+    shifts = {r["group"]: r["lr"] for r in records if r["epoch"] == epoch}
+    return Decision("shift" if shifts else "continue", improved, {**lrs, **shifts})
+
+
 def train(model, train_ds: ImageDataset, cfg: TrainConfig, val_ds=None, replay=None):
     """Run the training protocol; returns history, schedule, and stop cause.
 
-    With ``replay`` (a recorded schedule: list of {epoch, group, lr}),
-    shifts apply at exactly those epochs and validation is optional.
-    Otherwise a validation split is required and the patience controller
-    learns the schedule.
+    With ``replay`` (a recorded schedule: list of {epoch, group, lr, reload}),
+    validation is optional and the records stand in for the controller's
+    decisions, so the replay trains as the recorded run did; records without
+    ``reload`` only shift. Otherwise a validation split is required, the
+    patience controller learns the schedule, and the best snapshot is
+    restored at the end.
     """
     cfg.validate()
     n = len(train_ds)
@@ -269,24 +273,19 @@ def train(model, train_ds: ImageDataset, cfg: TrainConfig, val_ds=None, replay=N
                         "lr_head": lrs["head"], "train_loss": train_loss,
                         "val_error": val_error, "val_acc": val_acc})
 
-        if controller is not None:
-            decision = controller.observe(epoch, val_error, val_acc)
-            if decision.improved:
-                best_snapshot = model.snapshot()
-                best_epoch = epoch
-            if decision.kind == "stop":
-                stopped = "ladder"
-                break
-            if decision.kind == "shift":
-                if best_snapshot is not None:
-                    model.restore(best_snapshot)
-                    optimizer.zero_velocity()
-                lrs = decision.lrs
-        else:
-            for record in replay:
-                if record["epoch"] == epoch:
-                    lrs = dict(lrs)
-                    lrs[record["group"]] = record["lr"]
+        decision = (_replayed(replay, epoch, lrs) if controller is None
+                    else controller.observe(epoch, val_error, val_acc))
+        if decision.improved:
+            best_snapshot = model.snapshot()
+            best_epoch = epoch
+        if decision.kind == "stop":
+            stopped = "ladder"
+            break
+        if decision.kind == "shift":
+            if best_snapshot is not None:
+                model.restore(best_snapshot)
+                optimizer.zero_velocity()
+            lrs = decision.lrs
 
     if controller is not None and best_snapshot is not None:
         model.restore(best_snapshot)
@@ -304,15 +303,21 @@ def write_history(path, history):
 
 
 def read_history(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != HISTORY_COLUMNS:
-            raise InputError(f"{path}: unexpected history columns {header}")
-        rows = []
-        for row in reader:
-            rows.append({"epoch": int(row[0]),
-                         **{k: float(v) for k, v in zip(HISTORY_COLUMNS[1:], row[1:])}})
+    """Rows of a history CSV; anything but the written layout raises InputError."""
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            if tuple(header) != HISTORY_COLUMNS:
+                raise InputError(f"{path}: unexpected history columns {header}")
+            rows = []
+            for row in reader:
+                if len(row) != len(HISTORY_COLUMNS):
+                    raise InputError(f"{path}: row {row} is not {len(HISTORY_COLUMNS)} fields")
+                rows.append({"epoch": int(row[0]),
+                             **{k: float(v) for k, v in zip(HISTORY_COLUMNS[1:], row[1:])}})
+    except (ValueError, csv.Error) as exc:  # undecodable bytes or an unparsable number
+        raise InputError(f"{path}: malformed history: {exc}") from None
     return rows
 
 
@@ -322,10 +327,29 @@ def write_schedule(path, records):
         fh.write("\n")
 
 
+def _valid_record(r):
+    if not isinstance(r, dict) or r.get("group") not in GROUPS:
+        return False
+    epoch, lr, reload = r.get("epoch"), r.get("lr"), r.get("reload")
+    return (type(epoch) is int and epoch >= 1
+            and type(lr) in (int, float) and 0 < lr <= np.finfo(float).max
+            and (reload is None or type(reload) is int and 1 <= reload < epoch))
+
+
 def read_schedule(path):
-    with open(path) as fh:
-        records = json.load(fh)
+    """Shift records of a schedule file; a malformed one raises InputError."""
+    try:
+        with open(path) as fh:
+            records = json.load(fh)
+    except (ValueError, RecursionError) as exc:  # undecodable bytes or bad JSON
+        raise InputError(f"{path}: not a JSON schedule: {exc}") from None
+    if not isinstance(records, list):
+        raise InputError(f"{path}: a schedule is a list, not {type(records).__name__}")
     for r in records:
-        if not {"epoch", "group", "lr"} <= set(r) or r["group"] not in GROUPS:
+        if not _valid_record(r):
             raise InputError(f"{path}: malformed schedule record {r}")
+    # a run improves again only after every shift that reloaded its last best epoch
+    marks = sorted((r["reload"], r["epoch"]) for r in records if r.get("reload") is not None)
+    if any(b1 < b2 <= e1 for (b1, e1), (b2, _) in zip(marks, marks[1:])):
+        raise InputError(f"{path}: no single run reloads the epochs of {marks}")
     return records

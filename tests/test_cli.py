@@ -112,6 +112,56 @@ def test_replay_matches_the_searched_history(tmp_path):
     assert manifest["mode"] == "schedule-replay"
 
 
+HISTORY_HEADER = b"epoch,lr_trunk,lr_lstm,lr_head,train_loss,val_error,val_acc\n"
+BAD_SCHEDULES = {
+    "invalid-json": b'[{"epoch": 2,',
+    "not-a-record": b"[5]",
+    "not-a-list": b"{}",
+    "text-lr": b'[{"epoch": 2, "group": "trunk", "lr": "x"}]',
+    "nan-lr": b'[{"epoch": 2, "group": "trunk", "lr": NaN}]',
+    "zero-lr": b'[{"epoch": 2, "group": "trunk", "lr": 0}]',
+    "epoch-zero": b'[{"epoch": 0, "group": "trunk", "lr": 0.01}]',
+    "float-epoch": b'[{"epoch": 2.0, "group": "trunk", "lr": 0.01}]',
+    "late-reload": b'[{"epoch": 2, "group": "trunk", "lr": 0.01, "reload": 2}]',
+    "reload-going-back": b'[{"epoch": 4, "group": "trunk", "lr": 0.01, "reload": 3},'
+                         b' {"epoch": 5, "group": "trunk", "lr": 0.001, "reload": 1}]',
+    "random-bytes": bytes(range(256)),
+}
+BAD_HISTORIES = {
+    "empty": b"",
+    "random-bytes": bytes(range(256)),
+    "short-row": HISTORY_HEADER + b"1,0.05,0.05\n",
+    "long-row": HISTORY_HEADER + b"1,0.05,0.05,0.05,0.9,0.8,0.3,7\n",
+    "text-number": HISTORY_HEADER + b"1,0.05,0.05,0.05,x,0.8,0.3\n",
+}
+
+
+@pytest.mark.parametrize("blob", BAD_SCHEDULES.values(), ids=BAD_SCHEDULES)
+def test_malformed_schedules_exit_three(tmp_path, capsys, blob):
+    schedule = tmp_path / "schedule.json"
+    schedule.write_bytes(blob)
+    assert run_train(tmp_path / "run", "--schedule-replay", str(schedule), epochs=1) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("blob", BAD_HISTORIES.values(), ids=BAD_HISTORIES)
+def test_malformed_histories_exit_three(tmp_path, capsys, blob):
+    history = tmp_path / "history.csv"
+    history.write_bytes(blob)
+    assert main(["export-curves", str(history)]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_flip_without_augment_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(crmn.cli, "_load_dataset", lambda *a: pytest.fail("data read"))
+    with pytest.raises(SystemExit) as exc:
+        run_train(tmp_path / "run", "--flip")
+    assert exc.value.code == 2
+    assert "--flip applies only with --augment" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_evaluate_scores_a_checkpoint(tmp_path, capsys):
     out_dir = tmp_path / "run"
     assert run_train(out_dir) == 0
@@ -281,15 +331,6 @@ def test_train_takes_its_class_count_from_the_dataset_only(tmp_path, capsys):
             "--max-epochs", "1", "--out-dir", str(tmp_path / "run")] + TRAIN_FLAGS
     assert main(argv) == 3
     assert "1 classes" in capsys.readouterr().err
-
-
-def test_deterministic_env_flag_lands_in_the_manifest(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("CRMN_DETERMINISTIC", "1")
-    out_dir = tmp_path / "run"
-    assert run_train(out_dir, epochs=1) == 0
-    capsys.readouterr()
-    manifest = json.loads((out_dir / "manifest.json").read_text())
-    assert manifest["deterministic"] is True
 
 
 def test_version_flag(capsys):

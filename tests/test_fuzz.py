@@ -1,6 +1,8 @@
 """File loaders under arbitrary and mutated input: each returns or raises FormatError.
 
-The examples are derandomized, so every run checks the same inputs.
+The schedule and history parsers return or raise another ``CrmnError``
+(``InputError``). The examples are derandomized, so every run checks the
+same inputs.
 """
 
 import copy
@@ -15,9 +17,10 @@ from hypothesis import strategies as st
 from crmn.checkpoint import MAGIC, load_model, load_tensors, save_model
 from crmn.data import (_RAW_HEADER, load_cifar_binary, load_raw_dataset, save_raw_dataset,
                        synth_dataset)
-from crmn.errors import FormatError
+from crmn.errors import CrmnError, FormatError
 from crmn.model import build_crmn, build_resnet
 from crmn.resnet import NetworkConfig
+from crmn.training import GROUPS, HISTORY_COLUMNS, read_history, read_schedule
 
 FUZZ = settings(max_examples=80, deadline=None, derandomize=True, database=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -149,3 +152,39 @@ def test_checkpoints_with_mutated_fields(tmp_path, checkpoint, data, part, cut):
     blob = MAGIC + struct.pack("<Q", len(blob)) + blob + payload
     for loader in (load_tensors, load_model):
         returns_or_format_error(loader, tmp_path / "fuzz.crmn", blob)
+
+
+PARSERS = {"schedule": read_schedule, "history": read_history}
+RECORD = st.dictionaries(st.sampled_from(["epoch", "group", "lr", "reload"]),
+                         JSON | st.sampled_from(GROUPS), max_size=4)
+CELL = st.text(max_size=5) | st.floats().map(repr) | st.integers(-3, 9).map(str)
+
+
+def returns_or_crmn_error(parse, path, blob):
+    path.write_bytes(blob)
+    try:
+        parse(path)
+    except CrmnError:
+        pass
+
+
+@pytest.mark.parametrize("parser", sorted(PARSERS))
+@FUZZ
+@given(blob=st.binary(max_size=300) | JSON.map(lambda v: json.dumps(v).encode("utf-8")))
+def test_parsers_take_arbitrary_bytes(tmp_path, parser, blob):
+    returns_or_crmn_error(PARSERS[parser], tmp_path / "fuzz.txt", blob)
+
+
+@FUZZ
+@given(records=st.lists(RECORD | JSON, max_size=3))
+def test_schedules_with_arbitrary_records(tmp_path, records):
+    returns_or_crmn_error(read_schedule, tmp_path / "schedule.json",
+                          json.dumps(records).encode("utf-8"))
+
+
+@FUZZ
+@given(rows=st.lists(st.lists(CELL, max_size=8), max_size=3))
+def test_histories_with_arbitrary_rows(tmp_path, rows):
+    lines = [",".join(HISTORY_COLUMNS)] + [",".join(row) for row in rows]
+    returns_or_crmn_error(read_history, tmp_path / "history.csv",
+                          "\n".join(lines).encode("utf-8"))

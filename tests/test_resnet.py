@@ -21,8 +21,7 @@ def test_layer_and_tap_counts_follow_depth_rule():
         cfg = cfg_for(n, 4)
         assert cfg.layers == layers
         trunk = build_trunk(cfg, seed=0)
-        assert trunk.layer_count == layers
-        assert trunk.tap_count == 3 * n
+        assert len(trunk.blocks) == 3 * n
 
 
 def test_block_plan_geometry():

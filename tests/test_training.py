@@ -7,7 +7,7 @@ import pytest
 
 from crmn.data import synth_dataset, split_train_val
 from crmn.errors import ContractError, InputError, TrainingError
-from crmn.model import build_crmn
+from crmn.model import CrmnModel, build_crmn
 from crmn.resnet import NetworkConfig
 from crmn.tensor import Tensor
 from crmn.training import (
@@ -242,6 +242,45 @@ def test_replay_reproduces_the_searched_run():
         assert r_row["train_loss"] == s_row["train_loss"]
         assert r_row["lr_trunk"] == s_row["lr_trunk"]
         assert math.isnan(r_row["val_error"])  # replay skips validation
+
+
+LR_COLUMNS = ("lr_trunk", "lr_lstm", "lr_head")
+
+
+def run_shifting(rrlr, replay=None):
+    """The micro model on a ladder whose first rung overshoots, so it shifts early."""
+    train_ds, val_ds = split_train_val(synth_dataset(3, 12, seed=7), 0.25, seed=0)
+    cfg = NetworkConfig(n=1, base_maps=4, classes=3, hidden_size=5).validate()
+    tcfg = TrainConfig(lr_ladder=(0.5, 0.01, 0.001), batch_size=9, patience=1,
+                       min_epochs_first_shift=1, max_epochs=6, seed=5,
+                       rrlr=rrlr).validate()
+    return train(build_crmn(cfg, seed=5), train_ds, tcfg,
+                 val_ds=None if replay is not None else val_ds, replay=replay)
+
+
+@pytest.mark.parametrize("rrlr", [False, True], ids=["joint", "rrlr"])
+def test_replay_reloads_what_the_search_reloaded(rrlr):
+    searched = run_shifting(rrlr)
+    replayed = run_shifting(rrlr, replay=searched.schedule)
+    for s_row, r_row in zip(searched.history, replayed.history):
+        assert r_row["train_loss"] == s_row["train_loss"], s_row["epoch"]
+        assert [r_row[k] for k in LR_COLUMNS] == [s_row[k] for k in LR_COLUMNS]
+    # the schedule must reload something, or the comparison shows nothing
+    reloads = [r.get("reload") for r in searched.schedule]
+    assert any(e is not None for e in reloads)
+    assert replayed.best_epoch == max(e for e in reloads if e is not None)
+
+
+def test_records_without_reload_only_shift(monkeypatch):
+    searched = run_shifting(False)
+    stripped = [{k: v for k, v in r.items() if k != "reload"} for r in searched.schedule]
+    assert stripped and stripped != searched.schedule
+    monkeypatch.setattr(CrmnModel, "snapshot", lambda self: pytest.fail("snapshot taken"))
+    monkeypatch.setattr(CrmnModel, "restore", lambda self, snap: pytest.fail("reloaded"))
+    replayed = run_shifting(False, replay=stripped)
+    assert replayed.best_epoch is None
+    for s_row, r_row in zip(searched.history, replayed.history):
+        assert [r_row[k] for k in LR_COLUMNS] == [s_row[k] for k in LR_COLUMNS]
 
 
 def test_history_csv_roundtrip(tmp_path):
