@@ -20,7 +20,7 @@ for entry in lstm.entries:
     print(f"   {entry.name:22s} {entry.max_rel_err:.2e} ({entry.checked})")
 
 # The full sweep walks every parameter of an n=1 model: 51,054 loss
-# evaluations, about half a minute on a 2-core x86_64 VM with one BLAS
-# thread. Uncomment to run it here.
+# evaluations, about 20 s on a 2-core x86_64 VM with one BLAS thread.
+# Uncomment to run it here.
 # from crmn.gradcheck import check_full
 # print(check_full().as_json())

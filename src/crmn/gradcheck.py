@@ -10,11 +10,19 @@ Three scopes:
   full  - an end-to-end micro model (n=1, base 4, hidden 5, 3 classes,
           batch 2, training mode)
 
-The full sweep exploits the model's one-way dataflow: perturbing LSTM or
-head parameters cannot change trunk activations, so the taps are adapted
-once and those numeric evaluations replay only the LSTM and the head on the
-cached adapted taps and pool features. The analytic side is still one
-whole-graph backward pass.
+The full sweep exploits the model's one-way dataflow, caching the taps of
+the analytic pass, their adapted forms, the LSTM state after each and the
+pool features:
+  trunk suffix - perturbing a parameter of block j changes nothing before
+                 block j, so its numeric evaluations rerun the trunk from
+                 block j on block j-1's cached output, then the LSTM from
+                 its cached state after tap j-1 over the fresh taps, then
+                 the head; the stem and block 0 run the whole model
+  back half    - perturbing LSTM or head parameters cannot change trunk
+                 activations, so those evaluations replay only the LSTM and
+                 the head on the cached adapted taps and pool features
+Every replayed loss is bit-identical to a whole-model evaluation. The
+analytic side is still one whole-graph backward pass.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ import numpy as np
 from .errors import InputError
 from .layers import (BatchNorm, Dense, batch_norm, conv2d, global_avg_pool,
                      meanpool2x2)
-from .lstm import init_lstm, run_sequence
+from .lstm import init_lstm, initial_state, lstm_step, run_sequence
 from .model import adapt_tap, build_crmn, max_lstm_width
 from .resnet import NetworkConfig, trunk_forward
 from .tensor import (Tape, Tensor, add, concat_cols, matmul, mul, pad_cols,
@@ -238,28 +246,40 @@ def check_full(seed=0, eps=DEFAULT_EPS, batch=2) -> GradReport:
     x = Tensor(rng.uniform(0.0, 1.0, (batch, 3, cfg.input_extent, cfg.input_extent)))
     labels = rng.integers(0, cfg.classes, batch)
 
-    def full_loss():
-        return softmax_cross_entropy(model.forward(x, training=True), labels)
-
     with Tape() as tape:
-        tape.backward(full_loss())
+        logits, parts = model.forward(x, training=True, return_parts=True)
+        tape.backward(softmax_cross_entropy(logits, labels))
 
-    # cache the trunk outputs and adapted taps once: LSTM/head perturbations
-    # cannot change them
-    pool_out, taps = trunk_forward(model.trunk, x, training=True)
-    pool_data = pool_out.data.copy()
+    # cache every block's input, the adapted taps, the LSTM state before each
+    # tap and the pool features once: a perturbation of block j changes
+    # nothing before block j, and one of the LSTM or head nothing in the trunk
+    inputs = [x] + [Tensor(t.data) for t in parts["taps"]]
+    pool_out = Tensor(parts["pool_out"].data)
     width = max_lstm_width(cfg)
-    adapted = [adapt_tap(Tensor(t.data), width) for t in taps]
+    adapted = [adapt_tap(t, width) for t in inputs[1:]]
+    states = [initial_state(model.lstm, batch)]
+    for a in adapted:
+        states.append(lstm_step(model.lstm, a, states[-1]))
+
+    def suffix_loss(start):
+        pool, taps = trunk_forward(model.trunk, inputs[start], True, start=start)
+        hidden = run_sequence(model.lstm, [adapt_tap(t, width) for t in taps], states[start])
+        return softmax_cross_entropy(model.head.forward(concat_cols(pool, hidden)), labels)
 
     def back_half_loss():
         hidden = run_sequence(model.lstm, adapted)
-        logits = model.head.forward(concat_cols(Tensor(pool_data), hidden))
-        return softmax_cross_entropy(logits, labels)
+        return softmax_cross_entropy(model.head.forward(concat_cols(pool_out, hidden)), labels)
 
-    full_value = lambda: full_loss().item()
+    # the first block each trunk parameter reaches; any other (the stem)
+    # replays the whole trunk
+    starts = {id(t): j for j, block in enumerate(model.trunk.blocks)
+              for _, layer in block.layers() for _, t in layer.params()}
+
     back_value = lambda: back_half_loss().item()
     for name, t, _ in model.named_params():
-        value = full_value if name.startswith("trunk.") else back_value
+        value = back_value
+        if name.startswith("trunk."):
+            value = lambda start=starts.get(id(t), 0): suffix_loss(start).item()
         numeric = numeric_gradient(value, t, eps)
         analytic = t.grad if t.grad is not None else np.zeros_like(t.data)
         err = float(relative_error(analytic, numeric).max())

@@ -163,11 +163,15 @@ def lstm_step(p: LstmParams, x, state: LstmState) -> LstmState:
     return LstmState(h_new, c_new)
 
 
-def run_sequence(p: LstmParams, xs):
-    """Fold lstm_step over xs (shallowest tap first); return the final h."""
+def run_sequence(p: LstmParams, xs, state=None):
+    """Fold lstm_step over xs (shallowest tap first); return the final h.
+
+    The fold starts from ``state``, by default the learned initial state.
+    """
     if not xs:
         raise ContractError("run_sequence: empty input sequence")
-    state = initial_state(p, xs[0].shape[0])
+    if state is None:
+        state = initial_state(p, xs[0].shape[0])
     for x in xs:
         state = lstm_step(p, x, state)
     return state.h

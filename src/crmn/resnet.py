@@ -26,7 +26,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .errors import DimensionError, InputError
+from .errors import ContractError, DimensionError, InputError
 from .layers import BatchNorm, Conv2d, global_avg_pool, he_conv_weight
 from .tensor import add, pad_maps, relu, space_subsample
 
@@ -208,16 +208,30 @@ class ResidualTrunk:
         self.final_bn = (BatchNorm(cfg.stage_maps[-1], dtype=dtype)
                          if self.variant == "preactivation" else None)
 
-    def forward(self, x, training=False):
-        """Return (features, taps): final pre-pool maps and all block outputs."""
-        e = self.cfg.input_extent
-        if x.ndim != 4 or x.shape[1] != 3 or x.shape[2] != e or x.shape[3] != e:
-            raise DimensionError(f"trunk expects b*3*{e}*{e} input, got {x.shape}")
-        y = self.stem.forward(x)
-        if self.stem_bn is not None:
-            y = relu(self.stem_bn.forward(y, training))
+    def forward(self, x, training=False, start=0):
+        """Return (features, taps): final pre-pool maps and the block outputs.
+
+        With ``start=j > 0``, ``x`` is the output of block j-1: the stem and
+        the blocks before j are skipped and the taps are those of blocks j
+        onward. ``start=len(blocks)`` runs only the final norm, if any.
+        """
+        if not 0 <= start <= len(self.blocks):
+            raise ContractError(f"start must be in 0..{len(self.blocks)}, got {start}")
+        if start == 0:
+            maps, e = 3, self.cfg.input_extent
+        else:
+            spec = self.blocks[start - 1].spec
+            maps, e = spec.out_maps, spec.out_extent
+        if x.ndim != 4 or x.shape[1:] != (maps, e, e):
+            raise DimensionError(f"trunk expects b*{maps}*{e}*{e} input at block {start}, "
+                                 f"got {x.shape}")
+        y = x
+        if start == 0:
+            y = self.stem.forward(x)
+            if self.stem_bn is not None:
+                y = relu(self.stem_bn.forward(y, training))
         taps = []
-        for block in self.blocks:
+        for block in self.blocks[start:]:
             y = block.forward(y, training)
             taps.append(y)
         features = y
@@ -247,7 +261,7 @@ def build_trunk(cfg: NetworkConfig, seed=0, dtype=np.float32):
     return ResidualTrunk(cfg, np.random.default_rng(seed), dtype)
 
 
-def trunk_forward(trunk: ResidualTrunk, x, training=False):
+def trunk_forward(trunk: ResidualTrunk, x, training=False, start=0):
     """Return (pool_out, taps) where pool_out is the global average pool."""
-    features, taps = trunk.forward(x, training)
+    features, taps = trunk.forward(x, training, start)
     return global_avg_pool(features), taps

@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
+import crmn.gradcheck
 import crmn.lstm
 from crmn.errors import InputError
 from crmn.gradcheck import (
-    GradEntry, GradReport, check_lstm, check_ops, check_tensors, micro_config,
-    numeric_gradient, relative_error, run_scope,
+    DEFAULT_EPS, GradEntry, GradReport, check_full, check_lstm, check_ops,
+    check_tensors, micro_config, numeric_gradient, relative_error, run_scope,
 )
-from crmn.tensor import Tensor, active_tape, mul, sum_all
+from crmn.resnet import ResidualBlock
+from crmn.tensor import Tensor, active_tape, mul, softmax_cross_entropy, sum_all
 
 
 def test_relative_error_uses_a_floor_near_zero():
@@ -84,6 +86,64 @@ def test_lstm_scope_detects_sabotaged_backward(monkeypatch):
     monkeypatch.setattr(crmn.lstm, "lstm_step", leaky_step)
     report = check_lstm(seed=0)
     assert not report.passed
+
+
+def test_full_scope_replays_each_loss_bit_identically(monkeypatch):
+    """Every loss check_full probes equals a whole-model loss, from the right block."""
+    seen = {}
+    build, loss = crmn.gradcheck.build_crmn, crmn.gradcheck.softmax_cross_entropy
+
+    def capture_model(*args, **kwargs):
+        seen["model"] = model = build(*args, **kwargs)
+        forward = model.forward
+
+        def keep_input(x, *a, **kw):  # the analytic pass sees the probed batch first
+            seen.setdefault("x", x)
+            return forward(x, *a, **kw)
+
+        model.forward = keep_input
+        return model
+
+    def capture_labels(logits, labels):
+        seen["labels"] = labels
+        return loss(logits, labels)
+
+    ran = []
+    block_forward = ResidualBlock.forward
+
+    def record_block(block, x, training):
+        ran.append(block)
+        return block_forward(block, x, training)
+
+    probed = []
+
+    def probe(f, tensor, eps=DEFAULT_EPS):
+        model = seen["model"]
+        blocks = model.trunk.blocks
+        name = next(n for n, t, _ in model.named_params() if t is tensor)
+        first = next((j for j, b in enumerate(blocks) if name.startswith(
+            f"trunk.stage{b.spec.stage}.block{b.spec.index}.")), 0)
+        expected_blocks = blocks[first:] if name.startswith("trunk.") else []
+        flat = tensor.data.reshape(-1)
+        idx = flat.size // 2
+        saved = flat[idx]
+        for step in (eps, -eps):
+            flat[idx] = saved + step
+            ran.clear()
+            replayed = f()
+            assert ran == expected_blocks, name
+            whole = loss(model.forward(seen["x"], training=True), seen["labels"]).item()
+            assert replayed == whole, (name, step)
+        flat[idx] = saved
+        probed.append(name)
+        return np.zeros_like(tensor.data)
+
+    monkeypatch.setattr(crmn.gradcheck, "build_crmn", capture_model)
+    monkeypatch.setattr(crmn.gradcheck, "softmax_cross_entropy", capture_labels)
+    monkeypatch.setattr(ResidualBlock, "forward", record_block)
+    monkeypatch.setattr(crmn.gradcheck, "numeric_gradient", probe)
+    check_full()
+    assert probed == [n for n, _, _ in seen["model"].named_params()]
 
 
 def test_micro_config_is_the_documented_one():

@@ -100,10 +100,13 @@ def test_run_sequence_matches_manual_fold():
     p = init_lstm(6, 5, np.random.default_rng(6), dtype=np.float64)
     xs = [Tensor(rng.standard_normal((3, 6)), dtype=np.float64) for _ in range(15)]
     h = run_sequence(p, xs)
-    state = initial_state(p, 3)
+    states = [initial_state(p, 3)]
     for x in xs:
-        state = lstm_step(p, x, state)
-    assert np.array_equal(h.data, state.h.data)
+        states.append(lstm_step(p, x, states[-1]))
+    assert np.array_equal(h.data, states[-1].h.data)
+    # resuming from the state after k steps folds the rest identically
+    for k in (1, 7, 14):
+        assert np.array_equal(run_sequence(p, xs[k:], states[k]).data, h.data)
     # single-element base case
     assert np.array_equal(
         run_sequence(p, xs[:1]).data,

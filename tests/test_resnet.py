@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from crmn.errors import ContractError, InputError
+from crmn.errors import ContractError, DimensionError, InputError
 from crmn.resnet import (
     BlockSpec, NetworkConfig, ResidualBlock, block_plan, build_trunk,
     trunk_forward,
@@ -179,3 +179,36 @@ def test_preactivation_taps_are_post_addition_raw():
     _, taps_orig = trunk_orig.forward(x, training=False)
     for tap in taps_orig:  # original taps are post-relu, never negative
         assert (tap.data >= 0.0).all()
+
+
+@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+@pytest.mark.parametrize("kw", [{"variant": "original"},
+                                {"variant": "preactivation", "shortcut": "projection"}],
+                         ids=["original", "preactivation-projection"])
+def test_forward_from_a_block_repeats_the_tail_of_a_full_forward(kw, training):
+    cfg = cfg_for(2, 4, input_extent=16, **kw)
+    trunk = build_trunk(cfg, seed=12, dtype=np.float64)
+    x = Tensor(np.random.default_rng(13).standard_normal((2, 3, 16, 16)))
+    features, taps = trunk.forward(x, training)
+    for j in range(1, len(taps) + 1):
+        tail_features, tail = trunk.forward(Tensor(taps[j - 1].data), training, start=j)
+        assert np.array_equal(tail_features.data, features.data), j
+        assert len(tail) == len(taps) - j
+        assert all(np.array_equal(a.data, b.data) for a, b in zip(tail, taps[j:])), j
+    pooled, _ = trunk_forward(trunk, Tensor(taps[2].data), training, start=3)
+    assert np.array_equal(pooled.data, trunk_forward(trunk, x, training)[0].data)
+
+
+def test_forward_from_a_block_rejects_the_wrong_input():
+    trunk = build_trunk(cfg_for(2, 4, input_extent=16), seed=14, dtype=np.float64)
+    x = Tensor(np.random.default_rng(15).standard_normal((2, 3, 16, 16)))
+    _, taps = trunk.forward(x, training=False)
+    with pytest.raises(DimensionError):
+        trunk.forward(x, training=False, start=1)  # block 1 takes block 0's maps
+    with pytest.raises(DimensionError):
+        trunk.forward(taps[1], training=False, start=3)  # stage 1 maps into stage 2
+    with pytest.raises(DimensionError):
+        trunk.forward(taps[2], training=False)  # the stem takes images
+    for start in (-1, len(taps) + 1):
+        with pytest.raises(ContractError):
+            trunk.forward(taps[-1], training=False, start=start)

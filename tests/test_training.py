@@ -271,6 +271,24 @@ def test_replay_reloads_what_the_search_reloaded(rrlr):
     assert replayed.best_epoch == max(e for e in reloads if e is not None)
 
 
+def test_a_shift_that_reloads_clears_momentum(monkeypatch):
+    # the first step after such a shift starts from zero velocity, like the run's first
+    fresh = []
+    step = SgdOptimizer.step
+
+    def record(self, lrs, context=""):
+        fresh.append(not any(v.any() for v in self.velocity.values()))
+        return step(self, lrs, context)
+
+    monkeypatch.setattr(SgdOptimizer, "step", record)
+    searched = run_shifting(False)
+    reloading = {r["epoch"] for r in searched.schedule if r["reload"] is not None}
+    assert reloading
+    per_epoch = len(fresh) // searched.final_epoch
+    expected = [0] + [e * per_epoch for e in sorted(reloading) if e < searched.final_epoch]
+    assert [i for i, f in enumerate(fresh) if f] == expected
+
+
 def test_records_without_reload_only_shift(monkeypatch):
     searched = run_shifting(False)
     stripped = [{k: v for k, v in r.items() if k != "reload"} for r in searched.schedule]
