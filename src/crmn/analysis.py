@@ -10,11 +10,21 @@ The report walks the same block plan the builder uses and applies the same
 per-op formulas the instrumented tensor ops charge, totalled in the same
 ``OpCounter`` that ``count_ops()`` yields, so an instrumented forward pass
 must agree exactly.
+
+``tape_bytes`` counts memory the same way: the bytes of array data a taped
+training forward keeps alive until its backward, per block. Every recorded
+op keeps its output and nothing else of size; a batch norm also keeps its
+per-map mean and inverse std. Views (subsampling, reshapes, broadcast
+initial states) and pads that leave their input as it is keep nothing new.
+Python object headers are not counted, so traced growth exceeds the count
+by a few hundred bytes per op.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import InputError
 from .model import adapter_trace, max_lstm_width
@@ -207,6 +217,58 @@ def cost_report(kind, cfg: NetworkConfig, batch=1) -> CostReport:
     params_head = (cfg.stage_maps[-1] + h) * cfg.classes + cfg.classes
     return CostReport(kind, cfg.as_dict(), trunk_param_count(cfg), params_lstm, params_head,
                       flops, breakdown, step_total, ratio)
+
+
+def tape_bytes(kind, cfg: NetworkConfig, batch=1):
+    """Bytes of float32 array data a taped training forward retains, by part and per block."""
+    if kind not in KINDS:
+        raise InputError(f"kind must be one of {KINDS}, got {kind!r}")
+    cfg.validate()
+    size = np.dtype(np.float32).itemsize  # training runs in float32
+    variant = cfg.resolved_variant
+
+    def maps(m, e, count=1):  # ``count`` op outputs of b*m*e*e
+        return count * size * batch * m * e * e
+
+    def norm(m, e):  # output, plus the per-map mean and inverse std
+        return maps(m, e) + 2 * size * m
+
+    base, e = cfg.base_maps, cfg.input_extent
+    trunk = maps(base, e)
+    if variant == "original":
+        trunk += norm(base, e) + maps(base, e)
+    blocks = []
+    for spec in block_plan(cfg):
+        m_in, m = spec.in_maps, spec.out_maps
+        e_in, e_out = spec.in_extent, spec.out_extent
+        if variant == "original":  # conv relu conv add relu, two norms
+            kept = maps(m, e_out, 5) + 2 * norm(m, e_out)
+        else:  # relu conv relu conv add, two norms
+            kept = norm(m_in, e_in) + maps(m_in, e_in) + maps(m, e_out, 4) + norm(m, e_out)
+        if spec.changes_shape and cfg.shortcut == "projection":
+            kept += maps(m, e_out) + norm(m, e_out)
+        elif m_in < m:  # the subsample is a view; the map pad is a copy
+            kept += maps(m, e_out)
+        blocks.append({"stage": spec.stage, "index": spec.index, "bytes": kept})
+        trunk += kept
+    final_maps = cfg.stage_maps[-1]
+    if variant == "preactivation":
+        trunk += norm(final_maps, e // 4) + maps(final_maps, e // 4)
+    trunk += size * batch * final_maps  # global average pool
+    parts = {"trunk": trunk}
+    head = 2 * size * batch * cfg.classes  # product and bias add
+    if kind == "crmn":
+        width = max_lstm_width(cfg)
+        # the pooled tap, and its zero-padded copy unless it is already widest
+        parts["adapter"] = sum(size * batch * (t.pooled_width + (width if t.pad else 0))
+                               for t in adapter_trace(cfg))
+        # per step: the four gates, tanh(c), and the new c and h
+        parts["lstm"] = 3 * cfg.n * 7 * size * batch * cfg.hidden_size
+        head += size * batch * (final_maps + cfg.hidden_size)  # concatenated features
+    parts["head"] = head
+    parts["total"] = sum(parts.values())
+    parts["blocks"] = blocks
+    return parts
 
 
 def config_for(layers, fm_mult, hidden=100, classes=100, **kwargs) -> NetworkConfig:

@@ -11,11 +11,17 @@ Both convolution passes are im2col GEMMs over a window view of the padded
 input (as_strided, no copy until the column matrix is formed). The view is
 laid out b*ci*k*k*ho*wo, so every copied run of the column matrix is a
 whole output row. The forward is one batched BLAS call, W @ cols, whose
-result is already b*co*(ho*wo). The backward rebuilds cols from the window
-view rather than keeping the forward's copy on the tape, takes the weight
-gradient as one GEMM, g^T @ cols, and the input gradient as one batched
-GEMM per kernel tap, W[:, :, i, j]^T @ g, scatter-added into the strided
-slice of the padded input it came from (col2im).
+result is already b*co*(ho*wo). The backward takes the weight gradient as
+one GEMM, g^T @ cols, and the input gradient as one batched GEMM per kernel
+tap, W[:, :, i, j]^T @ g, scatter-added into the strided slice of the
+padded input it came from (col2im).
+
+A backward closure keeps no array the tape already holds in another form:
+the convolution backward rebuilds the padded input, its window view and
+cols from the input tensor, and the batch-norm backward recomputes xhat
+from the input, the mean and the inverse std with the forward's expression.
+Each activation is therefore retained once, as some op's output, and every
+gradient stays bit-identical.
 """
 
 from __future__ import annotations
@@ -60,14 +66,13 @@ def conv2d(x, weight, stride=1):
     if ho < 1 or wo < 1:
         raise DimensionError(f"conv2d: kernel {k} too large for input {x.shape}")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    s0, s1, s2, s3 = xp.strides
-    windows = as_strided(
-        xp,
-        shape=(b, ci, k, k, ho, wo),
-        strides=(s0, s1, s2, s3, s2 * stride, s3 * stride),
-    )
-    cols = windows.reshape(b, ci * k * k, ho * wo)
+    def padded_windows():
+        xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        s0, s1, s2, s3 = xp.strides
+        return as_strided(xp, shape=(b, ci, k, k, ho, wo),
+                          strides=(s0, s1, s2, s3, s2 * stride, s3 * stride))
+
+    cols = padded_windows().reshape(b, ci * k * k, ho * wo)
     out_data = np.matmul(weight.data.reshape(co, ci * k * k), cols)
     out = Tensor(out_data.reshape(b, co, ho, wo),
                  requires_grad=x.requires_grad or weight.requires_grad)
@@ -79,10 +84,11 @@ def conv2d(x, weight, stride=1):
             # cols is rebuilt as one (ci*k*k) x (b*ho*wo) matrix, so the weight
             # gradient is a single GEMM instead of a batched one summed over b
             gflat = g.transpose(1, 0, 2, 3).reshape(co, b * ho * wo)
-            gw = gflat @ windows.transpose(1, 2, 3, 0, 4, 5).reshape(ci * k * k, b * ho * wo).T
+            gw = gflat @ (padded_windows().transpose(1, 2, 3, 0, 4, 5)
+                          .reshape(ci * k * k, b * ho * wo).T)
             accum(weight, gw.reshape(co, ci, k, k))
         if x.requires_grad:
-            gxp = np.zeros_like(xp)
+            gxp = np.zeros((b, ci, h + 2 * pad, w + 2 * pad), dtype=x.data.dtype)
             gmaps = g.reshape(b, co, ho * wo)
             for i in range(k):
                 for j in range(k):
@@ -137,18 +143,23 @@ def batch_norm(x, scale, shift, running_mean, running_var,
         running_var *= 1.0 - momentum
         running_var += momentum * var
     else:
-        mean = running_mean.astype(x.data.dtype, copy=False)
+        # a copy: at float64 the backward must not see a later in-place update
+        mean = running_mean.astype(x.data.dtype)
         var = running_var.astype(x.data.dtype, copy=False)
 
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = (x.data - mean[:, None, None]) * inv_std[:, None, None]
-    out_data = scale.data[:, None, None] * xhat + shift.data[:, None, None]
+
+    def normalized():
+        return (x.data - mean[:, None, None]) * inv_std[:, None, None]
+
+    out_data = scale.data[:, None, None] * normalized() + shift.data[:, None, None]
     out = Tensor(out_data, requires_grad=x.requires_grad or scale.requires_grad
                  or shift.requires_grad)
     _bump(mults=out.size, adds=out.size)
     m = b * h * w
 
     def backward_fn(g, accum):
+        xhat = normalized()
         accum(scale, np.einsum("bchw,bchw->c", g, xhat))
         accum(shift, g.sum(axis=(0, 2, 3)))
         if not x.requires_grad:

@@ -2,7 +2,8 @@
 
 Values are numpy arrays. While a :class:`Tape` is active, every operation
 records a backward closure; ``Tape.backward`` replays the entries in reverse
-order and accumulates gradients into each tensor that requires them. Without
+order, frees each intermediate gradient once its closure has read it, and
+accumulates gradients into each leaf tensor that requires them. Without
 an active tape, operations just compute forward values, so inference costs
 nothing extra.
 
@@ -133,8 +134,11 @@ class Tape:
 
     Entries are appended in execution order, which is automatically a
     topological order of the data flow. ``backward`` walks them once, in
-    reverse, and adds this pass's gradient into ``.grad`` of every tensor
-    that requires one, so repeated backward calls accumulate.
+    reverse. A recorded output's gradient has every contribution once its
+    own entry is reached, so it is handed to that entry's closure and then
+    freed: only leaves (inputs and parameters, which no entry produced) get
+    this pass's gradient added into ``.grad``, and repeated backward calls
+    accumulate there. Entries stay on the tape, so it can run backward again.
     """
 
     def __init__(self):
@@ -175,9 +179,10 @@ class Tape:
 
         accum(loss, np.ones_like(loss.data))
         for out, backward_fn in reversed(self._entries):
-            g = grads.get(id(out))
+            g = grads.pop(id(out), None)
             if g is None:
                 continue
+            del tensors[id(out)]
             backward_fn(g, accum)
 
         for key, tensor in tensors.items():
@@ -309,10 +314,9 @@ def relu(x):
     x = _tensor(x)
     out = Tensor(np.maximum(x.data, 0), requires_grad=x.requires_grad)
     _bump(activations=out.size)
-    mask = x.data > 0
 
     def backward_fn(g, accum):
-        accum(x, g * mask)
+        accum(x, g * (x.data > 0))
 
     _record(out, backward_fn)
     return out

@@ -31,7 +31,7 @@ import numpy as np
 from .atomic import atomic_open
 from .data import AugmentPolicy, ImageDataset, augment
 from .errors import ContractError, InputError, TrainingError
-from .tensor import Tape, Tensor, softmax_cross_entropy
+from .tensor import Tape, Tensor, backward, softmax_cross_entropy
 
 GROUPS = ("trunk", "lstm", "head")
 HISTORY_COLUMNS = ("epoch", "lr_trunk", "lr_lstm", "lr_head",
@@ -256,11 +256,12 @@ def train(model, train_ds: ImageDataset, cfg: TrainConfig, val_ds=None, replay=N
             x = _batch_tensor(images)
             labels = train_ds.labels[idx]
             optimizer.zero_grads()
-            with Tape() as tape:
+            # the tape, and every activation it holds, is freed as the block exits
+            with Tape():
                 loss = softmax_cross_entropy(model.forward(x, training=True), labels)
                 if not np.isfinite(loss.item()):
                     raise TrainingError(f"non-finite loss at epoch {epoch}, batch {bi}")
-                tape.backward(loss)
+                backward(loss)
             optimizer.step(lrs, context=f" at epoch {epoch}, batch {bi}")
             loss_sum += loss.item()
         train_loss = loss_sum / batches

@@ -1,16 +1,19 @@
 """Parameter and operation accounting against published and derived counts."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from crmn.analysis import (
     config_for, cost_report, default_grid, lstm_param_count, lstm_step_ops,
-    render_table, trunk_param_count,
+    render_table, tape_bytes, trunk_param_count,
 )
 from crmn.errors import InputError
 from crmn.model import build_crmn, build_resnet
 from crmn.resnet import NetworkConfig
-from crmn.tensor import Tensor, count_ops
+from crmn.tensor import Tape, Tensor, count_ops, relu
 
 # published parameter totals, in millions, at 100 classes
 TABLE_CELLS = [
@@ -117,6 +120,50 @@ def test_instrumented_forward_matches_the_estimate():
         for key in ("mults", "adds", "activations"):
             assert getattr(measured, key) == sum(p[key] for p in parts)
         assert measured.total == expected["total"]
+
+
+def _taped_growth(fn):
+    """Traced bytes still allocated after ``fn`` runs under a tape."""
+    gc.collect()  # garbage left by earlier tests must not be freed mid-measurement
+    tracemalloc.start()
+    try:
+        with Tape():
+            start = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind,cfg", [
+    ("crmn", NetworkConfig(n=1, base_maps=4, classes=3, hidden_size=5)),
+    ("resnet", NetworkConfig(n=1, base_maps=4, classes=3)),
+    ("crmn", NetworkConfig(n=2, base_maps=8, classes=10, hidden_size=20,
+                           shortcut="projection")),
+    ("resnet", NetworkConfig(n=1, base_maps=8, classes=5, variant="preactivation")),
+], ids=["crmn", "resnet", "crmn-projection", "resnet-preactivation"])
+def test_tape_bytes_match_traced_growth_of_a_training_forward(kind, cfg):
+    # the count leaves out Python object headers, so traced growth exceeds it
+    # by those alone: under 5% of each block and of the whole forward at batch 8
+    batch = 8
+    model = (build_crmn if kind == "crmn" else build_resnet)(cfg, seed=0)
+    x = Tensor(np.random.default_rng(0).random((batch, 3, 32, 32), dtype=np.float32))
+    with Tape():
+        model.forward(x, training=True)  # first calls allocate one-off state
+    expected = tape_bytes(kind, cfg, batch)
+    grown = _taped_growth(lambda: model.forward(x, training=True))
+    assert 0 <= grown - expected["total"] < 0.05 * expected["total"]
+    assert expected["total"] == sum(v for k, v in expected.items()
+                                    if k not in ("total", "blocks"))
+
+    trunk = model.trunk
+    y = trunk.stem.forward(x)
+    if trunk.stem_bn is not None:
+        y = relu(trunk.stem_bn.forward(y, training=True))
+    for block, row in zip(trunk.blocks, expected["blocks"], strict=True):
+        grown = _taped_growth(lambda: block.forward(y, training=True))
+        assert 0 <= grown - row["bytes"] < 0.05 * row["bytes"]
+        y = block.forward(y, training=True)
 
 
 def test_lstm_step_cost_is_linear_in_input_width():

@@ -259,6 +259,32 @@ def test_batch_norm_gradients_match_finite_differences():
             assert relative_error(t.grad, numeric).max() < 1e-6
 
 
+def test_eval_backward_ignores_a_later_update_of_the_running_statistics():
+    # at float64 the eval-mode mean is the running estimate's dtype; a training
+    # forward under the same tape updates that estimate in place before the
+    # eval output's backward runs
+    rng = np.random.default_rng(12)
+    x = t64(rng.standard_normal((4, 3, 5, 5)))
+    other = Tensor(3.0 + rng.standard_normal((4, 3, 5, 5)), dtype=np.float64)
+    weights = Tensor(rng.standard_normal((4, 3, 5, 5)), dtype=np.float64)
+
+    def grads(update):
+        bn = BatchNorm(3, dtype=np.float64)
+        bn.running_mean[:] = [0.5, -1.0, 2.0]
+        bn.running_var[:] = [1.5, 0.7, 3.0]
+        bn.scale.data[:] = [1.2, 0.8, -0.5]
+        x.zero_grad()
+        with Tape() as tape:
+            loss = sum_all(bn.forward(x, training=False) * weights)
+            if update:
+                bn.forward(other, training=True)
+            tape.backward(loss)
+        return x.grad, bn.scale.grad, bn.shift.grad
+
+    for got, want in zip(grads(update=True), grads(update=False)):
+        assert np.array_equal(got, want)
+
+
 def test_meanpool_halves_extent_and_averages():
     x = t64(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2))
     with Tape() as tape:

@@ -1,10 +1,14 @@
 """Autodiff core: forward values, hand-computed gradients, tape contracts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from crmn.errors import ContractError, DimensionError, InputError
 from crmn.gradcheck import numeric_gradient, relative_error
+from crmn.model import build_crmn
+from crmn.resnet import NetworkConfig
 from crmn.tensor import (
     Tape, Tensor, add, backward, concat_cols, count_ops, matmul, mul,
     pad_cols, pad_maps, relu, reshape, rows_from_vector, sigmoid,
@@ -320,3 +324,50 @@ def test_stable_sigmoid_matches_the_masked_form_bit_for_bit(dtype):
         assert got.dtype == x.dtype == expected.dtype
         assert got.shape == x.shape
         assert np.array_equal(got, expected, equal_nan=True)
+
+
+def test_backward_frees_each_gradient_once_its_closure_has_read_it():
+    # a chain of 40 ops: keeping every intermediate gradient to the end of the
+    # pass would need 40 arrays; freeing each once consumed needs a few
+    x = t64(np.random.default_rng(3).standard_normal(200_000))
+    one_array = x.data.nbytes
+    with Tape() as tape:
+        y = x
+        for _ in range(40):
+            y = tanh(y)
+        loss = sum_all(y)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tape.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+    assert x.grad is not None
+    assert peak < 6 * one_array
+
+
+def test_only_leaves_keep_gradients_after_backward():
+    x = t64([[0.5, -1.0, 2.0]])
+    w = t64([[0.3], [-0.2], [0.1]])
+    with Tape() as tape:
+        z = matmul(x, w)
+        h = tanh(z)
+        loss = sum_all(mul(h, h))
+        tape.backward(loss)
+    assert z.grad is None and h.grad is None and loss.grad is None
+    g_z = 2.0 * h.data * (1.0 - h.data * h.data)
+    assert np.array_equal(x.grad, g_z @ w.data.T)
+    assert np.array_equal(w.grad, x.data.T @ g_z)
+
+
+def test_a_model_backward_leaves_grads_on_its_parameters_only():
+    cfg = NetworkConfig(n=1, base_maps=4, classes=3, hidden_size=5).validate()
+    model = build_crmn(cfg, seed=0, dtype=np.float64)
+    x = Tensor(np.random.default_rng(0).random((2, 3, 32, 32)), dtype=np.float64)
+    with Tape() as tape:
+        logits, parts = model.forward(x, training=True, return_parts=True)
+        tape.backward(softmax_cross_entropy(logits, np.array([0, 2])))
+    intermediates = [logits, parts["pool_out"], parts["hidden"], *parts["taps"]]
+    assert all(t.grad is None for t in intermediates)
+    assert all(t.grad is not None for _, t, _ in model.named_params())

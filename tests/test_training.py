@@ -1,6 +1,7 @@
 """Optimizer arithmetic, patience state machine, training loop contracts."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from crmn.data import synth_dataset, split_train_val
 from crmn.errors import ContractError, InputError, TrainingError
 from crmn.model import CrmnModel, build_crmn
 from crmn.resnet import NetworkConfig
-from crmn.tensor import Tensor
+from crmn.tensor import Tape, Tensor
 from crmn.training import (
     PatienceController, SgdOptimizer, TrainConfig, evaluate_model,
     read_history, read_schedule, train, write_history, write_schedule,
@@ -206,6 +207,29 @@ def run_tiny(seed, epochs=3, replay=None, ds=None):
     result = train(model, train_ds, tcfg,
                    val_ds=None if replay is not None else val_ds, replay=replay)
     return model, result, val_ds
+
+
+def test_no_tape_outlives_its_backward(monkeypatch):
+    # the last batch's tape holds every activation of that step; validation
+    # and the snapshot after it should not run with them alive
+    tapes = []
+
+    class TrackedTape(Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(weakref.ref(self))
+
+    alive_at_validation = []
+
+    def tracked_evaluate(*args, **kwargs):
+        alive_at_validation.append(sum(ref() is not None for ref in tapes))
+        return evaluate_model(*args, **kwargs)
+
+    monkeypatch.setattr("crmn.training.Tape", TrackedTape)
+    monkeypatch.setattr("crmn.training.evaluate_model", tracked_evaluate)
+    run_tiny(seed=1, epochs=2)
+    assert len(tapes) == 6  # 27 training images in batches of 9, two epochs
+    assert alive_at_validation == [0, 0]
 
 
 def test_seeded_training_is_reproducible():
