@@ -1,4 +1,4 @@
-"""Closed-form parameter and operation accounting.
+"""Closed-form parameter, operation and memory accounting.
 
 Counts derive from the config alone, never from instantiated tensors. The
 operation convention: every scalar multiply, add, and activation evaluation
@@ -6,23 +6,26 @@ is one operation; data movement (padding, subsampling, reshapes, concat,
 broadcast) is free; batch-norm costs two operations per element in either
 mode since the normalization constants fold into one scale-and-shift.
 
-The report walks the same block plan the builder uses and applies the same
-per-op formulas the instrumented tensor ops charge, totalled in the same
-``OpCounter`` that ``count_ops()`` yields, so an instrumented forward pass
-must agree exactly.
+One list, ``_trunk_layers``, states the trunk's ops once, in forward order,
+from the same block plan the builder uses. The parameter count, the
+operation count and ``tape_bytes`` are each a sum over that list. Operations
+are charged per op as the instrumented tensor ops charge them and totalled
+in the same ``OpCounter`` that ``count_ops()`` yields, so an instrumented
+forward pass must agree exactly.
 
-``tape_bytes`` counts memory the same way: the bytes of array data a taped
-training forward keeps alive until its backward, per block. Every recorded
-op keeps its output and nothing else of size; a batch norm also keeps its
-per-map mean and inverse std. Views (subsampling, reshapes, broadcast
-initial states) and pads that leave their input as it is keep nothing new.
-Python object headers are not counted, so traced growth exceeds the count
-by a few hundred bytes per op.
+``tape_bytes`` counts the bytes of array data a taped training forward keeps
+alive until its backward, per block. Every recorded op keeps its output and
+nothing else of size; a batch norm also keeps its per-map mean and inverse
+std. Views (subsampling, reshapes, broadcast initial states) and pads that
+leave their input as it is keep nothing new. Python object headers are not
+counted, so traced growth exceeds the count by a few hundred bytes per op.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -32,26 +35,6 @@ from .resnet import NetworkConfig, block_plan
 from .tensor import OpCounter
 
 KINDS = ("crmn", "resnet")
-
-
-def _conv(ops, b, co, e_out, ci, k):
-    n = b * co * e_out * e_out * ci * k * k
-    ops.mults += n
-    ops.adds += n
-
-
-def _norm(ops, size):
-    ops.mults += size
-    ops.adds += size
-
-
-def _act(ops, size):
-    ops.activations += size
-
-
-def _matmul(ops, m, k, p):
-    ops.mults += m * k * p
-    ops.adds += m * k * p
 
 
 def _add_into(ops, part, times=1):
@@ -98,20 +81,48 @@ class CostReport:
         }
 
 
-def trunk_param_count(cfg: NetworkConfig):
-    variant = cfg.resolved_variant
-    total = 27 * cfg.base_maps
-    if variant == "original":
-        total += 2 * cfg.base_maps
+def _trunk_layers(cfg: NetworkConfig):
+    """Every recorded trunk op in forward order, as (block, op, maps, extent, fan_in).
+
+    ``block`` is the op's ``BlockSpec``, or None for the stem, the final norm
+    and the pool. ``maps`` and ``extent`` describe the op's output; ``fan_in``
+    is the number of inputs summed into each output value (a conv's
+    in_maps * k * k, the pool's window) and 1 for every other op. The stride-2
+    subsample is a view and is not listed; the map pad copies and is. A
+    block's rows are consecutive, so grouping by ``block`` gives the stem,
+    each block and the tail in turn.
+    """
+    original = cfg.resolved_variant == "original"
+    base, e = cfg.base_maps, cfg.input_extent
+    rows = [(None, "conv", base, e, 27)]
+    if original:
+        rows += [(None, "norm", base, e, 1), (None, "relu", base, e, 1)]
     for spec in block_plan(cfg):
-        m_in, m = spec.in_maps, spec.out_maps
-        norm1 = m if variant == "original" else m_in
-        total += 9 * m_in * m + 2 * norm1 + 9 * m * m + 2 * m
+        m_in, m, e_in, e = spec.in_maps, spec.out_maps, spec.in_extent, spec.out_extent
+        conv1, conv2 = ("conv", m, e, 9 * m_in), ("conv", m, e, 9 * m)
+        norm, relu = ("norm", m, e, 1), ("relu", m, e, 1)
+        if original:
+            ops = [conv1, norm, relu, conv2, norm]
+        else:
+            ops = [("norm", m_in, e_in, 1), ("relu", m_in, e_in, 1), conv1, norm, relu, conv2]
         if spec.changes_shape and cfg.shortcut == "projection":
-            total += m_in * m + 2 * m
-    if variant == "preactivation":
-        total += 2 * cfg.stage_maps[-1]
-    return total
+            ops += [("conv", m, e, m_in), norm]
+        elif m_in < m:
+            ops.append(("pad", m, e, 1))
+        ops.append(("add", m, e, 1))
+        if original:
+            ops.append(relu)
+        rows += [(spec, *op) for op in ops]
+    m = cfg.stage_maps[-1]  # and e is the last block's output extent
+    if not original:
+        rows += [(None, "norm", m, e, 1), (None, "relu", m, e, 1)]
+    rows.append((None, "pool", m, 1, e * e))
+    return rows
+
+
+def trunk_param_count(cfg: NetworkConfig):
+    return sum(maps * fan_in if op == "conv" else 2 * maps if op == "norm" else 0
+               for _, op, maps, _, fan_in in _trunk_layers(cfg))
 
 
 def lstm_param_count(i, h, learn_c0=True):
@@ -122,49 +133,31 @@ def lstm_param_count(i, h, learn_c0=True):
     return total
 
 
-def _trunk_flops(cfg: NetworkConfig, batch, breakdown):
-    variant = cfg.resolved_variant
+def _charge(op, values, fan_in):
+    """Operations of one op with ``values`` output values, as tensor and layers charge them."""
     ops = OpCounter()
-    e = cfg.input_extent
-    b = batch
-    _conv(ops, b, cfg.base_maps, e, 3, 3)
-    if variant == "original":
-        _norm(ops, b * cfg.base_maps * e * e)
-        _act(ops, b * cfg.base_maps * e * e)
-    for spec in block_plan(cfg):
-        block = OpCounter()
-        m_in, m = spec.in_maps, spec.out_maps
-        e_in, e_out = spec.in_extent, spec.out_extent
-        if variant == "original":
-            _conv(block, b, m, e_out, m_in, 3)
-            _norm(block, b * m * e_out * e_out)
-            _act(block, b * m * e_out * e_out)
-            _conv(block, b, m, e_out, m, 3)
-            _norm(block, b * m * e_out * e_out)
-        else:
-            _norm(block, b * m_in * e_in * e_in)
-            _act(block, b * m_in * e_in * e_in)
-            _conv(block, b, m, e_out, m_in, 3)
-            _norm(block, b * m * e_out * e_out)
-            _act(block, b * m * e_out * e_out)
-            _conv(block, b, m, e_out, m, 3)
-        if spec.changes_shape and cfg.shortcut == "projection":
-            _conv(block, b, m, e_out, m_in, 1)
-            _norm(block, b * m * e_out * e_out)
-        block.adds += b * m * e_out * e_out
-        if variant == "original":
-            _act(block, b * m * e_out * e_out)
-        breakdown.append({"stage": spec.stage, "index": spec.index, "maps": m,
-                          "extent": e_out, "kernel": 3, "cost": block.total})
-        _add_into(ops, block)
-    final_maps = cfg.stage_maps[-1]
-    final_extent = cfg.input_extent // 4
-    if variant == "preactivation":
-        _norm(ops, b * final_maps * final_extent * final_extent)
-        _act(ops, b * final_maps * final_extent * final_extent)
-    # global average pool
-    ops.mults += b * final_maps
-    ops.adds += b * final_maps * final_extent * final_extent
+    if op in ("conv", "norm"):  # a norm's fan_in is 1: one scale and one shift per value
+        ops.mults = ops.adds = values * fan_in
+    elif op == "pool":
+        ops.mults, ops.adds = values, values * fan_in
+    elif op == "add":
+        ops.adds = values
+    elif op == "relu":
+        ops.activations = values
+    return ops
+
+
+def _trunk_flops(cfg: NetworkConfig, batch, breakdown):
+    ops = OpCounter()
+    for block, rows in groupby(_trunk_layers(cfg), key=itemgetter(0)):
+        part = OpCounter()
+        for _, op, maps, extent, fan_in in rows:
+            _add_into(part, _charge(op, batch * maps * extent * extent, fan_in))
+        if block is not None:
+            breakdown.append({"stage": block.stage, "index": block.index,
+                              "maps": block.out_maps, "extent": block.out_extent,
+                              "kernel": 3, "cost": part.total})
+        _add_into(ops, part)
     return ops
 
 
@@ -187,8 +180,8 @@ def lstm_step_ops(i, h, batch=1):
 
 def _head_flops(d, classes, batch):
     ops = OpCounter()
-    _matmul(ops, batch, d, classes)
-    ops.adds += batch * classes
+    ops.mults = batch * d * classes
+    ops.adds = batch * d * classes + batch * classes  # the product, then the bias
     return ops
 
 
@@ -225,36 +218,14 @@ def tape_bytes(kind, cfg: NetworkConfig, batch=1):
         raise InputError(f"kind must be one of {KINDS}, got {kind!r}")
     cfg.validate()
     size = np.dtype(np.float32).itemsize  # training runs in float32
-    variant = cfg.resolved_variant
-
-    def maps(m, e, count=1):  # ``count`` op outputs of b*m*e*e
-        return count * size * batch * m * e * e
-
-    def norm(m, e):  # output, plus the per-map mean and inverse std
-        return maps(m, e) + 2 * size * m
-
-    base, e = cfg.base_maps, cfg.input_extent
-    trunk = maps(base, e)
-    if variant == "original":
-        trunk += norm(base, e) + maps(base, e)
-    blocks = []
-    for spec in block_plan(cfg):
-        m_in, m = spec.in_maps, spec.out_maps
-        e_in, e_out = spec.in_extent, spec.out_extent
-        if variant == "original":  # conv relu conv add relu, two norms
-            kept = maps(m, e_out, 5) + 2 * norm(m, e_out)
-        else:  # relu conv relu conv add, two norms
-            kept = norm(m_in, e_in) + maps(m_in, e_in) + maps(m, e_out, 4) + norm(m, e_out)
-        if spec.changes_shape and cfg.shortcut == "projection":
-            kept += maps(m, e_out) + norm(m, e_out)
-        elif m_in < m:  # the subsample is a view; the map pad is a copy
-            kept += maps(m, e_out)
-        blocks.append({"stage": spec.stage, "index": spec.index, "bytes": kept})
+    trunk, blocks = 0, []
+    for block, rows in groupby(_trunk_layers(cfg), key=itemgetter(0)):
+        # each op keeps its output; a norm also its per-map mean and inverse std
+        kept = sum(size * (batch * maps * extent * extent + (2 * maps if op == "norm" else 0))
+                   for _, op, maps, extent, _ in rows)
+        if block is not None:
+            blocks.append({"stage": block.stage, "index": block.index, "bytes": kept})
         trunk += kept
-    final_maps = cfg.stage_maps[-1]
-    if variant == "preactivation":
-        trunk += norm(final_maps, e // 4) + maps(final_maps, e // 4)
-    trunk += size * batch * final_maps  # global average pool
     parts = {"trunk": trunk}
     head = 2 * size * batch * cfg.classes  # product and bias add
     if kind == "crmn":
@@ -264,7 +235,7 @@ def tape_bytes(kind, cfg: NetworkConfig, batch=1):
                                for t in adapter_trace(cfg))
         # per step: the four gates, tanh(c), and the new c and h
         parts["lstm"] = 3 * cfg.n * 7 * size * batch * cfg.hidden_size
-        head += size * batch * (final_maps + cfg.hidden_size)  # concatenated features
+        head += size * batch * (cfg.stage_maps[-1] + cfg.hidden_size)  # concatenated features
     parts["head"] = head
     parts["total"] = sum(parts.values())
     parts["blocks"] = blocks

@@ -12,6 +12,7 @@ import contextlib
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -19,8 +20,8 @@ from . import __version__
 from .analysis import KINDS, config_for, cost_report, default_grid, render_table
 from .atomic import atomic_open
 from .checkpoint import load_model, save_model
-from .data import (NORMALIZE_MODES, AugmentPolicy, load_cifar_binary, load_raw_dataset,
-                   normalize, split_train_val, synth_dataset)
+from .data import (NORMALIZE_MODES, AugmentPolicy, load_cifar_binary, load_mean_image,
+                   load_raw_dataset, normalize, split_train_val, synth_dataset)
 from .errors import CrmnError, InputError, TrainingError
 from .gradcheck import SCOPES, run_scope
 from .model import TAP_FLATTEN_ORDER, build_crmn, build_resnet
@@ -104,6 +105,10 @@ def cmd_train(args, parser):
     _lstm_flags(args, parser)  # usage errors come before any data is read
     if args.flip and not args.augment:
         parser.error("--flip applies only with --augment")
+    try:
+        ladder = tuple(float(v) for v in args.ladder.split(","))
+    except ValueError:
+        parser.error(f"--ladder expects comma-separated numbers, got {args.ladder!r}")
     raw_ds = _load_dataset(args, parser)
     if raw_ds.class_count < 2:
         raise InputError(f"dataset has {raw_ds.class_count} classes, need at least 2")
@@ -122,11 +127,10 @@ def cmd_train(args, parser):
     replay = read_schedule(args.schedule_replay) if args.schedule_replay else None
     policy = AugmentPolicy(flip=args.flip) if args.augment else None
     tcfg = TrainConfig(
-        lr_ladder=tuple(float(v) for v in args.ladder.split(",")),
-        momentum=args.momentum, weight_decay=args.weight_decay,
+        lr_ladder=ladder, momentum=args.momentum, weight_decay=args.weight_decay,
         batch_size=args.batch_size, patience=args.patience,
         min_epochs_first_shift=args.min_epochs_first_shift,
-        lr_floor=args.lr_floor, max_epochs=args.max_epochs, seed=args.seed,
+        max_epochs=args.max_epochs, seed=args.seed,
         rrlr=args.rrlr, decay_all=args.decay_all, augment=policy).validate()
 
     builder = build_crmn if args.kind == "crmn" else build_resnet
@@ -151,7 +155,7 @@ def cmd_train(args, parser):
         "tool": f"crmn {__version__}",
         "kind": args.kind,
         "network": cfg.as_dict(),
-        "train": tcfg.as_dict(),
+        "train": asdict(tcfg),
         "mode": "schedule-replay" if replay is not None else "schedule-search",
         "normalize": args.normalize,
         "flatten_order": TAP_FLATTEN_ORDER,
@@ -181,7 +185,7 @@ def cmd_evaluate(args, parser):
     elif args.normalize == "mean_pixel":
         if not args.norm_stats:
             parser.error("--normalize mean_pixel needs --norm-stats from training")
-        ds, _ = normalize(ds, "mean_pixel", stats=np.load(args.norm_stats))
+        ds, _ = normalize(ds, "mean_pixel", stats=load_mean_image(args.norm_stats))
     loss, acc = evaluate_model(model, ds, args.batch_size)
     print(json.dumps({"loss": loss, "accuracy": acc, "count": len(ds)}, indent=2))
     return 0
@@ -236,7 +240,6 @@ def build_parser():
                    help="epochs without improvement")
     p.add_argument("--min-epochs-first-shift", type=int,
                    default=TrainConfig.min_epochs_first_shift)
-    p.add_argument("--lr-floor", type=float, default=None)
     p.add_argument("--max-epochs", type=int, default=TrainConfig.max_epochs)
     p.add_argument("--momentum", type=float, default=TrainConfig.momentum)
     p.add_argument("--weight-decay", type=float, default=TrainConfig.weight_decay)

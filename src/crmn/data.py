@@ -13,7 +13,9 @@ bytes) used for everything else, including converted SVHN-style corpora.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
+import tokenize
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,6 +138,28 @@ def _loaded(path, images, labels, classes):
     if len(labels) and labels.max() >= classes:
         raise FormatError(f"{path}: label {labels.max()} out of range for {classes} classes")
     return ImageDataset(images, labels, classes).validate()
+
+
+def load_mean_image(path):
+    """The mean image that mean_pixel normalization saved as a ``.npy`` array.
+
+    The header's shape is checked against the file's size before an array is
+    built, so a header cannot ask for more memory than the file holds.
+    """
+    fmt = np.lib.format
+    with open(path, "rb") as fh:
+        try:
+            if fmt.read_magic(fh) != (1, 0):  # the version np.save writes for a mean image
+                raise ValueError("not a version 1.0 .npy file")
+            shape, fortran_order, dtype = fmt.read_array_header_1_0(fh)
+        except (ValueError, SyntaxError, tokenize.TokenError) as exc:
+            raise FormatError(f"{path}: not a .npy array: {exc}") from None
+        data = fh.read()
+    if (dtype.kind not in "fiu" or min(shape, default=1) < 1
+            or len(data) != math.prod(shape) * dtype.itemsize):
+        raise FormatError(f"{path}: {len(data)} bytes do not hold a numeric mean image "
+                          f"of shape {shape} and dtype {dtype}")
+    return np.frombuffer(data, dtype).reshape(shape, order="F" if fortran_order else "C")
 
 
 def normalize(ds: ImageDataset, mode="mean_pixel", stats=None):

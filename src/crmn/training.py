@@ -9,7 +9,7 @@ accuracy strictly rises; ties count as no improvement. After ``patience``
 consecutive non-improving epochs the controller reloads the best snapshot
 and shifts the learning rate, except that no shift may happen before epoch
 ``min_epochs_first_shift`` (first shift only). Training stops when a shift
-would walk off the ladder or below the floor. Each shift record names the
+would walk off the ladder. Each shift record names the
 epoch whose snapshot it reloaded, so a replay snapshots, reloads and shifts
 at the same epochs as the run it records.
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,7 +46,6 @@ class TrainConfig:
     batch_size: int = 100
     patience: int = 10
     min_epochs_first_shift: int = 70
-    lr_floor: float | None = None
     max_epochs: int = 100
     seed: int = 0
     rrlr: bool = False
@@ -55,8 +54,8 @@ class TrainConfig:
 
     def validate(self):
         ladder = tuple(float(v) for v in self.lr_ladder)
-        if not ladder or any(v <= 0 for v in ladder):
-            raise InputError(f"ladder must be positive, got {ladder}")
+        if not ladder or not all(0 < v < math.inf for v in ladder):
+            raise InputError(f"ladder must be positive and finite, got {ladder}")
         if any(a <= b for a, b in zip(ladder, ladder[1:])):
             raise InputError(f"ladder must be strictly decreasing, got {ladder}")
         if self.batch_size < 2:
@@ -65,13 +64,6 @@ class TrainConfig:
         if self.patience < 1 or self.max_epochs < 1:
             raise InputError("patience and max_epochs must be >= 1")
         return self
-
-    @property
-    def floor(self):
-        return min(self.lr_ladder) if self.lr_floor is None else self.lr_floor
-
-    def as_dict(self):
-        return {**asdict(self), "lr_floor": self.floor}
 
 
 def _group_of(name):
@@ -120,12 +112,10 @@ class Decision:
 class PatienceController:
     """State machine over validation metrics driving learning-rate shifts."""
 
-    def __init__(self, ladder, patience, min_epochs_first_shift=70,
-                 lr_floor=None, rrlr=False):
+    def __init__(self, ladder, patience, min_epochs_first_shift=70, rrlr=False):
         self.ladder = tuple(float(v) for v in ladder)
         self.patience = patience
         self.min_epochs_first_shift = min_epochs_first_shift
-        self.floor = min(self.ladder) if lr_floor is None else lr_floor
         self.rrlr = rrlr
         self.index = {g: 0 for g in GROUPS}
         self.cursor = 0
@@ -154,7 +144,7 @@ class PatienceController:
             return Decision("continue", lrs=self.lrs())
         groups = (GROUPS[self.cursor],) if self.rrlr else GROUPS
         next_index = self.index[groups[0]] + 1
-        if next_index >= len(self.ladder) or self.ladder[next_index] < self.floor:
+        if next_index >= len(self.ladder):
             return Decision("stop", lrs=self.lrs())
         for g in groups:
             self.index[g] = next_index
@@ -185,6 +175,8 @@ def evaluate_model(model, ds: ImageDataset, batch_size=100):
     n = len(ds)
     if n == 0:
         raise ContractError("evaluate_model: empty dataset")
+    if batch_size < 1:
+        raise InputError(f"batch_size must be >= 1, got {batch_size}")
     total_loss = 0.0
     correct = 0
     for start in range(0, n, batch_size):
@@ -228,8 +220,7 @@ def train(model, train_ds: ImageDataset, cfg: TrainConfig, val_ds=None, replay=N
     controller = None
     if replay is None:
         controller = PatienceController(cfg.lr_ladder, cfg.patience,
-                                        cfg.min_epochs_first_shift, cfg.lr_floor,
-                                        cfg.rrlr)
+                                        cfg.min_epochs_first_shift, cfg.rrlr)
         lrs = controller.lrs()
     else:
         replay = sorted(replay, key=lambda r: (r["epoch"], GROUPS.index(r["group"])))

@@ -135,13 +135,37 @@ def _taped_growth(fn):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("kind,cfg", [
+MICRO_MODELS = pytest.mark.parametrize("kind,cfg", [
     ("crmn", NetworkConfig(n=1, base_maps=4, classes=3, hidden_size=5)),
     ("resnet", NetworkConfig(n=1, base_maps=4, classes=3)),
     ("crmn", NetworkConfig(n=2, base_maps=8, classes=10, hidden_size=20,
                            shortcut="projection")),
     ("resnet", NetworkConfig(n=1, base_maps=8, classes=5, variant="preactivation")),
 ], ids=["crmn", "resnet", "crmn-projection", "resnet-preactivation"])
+
+
+def _stem_output(trunk, x, training):
+    y = trunk.stem.forward(x)
+    if trunk.stem_bn is not None:
+        y = relu(trunk.stem_bn.forward(y, training))
+    return y
+
+
+@MICRO_MODELS
+def test_block_breakdown_matches_the_ops_each_block_counts(kind, cfg):
+    batch = 2
+    model = (build_crmn if kind == "crmn" else build_resnet)(cfg, seed=0)
+    x = Tensor(np.random.default_rng(0).random((batch, 3, 32, 32), dtype=np.float32))
+    y = _stem_output(model.trunk, x, training=False)
+    rows = cost_report(kind, cfg, batch).block_breakdown
+    for block, row in zip(model.trunk.blocks, rows, strict=True):
+        with count_ops() as counted:
+            y = block.forward(y, training=False)
+        assert (row["stage"], row["index"]) == (block.spec.stage, block.spec.index)
+        assert counted.total == row["cost"], row
+
+
+@MICRO_MODELS
 def test_tape_bytes_match_traced_growth_of_a_training_forward(kind, cfg):
     # the count leaves out Python object headers, so traced growth exceeds it
     # by those alone: under 5% of each block and of the whole forward at batch 8
@@ -156,11 +180,8 @@ def test_tape_bytes_match_traced_growth_of_a_training_forward(kind, cfg):
     assert expected["total"] == sum(v for k, v in expected.items()
                                     if k not in ("total", "blocks"))
 
-    trunk = model.trunk
-    y = trunk.stem.forward(x)
-    if trunk.stem_bn is not None:
-        y = relu(trunk.stem_bn.forward(y, training=True))
-    for block, row in zip(trunk.blocks, expected["blocks"], strict=True):
+    y = _stem_output(model.trunk, x, training=True)
+    for block, row in zip(model.trunk.blocks, expected["blocks"], strict=True):
         grown = _taped_growth(lambda: block.forward(y, training=True))
         assert 0 <= grown - row["bytes"] < 0.05 * row["bytes"]
         y = block.forward(y, training=True)

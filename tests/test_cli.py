@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, artifacts, exit codes."""
 
+import io
 import json
 import os
 
@@ -9,7 +10,7 @@ import pytest
 import crmn.checkpoint
 import crmn.cli
 import crmn.lstm
-from crmn.checkpoint import save_tensors
+from crmn.checkpoint import save_model, save_tensors
 from crmn.cli import main
 from crmn.data import ImageDataset, save_raw_dataset, synth_dataset
 from crmn.model import build_crmn
@@ -160,6 +161,76 @@ def test_flip_without_augment_is_a_usage_error(tmp_path, capsys, monkeypatch):
     assert exc.value.code == 2
     assert "--flip applies only with --augment" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("ladder", ["0.1,x", "", "0.1,,0.01"])
+def test_an_unparseable_ladder_is_a_usage_error(tmp_path, capsys, monkeypatch, ladder):
+    monkeypatch.setattr(crmn.cli, "_load_dataset", lambda *a: pytest.fail("data read"))
+    with pytest.raises(SystemExit) as exc:
+        run_train(tmp_path / "run", "--ladder", ladder)
+    assert exc.value.code == 2
+    assert "--ladder expects comma-separated numbers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ladder", ["nan", "0.1,nan", "inf,0.1"])
+def test_a_non_finite_ladder_exits_three(tmp_path, capsys, ladder):
+    assert run_train(tmp_path / "run", "--ladder", ladder) == 3
+    assert "ladder must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.fixture
+def micro_checkpoint(tmp_path):
+    """A checkpoint of an untrained micro CRMN for 3-class 32x32 data."""
+    path = tmp_path / "micro.crmn"
+    save_model(build_crmn(NetworkConfig(n=1, base_maps=4, classes=3, hidden_size=5), seed=1),
+               path)
+    return str(path)
+
+
+@pytest.mark.parametrize("size", ["0", "-1"])
+def test_evaluate_rejects_batch_sizes_below_one(micro_checkpoint, capsys, size):
+    assert main(["evaluate", "--checkpoint", micro_checkpoint, "--synth", "3,4",
+                 "--batch-size", size]) == 3
+    captured = capsys.readouterr()
+    assert "batch_size must be >= 1" in captured.err
+    assert captured.out == ""
+
+
+def _npy(array):
+    buf = io.BytesIO()
+    np.save(buf, array)
+    return buf.getvalue()
+
+
+def _npz():
+    buf = io.BytesIO()
+    np.savez(buf, mean=np.zeros((3, 32, 32), np.float32))
+    return buf.getvalue()
+
+
+MEAN_IMAGE = _npy(np.zeros((3, 32, 32), np.float32))
+UNREADABLE_MEAN_IMAGES = {
+    "empty": b"",
+    "random-bytes": bytes(range(256)) * 2,
+    "truncated": MEAN_IMAGE[:-4],
+    "corrupted-header": MEAN_IMAGE[:20] + b"(((" + MEAN_IMAGE[23:],
+    "npz": _npz(),
+    "object-array": _npy(np.array([1, "a", None], dtype=object)),
+    "string-array": _npy(np.full((3, 32, 32), "a")),
+}
+
+
+@pytest.mark.parametrize("blob", UNREADABLE_MEAN_IMAGES.values(), ids=UNREADABLE_MEAN_IMAGES)
+def test_unreadable_mean_images_exit_three(tmp_path, micro_checkpoint, capsys, blob):
+    stats = tmp_path / "norm_stats.npy"
+    stats.write_bytes(blob)
+    argv = ["evaluate", "--checkpoint", micro_checkpoint, "--synth", "3,4",
+            "--normalize", "mean_pixel", "--norm-stats", str(stats)]
+    assert main(argv) == 3
+    assert capsys.readouterr().out == ""
+    stats.write_bytes(MEAN_IMAGE)  # the same command reads a well-formed mean image
+    assert main(argv) == 0
 
 
 def test_evaluate_scores_a_checkpoint(tmp_path, capsys):

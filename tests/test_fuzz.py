@@ -1,8 +1,8 @@
 """File loaders under arbitrary and mutated input: each returns or raises FormatError.
 
 The schedule and history parsers return or raise another ``CrmnError``
-(``InputError``). The examples are derandomized, so every run checks the
-same inputs.
+(``InputError``); the mean-image reader returns an array or raises one. The
+examples are derandomized, so every run checks the same inputs.
 """
 
 import copy
@@ -15,8 +15,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from crmn.checkpoint import MAGIC, load_model, load_tensors, save_model
-from crmn.data import (_RAW_HEADER, load_cifar_binary, load_raw_dataset, save_raw_dataset,
-                       synth_dataset)
+from crmn.data import (_RAW_HEADER, load_cifar_binary, load_mean_image, load_raw_dataset,
+                       save_raw_dataset, synth_dataset)
 from crmn.errors import CrmnError, FormatError
 from crmn.model import build_crmn, build_resnet
 from crmn.resnet import NetworkConfig
@@ -188,3 +188,30 @@ def test_histories_with_arbitrary_rows(tmp_path, rows):
     lines = [",".join(HISTORY_COLUMNS)] + [",".join(row) for row in rows]
     returns_or_crmn_error(read_history, tmp_path / "history.csv",
                           "\n".join(lines).encode("utf-8"))
+
+
+NPY_MAGIC = b"\x93NUMPY\x01\x00"
+DESCRS = st.sampled_from(["<f4", "<f8", "|u1", "<i8", "|b1", "<U2", "|V0", "|O", "<M8[s]"])
+SHAPES = st.lists(st.integers(-2, 4) | st.integers(-2**70, 2**70), max_size=3).map(tuple)
+
+
+def npy_file(header, body):
+    """A version-1 ``.npy`` file: magic, header length, header text, data."""
+    text = header.encode("latin-1", "replace")
+    return NPY_MAGIC + struct.pack("<H", len(text)) + text + body
+
+
+@FUZZ
+@given(blob=st.binary(max_size=300) | st.binary(max_size=40).map(lambda b: NPY_MAGIC + b)
+       | st.builds(npy_file,
+                   st.builds("{{'descr': {!r}, 'fortran_order': {!r}, 'shape': {!r}, }}\n".format,
+                             DESCRS | JSON, st.booleans() | JSON, SHAPES | JSON)
+                   | st.text(max_size=40),
+                   st.binary(max_size=40)))
+def test_mean_images_from_arbitrary_bytes(tmp_path, blob):
+    path = tmp_path / "norm_stats.npy"
+    path.write_bytes(blob)
+    try:
+        assert isinstance(load_mean_image(path), np.ndarray)
+    except CrmnError:
+        pass

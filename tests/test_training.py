@@ -169,21 +169,15 @@ def test_round_robin_mid_cycle_lrs_diverge():
     assert c.lrs() == {"trunk": 0.01, "lstm": 0.1, "head": 0.1}
 
 
-def test_floor_stops_the_ladder_early():
-    c = PatienceController((0.1, 0.01, 0.001), patience=1,
-                           min_epochs_first_shift=1, lr_floor=0.01)
-    decisions = observe_many(c, [1.0] * 3)
-    assert [d.kind for d in decisions] == ["continue", "shift", "stop"]
-    assert c.lrs()["trunk"] == 0.01  # 0.001 sits below the floor, never used
-
-
 def test_train_config_validation():
     with pytest.raises(InputError):
         TrainConfig(lr_ladder=(0.01, 0.1)).validate()  # must decrease
     with pytest.raises(InputError):
         TrainConfig(batch_size=1).validate()
-    cfg = TrainConfig(lr_ladder=(0.1, 0.01), batch_size=4).validate()
-    assert cfg.floor == 0.01
+    for rung in (float("nan"), float("inf"), 0.0):
+        with pytest.raises(InputError):
+            TrainConfig(lr_ladder=(rung,)).validate()
+    TrainConfig(lr_ladder=(0.1, 0.01), batch_size=4).validate()
 
 
 def test_train_rejects_impossible_setups(tiny_synth):
