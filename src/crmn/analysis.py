@@ -247,7 +247,7 @@ def config_for(layers, fm_mult, hidden=100, classes=100, **kwargs) -> NetworkCon
     if layers < 8 or (layers - 2) % 6:
         raise InputError(f"layers must be 6n+2 for integer n >= 1, got {layers}")
     base = 16 * fm_mult
-    if abs(base - round(base)) > 1e-9 or round(base) < 1:
+    if not np.isfinite(base) or abs(base - round(base)) > 1e-9 or round(base) < 1:
         raise InputError(f"fm-mult {fm_mult} does not give a whole positive map count")
     return NetworkConfig(n=(layers - 2) // 6, base_maps=int(round(base)), classes=classes,
                          hidden_size=hidden, **kwargs).validate()

@@ -23,13 +23,28 @@ from .checkpoint import load_model, save_model
 from .data import (NORMALIZE_MODES, AugmentPolicy, load_cifar_binary, load_mean_image,
                    load_raw_dataset, normalize, split_train_val, synth_dataset)
 from .errors import CrmnError, InputError, TrainingError
-from .gradcheck import SCOPES, run_scope
+from .gradcheck import DEFAULT_EPS, SCOPES, run_scope
 from .model import TAP_FLATTEN_ORDER, build_crmn, build_resnet
 from .resnet import OUTPUT_GATES, SHORTCUTS, VARIANTS
 from .training import (HISTORY_COLUMNS, TrainConfig, evaluate_model, read_history,
                        read_schedule, train, write_history, write_schedule)
 
 CURVE_SERIES = ("train_loss", "val_error", "val_acc", "lr_trunk", "lr_lstm", "lr_head")
+
+
+def _seed(text):
+    """argparse type: a non-negative integer, as numpy's generators need."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _positive_float(text):
+    """argparse type: a positive finite number."""
+    value = float(text)
+    if not (value > 0 and np.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+    return value
 
 
 def _add_network_flags(sub):
@@ -47,7 +62,7 @@ def _add_network_flags(sub):
 def _add_data_flags(sub):
     sub.add_argument("--synth", metavar="CLASSES,PER_CLASS",
                      help="generate a synthetic dataset instead of reading one")
-    sub.add_argument("--synth-seed", type=int, default=0)
+    sub.add_argument("--synth-seed", type=_seed, default=0)
     sub.add_argument("--data", help="dataset file path")
     sub.add_argument("--format", choices=("raw", "c10", "c100"), default="raw",
                      help="layout of --data")
@@ -228,7 +243,7 @@ def build_parser():
     _add_network_flags(p)
     _add_data_flags(p)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--val-fraction", type=float, default=0.1)
     p.add_argument("--normalize", choices=("none",) + NORMALIZE_MODES, default="none")
     p.add_argument("--augment", action="store_true", help="pad-4 random crop")
@@ -259,8 +274,8 @@ def build_parser():
 
     p = subs.add_parser("gradcheck", help="finite-difference gradient verification")
     p.add_argument("--scope", choices=SCOPES, default="ops")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eps", type=float, default=1e-5)
+    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--eps", type=_positive_float, default=DEFAULT_EPS)
     p.set_defaults(func=cmd_gradcheck)
 
     p = subs.add_parser("export-curves", help="history CSV to long-format series CSV")

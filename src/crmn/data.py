@@ -239,7 +239,7 @@ def synth_dataset(classes, per_class, seed=0, extent=32):
 def split_train_val(ds: ImageDataset, val_fraction=0.1, seed=0):
     """Deterministic disjoint split; validation takes the stated fraction."""
     n = len(ds)
-    n_val = int(round(n * val_fraction))
+    n_val = int(round(n * val_fraction)) if math.isfinite(val_fraction) else 0
     if n_val < 1 or n_val >= n:
         raise InputError(f"cannot take {val_fraction:.0%} of {n} samples for validation")
     perm = np.random.default_rng(seed).permutation(n)

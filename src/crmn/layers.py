@@ -30,7 +30,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import ContractError, DimensionError
-from .tensor import Tensor, _bump, _record, _tensor, add, matmul
+from .tensor import Tensor, _bump, _taped, _tensor, add, matmul
 
 BN_MOMENTUM = 0.1  # weight of each batch's statistics in the running estimates
 BN_EPS = 1e-5
@@ -74,8 +74,6 @@ def conv2d(x, weight, stride=1):
 
     cols = padded_windows().reshape(b, ci * k * k, ho * wo)
     out_data = np.matmul(weight.data.reshape(co, ci * k * k), cols)
-    out = Tensor(out_data.reshape(b, co, ho, wo),
-                 requires_grad=x.requires_grad or weight.requires_grad)
     n = b * co * ho * wo * ci * k * k
     _bump(mults=n, adds=n)
 
@@ -97,8 +95,7 @@ def conv2d(x, weight, stride=1):
                         spread.reshape(b, ci, ho, wo))
             accum(x, gxp[:, :, pad:pad + h, pad:pad + w])
 
-    _record(out, backward_fn)
-    return out
+    return _taped(out_data.reshape(b, co, ho, wo), backward_fn, x, weight)
 
 
 class Conv2d:
@@ -153,9 +150,7 @@ def batch_norm(x, scale, shift, running_mean, running_var,
         return (x.data - mean[:, None, None]) * inv_std[:, None, None]
 
     out_data = scale.data[:, None, None] * normalized() + shift.data[:, None, None]
-    out = Tensor(out_data, requires_grad=x.requires_grad or scale.requires_grad
-                 or shift.requires_grad)
-    _bump(mults=out.size, adds=out.size)
+    _bump(mults=out_data.size, adds=out_data.size)
     m = b * h * w
 
     def backward_fn(g, accum):
@@ -174,8 +169,7 @@ def batch_norm(x, scale, shift, running_mean, running_var,
         else:
             accum(x, g_xhat * inv_std[:, None, None])
 
-    _record(out, backward_fn)
-    return out
+    return _taped(out_data, backward_fn, x, scale, shift)
 
 
 class BatchNorm:
@@ -211,15 +205,13 @@ def meanpool2x2(x):
     # pairwise order: bit-identical to reshape(b, c, h/2, 2, w/2, 2).mean(axis=(3, 5))
     pooled = ((d[:, :, 0::2, 0::2] + d[:, :, 0::2, 1::2])
               + (d[:, :, 1::2, 0::2] + d[:, :, 1::2, 1::2])) * 0.25
-    out = Tensor(pooled, requires_grad=x.requires_grad)
-    _bump(mults=out.size, adds=4 * out.size)
+    _bump(mults=pooled.size, adds=4 * pooled.size)
 
     def backward_fn(g, accum):
         gx = np.repeat(np.repeat(g, 2, axis=2), 2, axis=3) * np.asarray(0.25, dtype=g.dtype)
         accum(x, gx)
 
-    _record(out, backward_fn)
-    return out
+    return _taped(pooled, backward_fn, x)
 
 
 def global_avg_pool(x):
@@ -228,7 +220,6 @@ def global_avg_pool(x):
     if x.ndim != 4:
         raise DimensionError(f"global_avg_pool: expected rank-4 input, got {x.shape}")
     b, c, h, w = x.shape
-    out = Tensor(x.data.mean(axis=(2, 3)), requires_grad=x.requires_grad)
     _bump(mults=b * c, adds=b * c * h * w)
     scale = 1.0 / (h * w)
 
@@ -236,8 +227,7 @@ def global_avg_pool(x):
         gx = np.broadcast_to((g * scale)[:, :, None, None], (b, c, h, w))
         accum(x, gx)
 
-    _record(out, backward_fn)
-    return out
+    return _taped(x.data.mean(axis=(2, 3)), backward_fn, x)
 
 
 class Dense:

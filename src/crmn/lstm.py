@@ -16,17 +16,21 @@ broadcast across the batch.
 runs in NumPy and the step charges its operation count once. It records two
 backward closures, one on the new cell state and one on the new hidden
 state, because the tape keeps one gradient per recorded output and both
-carry gradient into the next step. Each closure repeats the backward
-arithmetic of the primitive ops the step is built from (8 GEMMs, 18 adds
-and multiplies, 5 squashes), and calls ``accum`` in the reverse of their
-tape order, so forward values and every gradient are bit-identical to the
-composed graph. The eight per-gate GEMMs stay separate. With the gate
-weights stacked, the input and hidden gradients would each be one GEMM
-summing over all four gates, not four products accumulated in tape order,
-so gradients would stop being bit-identical. Stacking would not pay for
-the 3-step micro model that the gradient checks run either: concatenating
-the per-gate weights once per sequence took 42 us there, against 11 us per
-step saved by two GEMMs instead of eight (1 BLAS thread, 2-core VM).
+carry gradient into the next step. So it builds and records its outputs
+itself, not through ``tensor._taped`` (which wraps one output): one scan
+of its 18 inputs (x, the state, 15 parameters) serves both, and building
+that 18-tuple for the helper on every step slowed the gradient check.
+Each closure repeats the backward arithmetic of the primitive ops the step
+is built from (8 GEMMs, 18 adds and multiplies, 5 squashes), and calls
+``accum`` in the reverse of their tape order, so forward values and every
+gradient are bit-identical to the composed graph. The eight per-gate GEMMs
+stay separate. With the gate weights stacked, the input and hidden gradients
+would each be one GEMM summing over all four gates, not four products
+accumulated in tape order, so gradients would stop being bit-identical.
+Stacking would not pay for the 3-step micro model that the gradient checks
+run either: concatenating the per-gate weights once per sequence took 42 us
+there, against 11 us per step saved by two GEMMs instead of eight (1 BLAS
+thread, 2-core VM).
 """
 
 from __future__ import annotations

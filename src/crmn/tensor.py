@@ -7,6 +7,13 @@ accumulates gradients into each leaf tensor that requires them. Without
 an active tape, operations just compute forward values, so inference costs
 nothing extra.
 
+One rule decides what is taped: an op's output requires a gradient, and its
+closure is recorded, exactly when one of its inputs requires a gradient.
+``_taped`` states it once. Every single-output op here and in ``layers``
+computes its NumPy value, charges its count with ``_bump``, defines its
+closure and returns ``_taped(value, backward_fn, *inputs)``. The two-output
+``lstm.lstm_step`` applies the rule itself.
+
 Broadcasting is deliberately narrow: binary ops accept equal shapes, or a
 one-dimensional vector applied along the trailing axis of the other operand
 (the bias/peephole case). Anything else raises ``DimensionError``.
@@ -210,6 +217,17 @@ def _record(out, backward_fn):
         tape.record(out, backward_fn)
 
 
+def _taped(data, backward_fn, *inputs):
+    """``data`` as an op's output, taped exactly when one of ``inputs`` needs a gradient."""
+    # a plain loop: a generator any() costs several times more per op
+    for t in inputs:
+        if t.requires_grad:
+            out = Tensor(data, requires_grad=True)
+            _record(out, backward_fn)
+            return out
+    return Tensor(data)
+
+
 def _tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
@@ -235,7 +253,6 @@ def matmul(a, b):
     a, b = _tensor(a), _tensor(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    out = Tensor(a.data @ b.data, requires_grad=a.requires_grad or b.requires_grad)
     m, k = a.shape
     p = b.shape[1]
     _bump(mults=m * p * k, adds=m * p * k)
@@ -244,37 +261,32 @@ def matmul(a, b):
         accum(a, g @ b.data.T)
         accum(b, a.data.T @ g)
 
-    _record(out, backward_fn)
-    return out
+    return _taped(a.data @ b.data, backward_fn, a, b)
 
 
 def add(a, b):
     a, b = _tensor(a), _tensor(b)
     mode = _binary_mode(a, b, "add")
-    out = Tensor(a.data + b.data, requires_grad=a.requires_grad or b.requires_grad)
-    _bump(adds=out.size)
+    _bump(adds=a.size)
 
     def backward_fn(g, accum):
         accum(a, g)
         accum(b, g if mode == "equal" else _sum_to_vector(g))
 
-    _record(out, backward_fn)
-    return out
+    return _taped(a.data + b.data, backward_fn, a, b)
 
 
 def mul(a, b):
     a, b = _tensor(a), _tensor(b)
     mode = _binary_mode(a, b, "mul")
-    out = Tensor(a.data * b.data, requires_grad=a.requires_grad or b.requires_grad)
-    _bump(mults=out.size)
+    _bump(mults=a.size)
 
     def backward_fn(g, accum):
         accum(a, g * b.data)
         gb = g * a.data
         accum(b, gb if mode == "equal" else _sum_to_vector(gb))
 
-    _record(out, backward_fn)
-    return out
+    return _taped(a.data * b.data, backward_fn, a, b)
 
 
 def _stable_sigmoid(x):
@@ -286,53 +298,45 @@ def _stable_sigmoid(x):
 
 def sigmoid(x):
     x = _tensor(x)
-    out = Tensor(_stable_sigmoid(x.data), requires_grad=x.requires_grad)
-    _bump(activations=out.size)
-    y = out.data
+    y = _stable_sigmoid(x.data)
+    _bump(activations=y.size)
 
     def backward_fn(g, accum):
         accum(x, g * y * (1.0 - y))
 
-    _record(out, backward_fn)
-    return out
+    return _taped(y, backward_fn, x)
 
 
 def tanh(x):
     x = _tensor(x)
-    out = Tensor(np.tanh(x.data), requires_grad=x.requires_grad)
-    _bump(activations=out.size)
-    y = out.data
+    y = np.tanh(x.data)
+    _bump(activations=y.size)
 
     def backward_fn(g, accum):
         accum(x, g * (1.0 - y * y))
 
-    _record(out, backward_fn)
-    return out
+    return _taped(y, backward_fn, x)
 
 
 def relu(x):
     x = _tensor(x)
-    out = Tensor(np.maximum(x.data, 0), requires_grad=x.requires_grad)
-    _bump(activations=out.size)
+    _bump(activations=x.size)
 
     def backward_fn(g, accum):
         accum(x, g * (x.data > 0))
 
-    _record(out, backward_fn)
-    return out
+    return _taped(np.maximum(x.data, 0), backward_fn, x)
 
 
 def sum_all(x):
     """Sum of all elements, as a scalar tensor."""
     x = _tensor(x)
-    out = Tensor(np.asarray(x.data.sum(), dtype=x.data.dtype), requires_grad=x.requires_grad)
     _bump(adds=x.size)
 
     def backward_fn(g, accum):
         accum(x, np.broadcast_to(g, x.shape))
 
-    _record(out, backward_fn)
-    return out
+    return _taped(np.asarray(x.data.sum(), dtype=x.data.dtype), backward_fn, x)
 
 
 def reshape(x, shape):
@@ -341,14 +345,12 @@ def reshape(x, shape):
         data = x.data.reshape(shape)
     except ValueError as exc:
         raise DimensionError(f"reshape: cannot view {x.shape} as {shape}") from exc
-    out = Tensor(data, requires_grad=x.requires_grad)
     src_shape = x.shape
 
     def backward_fn(g, accum):
         accum(x, g.reshape(src_shape))
 
-    _record(out, backward_fn)
-    return out
+    return _taped(data, backward_fn, x)
 
 
 def concat_cols(a, b):
@@ -356,16 +358,13 @@ def concat_cols(a, b):
     a, b = _tensor(a), _tensor(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[0] != b.shape[0]:
         raise DimensionError(f"concat_cols: incompatible shapes {a.shape} and {b.shape}")
-    out = Tensor(np.concatenate([a.data, b.data], axis=1),
-                 requires_grad=a.requires_grad or b.requires_grad)
     split = a.shape[1]
 
     def backward_fn(g, accum):
         accum(a, g[:, :split])
         accum(b, g[:, split:])
 
-    _record(out, backward_fn)
-    return out
+    return _taped(np.concatenate([a.data, b.data], axis=1), backward_fn, a, b)
 
 
 def pad_cols(x, width):
@@ -380,13 +379,11 @@ def pad_cols(x, width):
         return x
     data = np.zeros((x.shape[0], width), dtype=x.data.dtype)
     data[:, :have] = x.data
-    out = Tensor(data, requires_grad=x.requires_grad)
 
     def backward_fn(g, accum):
         accum(x, g[:, :have])
 
-    _record(out, backward_fn)
-    return out
+    return _taped(data, backward_fn, x)
 
 
 def rows_from_vector(v, rows):
@@ -394,13 +391,11 @@ def rows_from_vector(v, rows):
     v = _tensor(v)
     if v.ndim != 1:
         raise DimensionError(f"rows_from_vector: expected rank 1, got shape {v.shape}")
-    out = Tensor(np.broadcast_to(v.data, (rows, v.shape[0])), requires_grad=v.requires_grad)
 
     def backward_fn(g, accum):
         accum(v, g.sum(axis=0))
 
-    _record(out, backward_fn)
-    return out
+    return _taped(np.broadcast_to(v.data, (rows, v.shape[0])), backward_fn, v)
 
 
 def space_subsample(x):
@@ -408,7 +403,6 @@ def space_subsample(x):
     x = _tensor(x)
     if x.ndim != 4:
         raise DimensionError(f"space_subsample: expected rank 4, got shape {x.shape}")
-    out = Tensor(x.data[:, :, ::2, ::2], requires_grad=x.requires_grad)
     src_shape = x.shape
 
     def backward_fn(g, accum):
@@ -416,8 +410,7 @@ def space_subsample(x):
         gx[:, :, ::2, ::2] = g
         accum(x, gx)
 
-    _record(out, backward_fn)
-    return out
+    return _taped(x.data[:, :, ::2, ::2], backward_fn, x)
 
 
 def pad_maps(x, maps):
@@ -433,13 +426,11 @@ def pad_maps(x, maps):
     b, _, h, w = x.shape
     data = np.zeros((b, maps, h, w), dtype=x.data.dtype)
     data[:, :have] = x.data
-    out = Tensor(data, requires_grad=x.requires_grad)
 
     def backward_fn(g, accum):
         accum(x, g[:, :have])
 
-    _record(out, backward_fn)
-    return out
+    return _taped(data, backward_fn, x)
 
 
 def softmax_cross_entropy(logits, labels):
@@ -465,8 +456,6 @@ def softmax_cross_entropy(logits, labels):
     softmax = ez / ez.sum(axis=1, keepdims=True)
     logp = z - np.log(ez.sum(axis=1, keepdims=True))
     loss_val = -logp[np.arange(batch), labels].mean()
-    out = Tensor(np.asarray(loss_val, dtype=logits.data.dtype),
-                 requires_grad=logits.requires_grad)
     # exp and log count as activations; the row sums and max-shifts as adds;
     # the final 1/batch scaling as one multiply per row
     _bump(mults=batch, adds=2 * batch * classes, activations=batch * (classes + 1))
@@ -476,5 +465,4 @@ def softmax_cross_entropy(logits, labels):
         grad[np.arange(batch), labels] -= 1.0
         accum(logits, grad * (g / batch))
 
-    _record(out, backward_fn)
-    return out
+    return _taped(np.asarray(loss_val, dtype=logits.data.dtype), backward_fn, logits)

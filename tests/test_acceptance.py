@@ -219,8 +219,7 @@ def test_acceptance_8_desk_scale_learning():
 
 
 @criterion(9, "byte-identical seeded histories", budget=300.0)
-def test_acceptance_9_determinism(tmp_path, monkeypatch):
-    monkeypatch.setenv("CRMN_DETERMINISTIC", "1")
+def test_acceptance_9_determinism(tmp_path):
     flags = ["train", "--synth", "3,24", "--synth-seed", "7",
              "--layers", "8", "--fm-mult", "0.25", "--hidden", "5",
              "--batch-size", "12", "--ladder", "0.05,0.01",

@@ -172,6 +172,35 @@ def test_an_unparseable_ladder_is_a_usage_error(tmp_path, capsys, monkeypatch, l
     assert "--ladder expects comma-separated numbers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["train", "--seed", "-1"], 2),
+    (["train", "--synth-seed", "-1"], 2),
+    (["evaluate", "--checkpoint", "x.crmn", "--synth", "3,4", "--synth-seed", "-1"], 2),
+    (["gradcheck", "--seed", "-1"], 2),
+    (["gradcheck", "--eps", "0"], 2),
+    (["gradcheck", "--eps=-1e-5"], 2),
+    (["gradcheck", "--eps", "nan"], 2),
+    (["gradcheck", "--eps", "inf"], 2),
+    (["analyze", "--fm-mult", "nan"], 2),
+    (["analyze", "--fm-mult", "inf"], 2),
+    (["train", "--val-fraction", "nan"], 3),
+    (["train", "--val-fraction", "inf"], 3),
+])
+def test_out_of_range_numeric_flags_exit_cleanly(tmp_path, capsys, argv, code):
+    out_dir = tmp_path / "run"
+    if argv[0] == "train":
+        argv = ["train", "--synth", "3,24", "--max-epochs", "1",
+                "--out-dir", str(out_dir)] + TRAIN_FLAGS + argv[1:]
+    if code == 2:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    else:
+        assert main(argv) == code
+        assert capsys.readouterr().err.startswith("error: ")
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("ladder", ["nan", "0.1,nan", "inf,0.1"])
 def test_a_non_finite_ladder_exits_three(tmp_path, capsys, ladder):
     assert run_train(tmp_path / "run", "--ladder", ladder) == 3

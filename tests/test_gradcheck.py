@@ -163,3 +163,27 @@ def test_report_worst_and_passed_logic():
     assert report.passed
     report.entries.append(GradEntry("c", 5e-4, 1))
     assert not report.passed
+
+
+def test_a_nan_gradient_fails_the_check():
+    assert relative_error(np.array([np.nan, 1.0]), np.array([1.0, np.nan])).tolist() == [
+        np.inf, np.inf]
+    x = Tensor(np.array([0.5, 1.5]), requires_grad=True, dtype=np.float64)
+
+    def nan_backward_loss():
+        out = sum_all(mul(x, x))
+        tape = active_tape()
+        if tape is not None:  # numeric probes run with no tape open
+            tensor, _ = tape._entries[0]
+            tape._entries[0] = (tensor, lambda g, accum: accum(x, np.full(2, np.nan)))
+        return out
+
+    entry = check_tensors("square-nan", nan_backward_loss, [x])
+    assert entry.max_rel_err == np.inf
+    assert not GradReport("demo", [GradEntry("a", 0.0, 1), entry]).passed
+
+
+def test_a_hand_built_nan_entry_fails_the_report():
+    report = GradReport("x", [GradEntry("a", 0.0, 1), GradEntry("b", float("nan"), 1)])
+    assert not report.passed
+    assert not GradReport("x", [GradEntry("b", float("nan"), 1)]).passed

@@ -7,6 +7,8 @@ import pytest
 
 from crmn.errors import ContractError, DimensionError, InputError
 from crmn.gradcheck import numeric_gradient, relative_error
+from crmn.layers import batch_norm, conv2d, global_avg_pool, meanpool2x2
+from crmn.lstm import _STEP_PARAMS, LstmParams, LstmState, lstm_step
 from crmn.model import build_crmn
 from crmn.resnet import NetworkConfig
 from crmn.tensor import (
@@ -371,3 +373,57 @@ def test_a_model_backward_leaves_grads_on_its_parameters_only():
     intermediates = [logits, parts["pool_out"], parts["hidden"], *parts["taps"]]
     assert all(t.grad is None for t in intermediates)
     assert all(t.grad is not None for _, t, _ in model.named_params())
+
+
+def _lstm_step(x, h, c, *params):
+    p = LstmParams(3, 2)
+    for name, t in zip(_STEP_PARAMS, params):
+        setattr(p, name, t)
+    state = lstm_step(p, x, LstmState(h, c))
+    return state.h, state.c
+
+
+# every op of tensor and layers, and lstm_step, with the shapes of its tensor inputs
+TAPED_OPS = {
+    "matmul": (matmul, [(3, 4), (4, 2)]),
+    "add": (add, [(3, 5), (3, 5)]),
+    "add_vector": (add, [(3, 5), (5,)]),
+    "mul": (mul, [(3, 5), (3, 5)]),
+    "mul_vector": (mul, [(3, 5), (5,)]),
+    "sigmoid": (sigmoid, [(2, 3)]),
+    "tanh": (tanh, [(2, 3)]),
+    "relu": (relu, [(2, 3)]),
+    "sum_all": (sum_all, [(2, 3)]),
+    "reshape": (lambda x: reshape(x, (6,)), [(2, 3)]),
+    "concat_cols": (concat_cols, [(2, 3), (2, 4)]),
+    "pad_cols": (lambda x: pad_cols(x, 5), [(2, 3)]),
+    "rows_from_vector": (lambda v: rows_from_vector(v, 3), [(4,)]),
+    "space_subsample": (space_subsample, [(2, 2, 4, 4)]),
+    "pad_maps": (lambda x: pad_maps(x, 4), [(2, 2, 4, 4)]),
+    "softmax_cross_entropy": (lambda z: softmax_cross_entropy(z, [0, 2]), [(2, 3)]),
+    "conv2d": (conv2d, [(2, 3, 5, 5), (4, 3, 3, 3)]),
+    "conv2d_stride2": (lambda x, w: conv2d(x, w, 2), [(2, 3, 5, 5), (4, 3, 3, 3)]),
+    "batch_norm_train": (lambda x, s, b: batch_norm(x, s, b, np.zeros(2), np.ones(2), True),
+                         [(3, 2, 4, 4), (2,), (2,)]),
+    "batch_norm_eval": (lambda x, s, b: batch_norm(x, s, b, np.zeros(2), np.ones(2), False),
+                        [(3, 2, 4, 4), (2,), (2,)]),
+    "meanpool2x2": (meanpool2x2, [(2, 2, 4, 4)]),
+    "global_avg_pool": (global_avg_pool, [(2, 2, 4, 4)]),
+    "lstm_step": (_lstm_step, [(2, 3), (2, 2), (2, 2)] + [(3, 2), (2, 2)] * 4 + [(2,)] * 7),
+}
+
+
+@pytest.mark.parametrize("op, shapes", TAPED_OPS.values(), ids=TAPED_OPS)
+def test_an_output_is_taped_exactly_when_an_input_needs_a_gradient(op, shapes):
+    arrays = [np.random.default_rng(0).standard_normal(s) for s in shapes]
+    # None freezes every input; k lets input k alone need a gradient
+    for grad_at in [None, *range(len(shapes))]:
+        inputs = [Tensor(a, requires_grad=k == grad_at) for k, a in enumerate(arrays)]
+        with Tape() as tape:
+            outs = op(*inputs)
+        outs = outs if isinstance(outs, tuple) else (outs,)
+        taped = grad_at is not None
+        assert [o.requires_grad for o in outs] == [taped] * len(outs), grad_at
+        recorded = {id(out) for out, _ in tape._entries}
+        assert len(tape._entries) == len(recorded)
+        assert recorded == ({id(o) for o in outs} if taped else set()), grad_at
