@@ -249,8 +249,16 @@ def config_for(layers, fm_mult, hidden=100, classes=100, **kwargs) -> NetworkCon
     base = 16 * fm_mult
     if not np.isfinite(base) or abs(base - round(base)) > 1e-9 or round(base) < 1:
         raise InputError(f"fm-mult {fm_mult} does not give a whole positive map count")
-    return NetworkConfig(n=(layers - 2) // 6, base_maps=int(round(base)), classes=classes,
-                         hidden_size=hidden, **kwargs).validate()
+    cfg = NetworkConfig(n=(layers - 2) // 6, base_maps=int(round(base)), classes=classes,
+                        hidden_size=hidden, **kwargs).validate()
+    # a report gives its counts as floats too (millions, ratios), and a CRMN's
+    # counts bound the ResNet's
+    report = cost_report("crmn", cfg)
+    try:
+        float(report.params_total), float(report.flops["total"])
+    except OverflowError:
+        raise InputError(f"fm-mult {fm_mult} gives counts too large to report") from None
+    return cfg
 
 
 def default_grid():

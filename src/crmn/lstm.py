@@ -13,10 +13,12 @@ and the initial state (h0, and c0 when enabled) is a learned parameter
 broadcast across the batch.
 
 ``lstm_step`` is one taped op, like ``layers.conv2d``: the gate arithmetic
-runs in NumPy and the step charges its operation count once. It records two
-backward closures, one on the new cell state and one on the new hidden
-state, because the tape keeps one gradient per recorded output and both
-carry gradient into the next step. So it builds and records its outputs
+runs in NumPy, in ``gate_values``, and the step charges its operation count
+once. ``gate_values`` takes plain arrays whose leading axes broadcast, so the
+gradient check's stacked probes run the very same arithmetic. The step
+records two backward closures, one on the new cell state and one on the new
+hidden state, because the tape keeps one gradient per recorded output and
+both carry gradient into the next step. So it builds and records its outputs
 itself, not through ``tensor._taped`` (which wraps one output): one scan
 of its 18 inputs (x, the state, 15 parameters) serves both, and building
 that 18-tuple for the helper on every step slowed the gradient check.
@@ -100,6 +102,24 @@ def initial_state(p: LstmParams, batch):
     return LstmState(rows_from_vector(p.h0, batch), rows_from_vector(p.c0, batch))
 
 
+def gate_values(x, h, c, w, output_gate):
+    """One step's gate arithmetic in NumPy: (i, f, cand, c_new, o, tanh c_new).
+
+    ``w`` maps each step parameter name to its array. Every operand may carry
+    leading axes that broadcast, so a stack of perturbed parameter copies
+    (matrices (K, rows, cols), vectors (K, 1, hidden)) yields a stack of
+    states whose every slice equals the unstacked step bit for bit.
+    """
+    # the parenthesization is the composed graph's: ((x W_x + h W_h) + c * p) + b
+    i = _stable_sigmoid(((x @ w["w_xi"] + h @ w["w_hi"]) + c * w["p_i"]) + w["b_i"])
+    f = _stable_sigmoid(((x @ w["w_xf"] + h @ w["w_hf"]) + c * w["p_f"]) + w["b_f"])
+    cand = np.tanh((x @ w["w_xc"] + h @ w["w_hc"]) + w["b_c"])
+    c_new = f * c + i * cand
+    z_o = ((x @ w["w_xo"] + h @ w["w_ho"]) + c_new * w["p_o"]) + w["b_o"]
+    o = np.tanh(z_o) if output_gate == "tanh" else _stable_sigmoid(z_o)
+    return i, f, cand, c_new, o, np.tanh(c_new)
+
+
 def lstm_step(p: LstmParams, x, state: LstmState) -> LstmState:
     """One gate update: consume x, return the next (h, c)."""
     if x.ndim != 2 or x.shape[1] != p.input_width:
@@ -110,15 +130,9 @@ def lstm_step(p: LstmParams, x, state: LstmState) -> LstmState:
             f"hidden {p.hidden}")
     h_prev, c_prev = state.h, state.c
     xd, hd, cd = x.data, h_prev.data, c_prev.data
-    # the parenthesization is the composed graph's: ((x W_x + h W_h) + c * p) + b
-    i = _stable_sigmoid(((xd @ p.w_xi.data + hd @ p.w_hi.data) + cd * p.p_i.data) + p.b_i.data)
-    f = _stable_sigmoid(((xd @ p.w_xf.data + hd @ p.w_hf.data) + cd * p.p_f.data) + p.b_f.data)
-    cand = np.tanh((xd @ p.w_xc.data + hd @ p.w_hc.data) + p.b_c.data)
-    c = f * cd + i * cand
-    z_o = ((xd @ p.w_xo.data + hd @ p.w_ho.data) + c * p.p_o.data) + p.b_o.data
+    i, f, cand, c, o, tc = gate_values(
+        xd, hd, cd, {n: getattr(p, n).data for n in _STEP_PARAMS}, p.output_gate)
     tanh_gate = p.output_gate == "tanh"
-    o = np.tanh(z_o) if tanh_gate else _stable_sigmoid(z_o)
-    tc = np.tanh(c)
 
     needs_grad = (x.requires_grad or h_prev.requires_grad or c_prev.requires_grad
                   or any(getattr(p, n).requires_grad for n in _STEP_PARAMS))

@@ -433,6 +433,19 @@ def pad_maps(x, maps):
     return _taped(data, backward_fn, x)
 
 
+def _softmax_xent(logits, labels):
+    """Softmax over the classes and mean NLL of ``labels`` over the batch, in NumPy.
+
+    ``logits`` is (..., batch, classes). Leading axes stay: one loss per
+    leading index, each bit-identical to the loss of that slice alone.
+    """
+    z = logits - logits.max(axis=-1, keepdims=True)
+    ez = np.exp(z)
+    total = ez.sum(axis=-1, keepdims=True)
+    logp = z - np.log(total)
+    return ez / total, -logp[..., np.arange(labels.shape[0]), labels].mean(axis=-1)
+
+
 def softmax_cross_entropy(logits, labels):
     """Mean negative log-likelihood of integer labels under softmax logits.
 
@@ -451,11 +464,7 @@ def softmax_cross_entropy(logits, labels):
         raise InputError(f"labels must lie in [0, {classes}), got range "
                          f"[{labels.min()}, {labels.max()}]")
 
-    z = logits.data - logits.data.max(axis=1, keepdims=True)
-    ez = np.exp(z)
-    softmax = ez / ez.sum(axis=1, keepdims=True)
-    logp = z - np.log(ez.sum(axis=1, keepdims=True))
-    loss_val = -logp[np.arange(batch), labels].mean()
+    softmax, loss_val = _softmax_xent(logits.data, labels)
     # exp and log count as activations; the row sums and max-shifts as adds;
     # the final 1/batch scaling as one multiply per row
     _bump(mults=batch, adds=2 * batch * classes, activations=batch * (classes + 1))

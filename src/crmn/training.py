@@ -63,6 +63,14 @@ class TrainConfig:
                              f"got {self.batch_size}")
         if self.patience < 1 or self.max_epochs < 1:
             raise InputError("patience and max_epochs must be >= 1")
+        if self.min_epochs_first_shift < 0:
+            raise InputError(f"min_epochs_first_shift must be >= 0, "
+                             f"got {self.min_epochs_first_shift}")
+        # comparisons with NaN are false, so each range test also rejects it
+        if not 0 <= self.momentum < 1:
+            raise InputError(f"momentum must lie in [0, 1), got {self.momentum}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise InputError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
         return self
 
 

@@ -1,6 +1,7 @@
 """Parameter and operation accounting against published and derived counts."""
 
 import gc
+import math
 import tracemalloc
 
 import numpy as np
@@ -87,6 +88,15 @@ def test_config_for_depth_rule():
         config_for(31, 1)
     with pytest.raises(InputError):
         config_for(6, 1)
+
+
+def test_config_for_rejects_counts_a_float_cannot_hold():
+    with pytest.raises(InputError, match="too large to report"):
+        config_for(32, 1e300)
+    # counts near 1e205 still report, as floats and as exact integers
+    report = cost_report("crmn", config_for(32, 1e100))
+    assert 1e199 < report.params_millions < math.inf
+    assert report.as_json()["params"]["total"] == report.params_total
 
 
 def test_structural_equality_micro_configs():

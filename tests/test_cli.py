@@ -69,6 +69,13 @@ def test_usage_errors_exit_two(capsys):
     assert exc.value.code == 2
 
 
+def test_analyze_rejects_a_multiplier_whose_counts_overflow_a_float(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--fm-mult", "1e300"])
+    assert exc.value.code == 2
+    assert "too large to report" in capsys.readouterr().err
+
+
 def test_train_writes_all_artifacts(tmp_path, capsys):
     out_dir = tmp_path / "run"
     assert run_train(out_dir, "--normalize", "mean_pixel") == 0
@@ -205,6 +212,18 @@ def test_out_of_range_numeric_flags_exit_cleanly(tmp_path, capsys, argv, code):
 def test_a_non_finite_ladder_exits_three(tmp_path, capsys, ladder):
     assert run_train(tmp_path / "run", "--ladder", ladder) == 3
     assert "ladder must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--momentum", "-1"), ("--momentum", "nan"), ("--weight-decay", "-0.5"),
+    ("--weight-decay", "inf"), ("--min-epochs-first-shift", "-1"),
+])
+def test_a_bad_optimizer_setting_exits_three_before_training(tmp_path, capsys, monkeypatch,
+                                                             flag, value):
+    monkeypatch.setattr(crmn.cli, "train", lambda *a, **k: pytest.fail("training ran"))
+    assert run_train(tmp_path / "run", flag, value) == 3
+    assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "run").exists()
 
 

@@ -146,6 +146,114 @@ def test_full_scope_replays_each_loss_bit_identically(monkeypatch):
     assert probed == [n for n, _, _ in seen["model"].named_params()]
 
 
+def capture_back_half(monkeypatch):
+    """Run check_full's set-up only: its model, batch, labels and each back-half (tensor, f)."""
+    seen = {"probes": []}
+    build, loss = crmn.gradcheck.build_crmn, crmn.gradcheck.softmax_cross_entropy
+
+    def capture_model(*args, **kwargs):
+        seen["model"] = model = build(*args, **kwargs)
+        forward = model.forward
+
+        def keep_input(x, *a, **kw):  # the analytic pass sees the probed batch
+            seen.setdefault("x", x)
+            return forward(x, *a, **kw)
+
+        model.forward = keep_input
+        return model
+
+    def capture_labels(logits, labels):
+        seen.setdefault("labels", labels)
+        return loss(logits, labels)
+
+    def keep(f, tensor, eps=DEFAULT_EPS):
+        if hasattr(f, "stacked"):
+            seen["probes"].append((tensor, f))
+        return np.zeros_like(tensor.data)
+
+    monkeypatch.setattr(crmn.gradcheck, "build_crmn", capture_model)
+    monkeypatch.setattr(crmn.gradcheck, "softmax_cross_entropy", capture_labels)
+    monkeypatch.setattr(crmn.gradcheck, "numeric_gradient", keep)
+    check_full(seed=0)
+    monkeypatch.undo()
+    return seen
+
+
+def test_stacked_back_half_equals_whole_model_losses(monkeypatch):
+    """Every LSTM and head tensor: each stacked loss is the whole model's loss bit for bit."""
+    seen = capture_back_half(monkeypatch)
+    model, x, labels = seen["model"], seen["x"], seen["labels"]
+    names = {id(t): n for n, t, _ in model.named_params()}
+    assert sorted(names[id(t)] for t, _ in seen["probes"]) == sorted(
+        n for n in names.values() if not n.startswith("trunk."))
+    rng = np.random.default_rng(3)
+    for tensor, f in seen["probes"]:
+        flat = tensor.data.reshape(-1)
+        picks = np.unique(np.r_[0, flat.size - 1, rng.integers(0, flat.size, 5)])
+        for step in (DEFAULT_EPS, -DEFAULT_EPS):
+            copies = np.tile(flat, (picks.size, 1))
+            copies[np.arange(picks.size), picks] += step
+            stacked = f.stacked(copies.reshape((picks.size,) + tensor.shape))
+            for k, idx in enumerate(picks):
+                saved = flat[idx]
+                flat[idx] = saved + step
+                whole = softmax_cross_entropy(model.forward(x, training=True), labels).item()
+                assert stacked[k] == f() == whole, (names[id(tensor)], idx, step)
+                flat[idx] = saved
+
+
+def test_numeric_gradient_stacked_equals_its_loop(monkeypatch):
+    """Chunks of 7 leave a partial last chunk on every tensor checked here."""
+    seen = capture_back_half(monkeypatch)
+    monkeypatch.setattr(crmn.gradcheck, "_PROBES", 7)
+    names = {id(t): n for n, t, _ in seen["model"].named_params()}
+    for tensor, f in seen["probes"]:
+        if names[id(tensor)] not in ("lstm.w_hf", "lstm.p_o", "lstm.h0", "head.bias"):
+            continue
+        before = tensor.data.copy()
+        tensor.data.flags.writeable = False  # the stacked path probes copies only
+        try:
+            stacked = numeric_gradient(f, tensor)
+        finally:
+            tensor.data.flags.writeable = True
+        looped = numeric_gradient(lambda: f(), tensor)
+        assert np.array_equal(stacked, looped), names[id(tensor)]
+        assert np.array_equal(tensor.data, before)
+
+
+def test_full_scope_flags_exactly_a_sabotaged_lstm_tensor(monkeypatch):
+    """Scale the w_xi gradient accumulated in the cell-state closure by 1.01."""
+    original = crmn.lstm.lstm_step
+
+    def leaky_step(p, x, state):
+        out = original(p, x, state)
+        tape = active_tape()
+        if tape is not None:  # the numeric probes run with no tape open
+            c_new, fn = tape._entries[-2]
+            assert c_new is out.c
+
+            def leaky(g, accum):
+                fn(g, lambda t, v: accum(t, v * 1.01 if t is p.w_xi else v))
+
+            tape._entries[-2] = (c_new, leaky)
+        return out
+
+    real = crmn.gradcheck.numeric_gradient
+
+    def back_half_only(f, tensor, eps=DEFAULT_EPS):
+        # the leak reaches no trunk gradient, so skip the trunk's slow probes
+        if not hasattr(f, "stacked"):
+            return tensor.grad
+        return real(f, tensor, eps)
+
+    monkeypatch.setattr(crmn.lstm, "lstm_step", leaky_step)
+    monkeypatch.setattr(crmn.gradcheck, "numeric_gradient", back_half_only)
+    report = check_full(seed=0)
+    failed = [e.name for e in report.entries if e.max_rel_err >= report.tolerance]
+    assert failed == ["lstm.w_xi"]
+    assert len(report.entries) > 30
+
+
 def test_micro_config_is_the_documented_one():
     cfg = micro_config()
     assert (cfg.n, cfg.base_maps, cfg.classes, cfg.hidden_size) == (1, 4, 3, 5)

@@ -180,6 +180,21 @@ def test_train_config_validation():
     TrainConfig(lr_ladder=(0.1, 0.01), batch_size=4).validate()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("momentum", -0.1), ("momentum", 1.0), ("momentum", math.nan), ("momentum", math.inf),
+    ("weight_decay", -1e-4), ("weight_decay", math.nan), ("weight_decay", math.inf),
+    ("min_epochs_first_shift", -1),
+])
+def test_train_config_rejects_bad_optimizer_settings(field, value):
+    with pytest.raises(InputError, match=field):
+        TrainConfig(**{field: value}).validate()
+
+
+def test_train_config_accepts_the_edges_of_its_ranges():
+    TrainConfig(momentum=0.0, weight_decay=0.0, min_epochs_first_shift=0).validate()
+    TrainConfig(momentum=0.999).validate()
+
+
 def test_train_rejects_impossible_setups(tiny_synth):
     model = build_crmn(NetworkConfig(n=1, base_maps=4, classes=3,
                                      hidden_size=5).validate(), seed=0)
