@@ -20,8 +20,8 @@ for entry in lstm.entries:
     print(f"   {entry.name:22s} {entry.max_rel_err:.2e} ({entry.checked})")
 
 # The full sweep walks every parameter of an n=1 model: 51,054 loss
-# evaluations, those of the LSTM and head 32 per call, about 12 s on a
-# 2-core x86_64 VM with one BLAS thread.
+# evaluations, 4 to 32 per call, about 4 s on a 2-core x86_64 VM with one
+# BLAS thread.
 # Uncomment to run it here.
 # from crmn.gradcheck import check_full
 # print(check_full().as_json())

@@ -25,19 +25,30 @@ pool features:
 Every replayed loss is bit-identical to a whole-model evaluation. The
 analytic side is still one whole-graph backward pass.
 
-The back half also scores many probes per evaluation. Its loss function
+Every tensor is also scored many probes per evaluation. Its loss function
 carries a ``stacked`` form that takes K copies of the probed tensor, each
-with one scalar moved by +eps (or -eps), and runs the LSTM (the shared NumPy
-step ``lstm.gate_values``) and the head once with the copies on a leading
-probe axis: matrices (K, rows, cols), vectors (K, 1, n), state (K, batch,
-hidden). ``np.matmul`` then runs one GEMM per probe, each of the unstacked
-shape, so every loss is bit-identical to its one-at-a-time evaluation and
-each scalar still gets its own central difference. Concatenating the copies
-into one wide GEMM would be cheaper but is not bit-identical: BLAS picks
-its kernel, and with it the summation order, by the matrix shape. Probing
-32 scalars per evaluation cut the back half of check_full from 12.1 s to
-1.1 s (1 BLAS thread, 2-core x86_64 VM). The trunk-suffix evaluations stay
-one at a time.
+with one scalar moved by +eps (or -eps), and runs the same replay once with
+the copies on a leading probe axis, in NumPy: the blocks through
+``ResidualTrunk.replay`` (which reuses the arithmetic of ``conv2d``,
+``batch_norm`` and the pools through their value functions), the adapter
+through ``model.adapt_values``, the LSTM through ``lstm.gate_values``, then
+the head. Stacked arrays are kernels (K, co, ci, k, k), matrices
+(K, rows, cols), per-map vectors (K, c), per-unit vectors (K, 1, n) and
+activations (K, batch, ...). ``np.matmul`` then runs one GEMM per probe
+(per probe and image in a conv), each of the unstacked shape, and the
+batch-norm statistics of a (K, b, c, h, w) stack reduce each slice in the
+unstacked order, so every loss is bit-identical to its one-at-a-time
+evaluation and each scalar still gets its own central difference.
+Concatenating the copies into one wide GEMM would be cheaper but is not
+bit-identical: BLAS picks its kernel, and with it the summation order, by
+the matrix shape. The stacked path records nothing and charges no count.
+
+K is sized by bytes: as many probes as fit K copies of the widest array one
+probe adds (a conv column matrix, or the probed tensor's copy) in 2.25 MiB,
+at most 32. For the micro model that is 4 for the stem and block 0, 8 for
+stage 2, 16 for stage 3 and 32 for the LSTM and head. check_full(0) went
+from 8.2-10.2 s to 3.1-3.4 s, its trunk probes from 7.2-9.2 s to 2.2-2.4 s
+(1 BLAS thread, 2-core x86_64 VM).
 """
 
 from __future__ import annotations
@@ -46,21 +57,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import ContractError, InputError
 from .layers import (BatchNorm, Dense, batch_norm, conv2d, global_avg_pool,
-                     meanpool2x2)
+                     global_pool_values, meanpool2x2)
 from .lstm import gate_values, init_lstm, initial_state, lstm_step, run_sequence
-from .model import adapt_tap, build_crmn, max_lstm_width
+from .model import adapt_tap, adapt_values, build_crmn, max_lstm_width
 from .resnet import NetworkConfig, trunk_forward
-from .tensor import (Tape, Tensor, _softmax_xent, add, concat_cols, matmul, mul,
+from .tensor import (Tape, Tensor, _softmax_xent, add, backward, concat_cols, matmul, mul,
                      pad_cols, relu, sigmoid, softmax_cross_entropy, sum_all, tanh)
 
 DEFAULT_EPS = 1e-5
 ERROR_FLOOR = 1e-3
 DEFAULT_TOLERANCE = 1e-4
-# probes per stacked evaluation: 32 copies of the widest LSTM input matrix
-# (1024 x 5, float64) take 1.3 MiB, and 64 per call ran no faster
+# probes per stacked evaluation: as many as fit K copies of the widest array
+# one probe adds (a conv column matrix, or the probed tensor's copy) in
+# _STACK_BYTES, at most _PROBES. 2.25 MiB holds four stage-1 column matrices
+# of the micro model (2 x 36 x 1024, float64). check_full(0)'s process peak
+# was 41.4 MB with only the back half stacked; with every tensor stacked it is
+# 67.4 MB at one K = 32, 45.8 MB at K = 8 and 41.2 MB sized by bytes
 _PROBES = 32
+_STACK_BYTES = 9 * 2**18
 
 
 def relative_error(analytic, numeric, floor=ERROR_FLOOR):
@@ -76,14 +92,15 @@ def numeric_gradient(f, tensor, eps=DEFAULT_EPS):
 
     f() scores tensor's current value, which each probe moves in place. An f
     that also has ``f.stacked(values)``, scoring each copy in a
-    (K, *tensor.shape) stack of values, is probed _PROBES scalars per call
-    instead, on copies: tensor.data is never written.
+    (K, *tensor.shape) stack of values, is probed many scalars per call
+    instead, on copies, and tensor.data is never written. Its
+    ``f.probe_bytes``, the bytes of the widest array one probe adds, sizes K.
     """
-    grad = np.zeros_like(tensor.data)
+    grad = np.zeros(tensor.shape, dtype=tensor.dtype)
     gflat = grad.reshape(-1)
     stacked = getattr(f, "stacked", None)
     probes = _looped_probes(f, tensor, eps) if stacked is None else _stacked_probes(
-        stacked, tensor, eps)
+        stacked, tensor, eps, max(1, min(_PROBES, _STACK_BYTES // f.probe_bytes)))
     for idx, f_plus, f_minus in probes:
         gflat[idx] = (f_plus - f_minus) / (2.0 * eps)
     return grad
@@ -91,22 +108,25 @@ def numeric_gradient(f, tensor, eps=DEFAULT_EPS):
 
 def _looped_probes(f, tensor, eps):
     """(index, f() at +eps, f() at -eps) for each scalar, moved in place and restored."""
-    flat = tensor.data.reshape(-1)
-    for idx in range(flat.size):
-        saved = flat[idx]
-        flat[idx] = saved + eps
+    if not tensor.data.flags.writeable:
+        raise ContractError(f"numeric_gradient: cannot probe read-only {tensor}")
+    data = tensor.data
+    for idx in range(data.size):
+        at = np.unravel_index(idx, data.shape)  # through data's own strides
+        saved = data[at]
+        data[at] = saved + eps
         f_plus = f()
-        flat[idx] = saved - eps
+        data[at] = saved - eps
         f_minus = f()
-        flat[idx] = saved
+        data[at] = saved
         yield idx, f_plus, f_minus
 
 
-def _stacked_probes(stacked, tensor, eps):
-    """The same triples, _PROBES scalars at a time, each probe its own copy of tensor."""
+def _stacked_probes(stacked, tensor, eps, per_call):
+    """The same triples, per_call scalars at a time, each probe its own copy of tensor."""
     flat = tensor.data.reshape(-1)
-    for start in range(0, flat.size, _PROBES):
-        idx = np.arange(start, min(start + _PROBES, flat.size))
+    for start in range(0, flat.size, per_call):
+        idx = np.arange(start, min(start + per_call, flat.size))
         rows = np.arange(idx.size)
         copies = np.tile(flat, (idx.size, 1))
         shape = (idx.size,) + tensor.shape
@@ -296,9 +316,9 @@ def check_full(seed=0, eps=DEFAULT_EPS, batch=2) -> GradReport:
     x = Tensor(rng.uniform(0.0, 1.0, (batch, 3, cfg.input_extent, cfg.input_extent)))
     labels = rng.integers(0, cfg.classes, batch)
 
-    with Tape() as tape:
+    with Tape():  # unnamed, so its entries are freed once backward has run
         logits, parts = model.forward(x, training=True, return_parts=True)
-        tape.backward(softmax_cross_entropy(logits, labels))
+        backward(softmax_cross_entropy(logits, labels))
 
     # cache every block's input, the adapted taps, the LSTM state before each
     # tap and the pool features once: a perturbation of block j changes
@@ -311,39 +331,54 @@ def check_full(seed=0, eps=DEFAULT_EPS, batch=2) -> GradReport:
     for a in adapted:
         states.append(lstm_step(model.lstm, a, states[-1]))
 
-    def suffix_loss(start):
-        pool, taps = trunk_forward(model.trunk, inputs[start], True, start=start)
-        hidden = run_sequence(model.lstm, [adapt_tap(t, width) for t in taps], states[start])
+    def taped_loss(start):
+        """The loss through the taped ops, replaying as stacked_losses does."""
+        if start is None:
+            hidden = run_sequence(model.lstm, adapted)
+            pool = pool_out
+        else:
+            pool, taps = trunk_forward(model.trunk, inputs[start], True, start=start)
+            hidden = run_sequence(model.lstm, [adapt_tap(t, width) for t in taps], states[start])
         return softmax_cross_entropy(model.head.forward(concat_cols(pool, hidden)), labels)
-
-    def back_half_loss():
-        hidden = run_sequence(model.lstm, adapted)
-        return softmax_cross_entropy(model.head.forward(concat_cols(pool_out, hidden)), labels)
 
     lstm_params = model.lstm.named_params()
 
-    def stacked_back_half_losses(tensor, values):
-        """back_half_loss() with tensor set to each copy in a (K, *tensor.shape) stack.
+    def stacked_losses(tensor, values, start):
+        """The loss with tensor set to each copy in a (K, *tensor.shape) stack.
 
-        The probe axis leads every stacked array, so each GEMM slice has the
-        unstacked shape and each loss equals the one-at-a-time loss bit for bit.
+        A trunk tensor replays blocks ``start`` onward (the stem too at 0) in
+        NumPy, then the LSTM from its cached state ``start`` over the fresh
+        taps; an LSTM or head tensor (``start`` None) replays the LSTM from
+        the beginning over the cached taps. The probe axis leads every stacked
+        array, so each GEMM slice has the unstacked shape and each loss equals
+        the one-at-a-time loss bit for bit.
         """
-        if values.ndim == 2:  # vectors (K, n) -> (K, 1, n), broadcast over the batch
-            values = values[:, None, :]
-        w = {n: values if t is tensor else t.data for n, t in lstm_params}
-        head_w, head_b = (values if t is tensor else t.data for _, t in model.head.params())
-        h, c = (np.broadcast_to(v, np.broadcast_shapes(v.shape, (batch, model.lstm.hidden)))
-                for v in (w["h0"], w["c0"]))
-        for a in adapted:
-            *_, c, o, tc = gate_values(a.data, h, c, w, model.lstm.output_gate)
+        # an LSTM or head vector (K, n) -> (K, 1, n), broadcast over the batch
+        rows = values[:, None, :] if values.ndim == 2 else values
+        w = {n: rows if t is tensor else t.data for n, t in lstm_params}
+        head_w, head_b = (rows if t is tensor else t.data for _, t in model.head.params())
+        if start is None:
+            pool, taps = pool_out.data, [a.data for a in adapted]
+            h, c = (np.broadcast_to(v, np.broadcast_shapes(v.shape, (batch, model.lstm.hidden)))
+                    for v in (w["h0"], w["c0"]))
+        else:
+            value_of = lambda t: values if t is tensor else t.data
+            features, fresh = model.trunk.replay(inputs[start].data, value_of, start)
+            pool, taps = global_pool_values(features), [adapt_values(t, width) for t in fresh]
+            h, c = states[start].h.data, states[start].c.data
+        for a in taps:
+            *_, c, o, tc = gate_values(a, h, c, w, model.lstm.output_gate)
             h = o * tc
-        pool = np.broadcast_to(pool_out.data, h.shape[:-1] + pool_out.shape[-1:])
-        logits = np.concatenate([pool, h], axis=-1) @ head_w + head_b
-        return _softmax_xent(logits, labels)[1]
+        lead = np.broadcast_shapes(pool.shape[:-1], h.shape[:-1])
+        features = np.concatenate([np.broadcast_to(v, lead + v.shape[-1:]) for v in (pool, h)],
+                                  axis=-1)
+        return _softmax_xent(features @ head_w + head_b, labels)[1]
 
-    def back_half_value(tensor):
-        value = lambda: back_half_loss().item()
-        value.stacked = lambda values: stacked_back_half_losses(tensor, values)
+    def probe_loss(tensor, start):
+        """tensor's loss for numeric_gradient, taped for one probe or stacked for many."""
+        value = lambda: taped_loss(start).item()
+        value.stacked = lambda values: stacked_losses(tensor, values, start)
+        value.probe_bytes = max(tensor.data.nbytes, _column_bytes(model.trunk, start, x.data))
         return value
 
     # the first block each trunk parameter reaches; any other (the stem)
@@ -352,12 +387,19 @@ def check_full(seed=0, eps=DEFAULT_EPS, batch=2) -> GradReport:
               for _, layer in block.layers() for _, t in layer.params()}
 
     for name, t, _ in model.named_params():
-        if name.startswith("trunk."):
-            value = lambda start=starts.get(id(t), 0): suffix_loss(start).item()
-        else:
-            value = back_half_value(t)
-        report.entries.append(GradEntry(name, _max_error(t, value, eps), t.size))
+        start = starts.get(id(t), 0) if name.startswith("trunk.") else None
+        report.entries.append(GradEntry(name, _max_error(t, probe_loss(t, start), eps), t.size))
     return report
+
+
+def _column_bytes(trunk, start, x):
+    """Bytes of one probe's widest conv column matrix, replaying from block start on x."""
+    if start is None:
+        return 0
+    convs = [(trunk.stem, trunk.cfg.input_extent)] if start == 0 else []
+    convs += [(conv, block.spec.out_extent) for block in trunk.blocks[start:]
+              for conv in (block.conv1, block.conv2, block.proj) if conv is not None]
+    return max(x.shape[0] * conv.weight.data[0].size * e * e * x.itemsize for conv, e in convs)
 
 
 SCOPES = {"ops": check_ops, "lstm": check_lstm, "full": check_full}

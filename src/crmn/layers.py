@@ -22,6 +22,14 @@ cols from the input tensor, and the batch-norm backward recomputes xhat
 from the input, the mean and the inverse std with the forward's expression.
 Each activation is therefore retained once, as some op's output, and every
 gradient stays bit-identical.
+
+Each op's forward arithmetic is a NumPy value function (``conv_values``,
+``batch_stats`` with ``norm_values``, ``pool2x2_values``,
+``global_pool_values``) whose leading axes broadcast; the taped op checks
+shapes, charges its count, records its closure and calls it. The gradient
+check's stacked probes (``Conv2d.replay``, ``BatchNorm.replay``) run the same
+functions on a leading probe axis, and each slice equals the unstacked
+value bit for bit.
 """
 
 from __future__ import annotations
@@ -50,6 +58,35 @@ def he_dense_weight(rng, fan_in, fan_out, dtype=np.float32):
     return Tensor(w.astype(dtype), requires_grad=True)
 
 
+def _windows(x, k, stride):
+    """The window view of x (..., b, ci, h, w), zero-padded: (..., b, ci, k, k, ho, wo)."""
+    pad = (k - 1) // 2
+    xp = np.pad(x, [(0, 0)] * (x.ndim - 2) + [(pad, pad)] * 2)
+    ho = (xp.shape[-2] - k) // stride + 1
+    wo = (xp.shape[-1] - k) // stride + 1
+    *lead, s2, s3 = xp.strides
+    return as_strided(xp, shape=xp.shape[:-2] + (k, k, ho, wo),
+                      strides=(*lead, s2, s3, s2 * stride, s3 * stride))
+
+
+def conv_values(x, weight, stride):
+    """The convolution in NumPy: x (..., b, ci, h, w) with weight (..., co, ci, k, k).
+
+    Leading axes broadcast. A stack of kernels meets every image as
+    (K, 1, co, ci*k*k), so each GEMM slice has the unstacked shape and equals
+    the unstacked product bit for bit.
+    """
+    co, ci, k, _ = weight.shape[-4:]
+    windows = _windows(x, k, stride)
+    ho, wo = windows.shape[-2:]
+    cols = windows.reshape(windows.shape[:-5] + (ci * k * k, ho * wo))
+    wmat = weight.reshape(weight.shape[:-4] + (co, ci * k * k))
+    if weight.ndim > 4:
+        wmat = wmat[..., None, :, :]
+    out = np.matmul(wmat, cols)
+    return out.reshape(out.shape[:-1] + (ho, wo))
+
+
 def conv2d(x, weight, stride=1):
     """Cross-correlate ``x`` (b*ci*H*W) with ``weight`` (co*ci*k*k)."""
     x, weight = _tensor(x), _tensor(weight)
@@ -66,14 +103,7 @@ def conv2d(x, weight, stride=1):
     if ho < 1 or wo < 1:
         raise DimensionError(f"conv2d: kernel {k} too large for input {x.shape}")
 
-    def padded_windows():
-        xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-        s0, s1, s2, s3 = xp.strides
-        return as_strided(xp, shape=(b, ci, k, k, ho, wo),
-                          strides=(s0, s1, s2, s3, s2 * stride, s3 * stride))
-
-    cols = padded_windows().reshape(b, ci * k * k, ho * wo)
-    out_data = np.matmul(weight.data.reshape(co, ci * k * k), cols)
+    out_data = conv_values(x.data, weight.data, stride)
     n = b * co * ho * wo * ci * k * k
     _bump(mults=n, adds=n)
 
@@ -82,7 +112,7 @@ def conv2d(x, weight, stride=1):
             # cols is rebuilt as one (ci*k*k) x (b*ho*wo) matrix, so the weight
             # gradient is a single GEMM instead of a batched one summed over b
             gflat = g.transpose(1, 0, 2, 3).reshape(co, b * ho * wo)
-            gw = gflat @ (padded_windows().transpose(1, 2, 3, 0, 4, 5)
+            gw = gflat @ (_windows(x.data, k, stride).transpose(1, 2, 3, 0, 4, 5)
                           .reshape(ci * k * k, b * ho * wo).T)
             accum(weight, gw.reshape(co, ci, k, k))
         if x.requires_grad:
@@ -95,7 +125,7 @@ def conv2d(x, weight, stride=1):
                         spread.reshape(b, ci, ho, wo))
             accum(x, gxp[:, :, pad:pad + h, pad:pad + w])
 
-    return _taped(out_data.reshape(b, co, ho, wo), backward_fn, x, weight)
+    return _taped(out_data, backward_fn, x, weight)
 
 
 class Conv2d:
@@ -108,8 +138,35 @@ class Conv2d:
     def forward(self, x):
         return conv2d(x, self.weight, self.stride)
 
+    def replay(self, x, value_of):
+        """forward in NumPy, with ``value_of(self.weight)`` as the kernel."""
+        return conv_values(x, value_of(self.weight), self.stride)
+
     def params(self):
         return [("weight", self.weight)]
+
+
+def batch_stats(x):
+    """Per-map mean and biased variance of x (..., b, c, h, w) over b, h and w."""
+    return x.mean(axis=(-4, -2, -1)), x.var(axis=(-4, -2, -1))
+
+
+def _per_map(v):
+    # a per-map vector (..., c) laid out against (..., b, c, h, w)
+    return v[..., None, :, None, None]
+
+
+def _normalized(x, mean, inv_std):
+    return (x - _per_map(mean)) * _per_map(inv_std)
+
+
+def norm_values(x, scale, shift, mean, var):
+    """The per-map affine normalization of x in NumPy, and its inverse std.
+
+    Per-map vectors are (..., c); their leading axes broadcast with x's.
+    """
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
+    return _per_map(scale) * _normalized(x, mean, inv_std) + _per_map(shift), inv_std
 
 
 def batch_norm(x, scale, shift, running_mean, running_var,
@@ -133,8 +190,7 @@ def batch_norm(x, scale, shift, running_mean, running_var,
     if training:
         if b < 2:
             raise ContractError(f"batch_norm: training mode needs batch >= 2, got {b}")
-        mean = x.data.mean(axis=(0, 2, 3))
-        var = x.data.var(axis=(0, 2, 3))
+        mean, var = batch_stats(x.data)
         running_mean *= 1.0 - momentum
         running_mean += momentum * mean
         running_var *= 1.0 - momentum
@@ -144,17 +200,12 @@ def batch_norm(x, scale, shift, running_mean, running_var,
         mean = running_mean.astype(x.data.dtype)
         var = running_var.astype(x.data.dtype, copy=False)
 
-    inv_std = 1.0 / np.sqrt(var + BN_EPS)
-
-    def normalized():
-        return (x.data - mean[:, None, None]) * inv_std[:, None, None]
-
-    out_data = scale.data[:, None, None] * normalized() + shift.data[:, None, None]
+    out_data, inv_std = norm_values(x.data, scale.data, shift.data, mean, var)
     _bump(mults=out_data.size, adds=out_data.size)
     m = b * h * w
 
     def backward_fn(g, accum):
-        xhat = normalized()
+        xhat = _normalized(x.data, mean, inv_std)
         accum(scale, np.einsum("bchw,bchw->c", g, xhat))
         accum(shift, g.sum(axis=(0, 2, 3)))
         if not x.requires_grad:
@@ -186,11 +237,23 @@ class BatchNorm:
         return batch_norm(x, self.scale, self.shift, self.running_mean,
                           self.running_var, training, self.momentum)
 
+    def replay(self, x, value_of):
+        """forward(x, training=True) in NumPy; the running estimates stay as they are."""
+        scale, shift = value_of(self.scale), value_of(self.shift)
+        return norm_values(x, scale, shift, *batch_stats(x))[0]
+
     def params(self):
         return [("scale", self.scale), ("shift", self.shift)]
 
     def state(self):
         return [("running_mean", self.running_mean), ("running_var", self.running_var)]
+
+
+def pool2x2_values(x):
+    """Mean of each 2x2 window over the last two axes of x, in NumPy."""
+    # pairwise order: bit-identical to reshape(b, c, h/2, 2, w/2, 2).mean(axis=(3, 5))
+    return ((x[..., 0::2, 0::2] + x[..., 0::2, 1::2])
+            + (x[..., 1::2, 0::2] + x[..., 1::2, 1::2])) * 0.25
 
 
 def meanpool2x2(x):
@@ -201,10 +264,7 @@ def meanpool2x2(x):
     b, c, h, w = x.shape
     if h % 2 or w % 2:
         raise DimensionError(f"meanpool2x2: extents must be even, got {h}x{w}")
-    d = x.data
-    # pairwise order: bit-identical to reshape(b, c, h/2, 2, w/2, 2).mean(axis=(3, 5))
-    pooled = ((d[:, :, 0::2, 0::2] + d[:, :, 0::2, 1::2])
-              + (d[:, :, 1::2, 0::2] + d[:, :, 1::2, 1::2])) * 0.25
+    pooled = pool2x2_values(x.data)
     _bump(mults=pooled.size, adds=4 * pooled.size)
 
     def backward_fn(g, accum):
@@ -212,6 +272,11 @@ def meanpool2x2(x):
         accum(x, gx)
 
     return _taped(pooled, backward_fn, x)
+
+
+def global_pool_values(x):
+    """Mean of each map of x (..., c, h, w) over its spatial positions, in NumPy."""
+    return x.mean(axis=(-2, -1))
 
 
 def global_avg_pool(x):
@@ -227,7 +292,7 @@ def global_avg_pool(x):
         gx = np.broadcast_to((g * scale)[:, :, None, None], (b, c, h, w))
         accum(x, gx)
 
-    return _taped(x.data.mean(axis=(2, 3)), backward_fn, x)
+    return _taped(global_pool_values(x.data), backward_fn, x)
 
 
 class Dense:

@@ -18,7 +18,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .layers import Dense, he_dense_weight, meanpool2x2
+from .layers import Dense, he_dense_weight, meanpool2x2, pool2x2_values
 from .lstm import init_lstm, run_sequence
 from .resnet import NetworkConfig, ResidualTrunk, block_plan, build_trunk, trunk_forward
 from .tensor import Tensor, concat_cols, pad_cols, reshape
@@ -36,6 +36,13 @@ def adapt_tap(tap, max_width):
     pooled = meanpool2x2(tap)
     flat = reshape(pooled, (pooled.shape[0], -1))
     return pad_cols(flat, max_width)
+
+
+def adapt_values(tap, max_width):
+    """adapt_tap in NumPy on tap (..., b, c, h, w): (..., b, max_width)."""
+    pooled = pool2x2_values(tap)
+    flat = pooled.reshape(pooled.shape[:-3] + (-1,))
+    return np.pad(flat, [(0, 0)] * (flat.ndim - 1) + [(0, max_width - flat.shape[-1])])
 
 
 TapTrace = namedtuple("TapTrace", "stage index maps extent pooled_width pad")

@@ -17,6 +17,12 @@ original otherwise.
 Dimension-changing shortcuts default to the parameter-free form (stride-2
 spatial subsampling plus zero maps appended at the tail). A 1x1 projection
 convolution followed by batch norm is available as a config option.
+
+``ResidualBlock.replay`` and ``ResidualTrunk.replay`` repeat the training
+forward in NumPy on arrays with leading axes, with any parameter replaced by
+a stand-in such as a stack of perturbed copies. They record nothing, charge
+no count and leave the running estimates alone; the gradient check uses
+them to score many probes per evaluation.
 """
 
 from __future__ import annotations
@@ -181,6 +187,29 @@ class ResidualBlock:
             out = relu(out)
         return out
 
+    def replay(self, x, value_of):
+        """forward(x, training=True) in NumPy on x (..., b, c, h, w).
+
+        ``value_of(t)`` stands for each parameter t's data. Leading axes of x
+        and of the stand-ins broadcast, and the running estimates stay as
+        they are.
+        """
+        if self.variant == "original":
+            y = self.bn1.replay(self.conv1.replay(x, value_of), value_of)
+            y = self.bn2.replay(self.conv2.replay(np.maximum(y, 0), value_of), value_of)
+        else:
+            y = self.conv1.replay(np.maximum(self.bn1.replay(x, value_of), 0), value_of)
+            y = self.conv2.replay(np.maximum(self.bn2.replay(y, value_of), 0), value_of)
+        s = x
+        if self.proj is not None:
+            s = self.proj_bn.replay(self.proj.replay(x, value_of), value_of)
+        elif self.spec.changes_shape:
+            s = x[..., ::2, ::2] if self.spec.stride == 2 else x
+            maps = [(0, self.spec.out_maps - s.shape[-3]), (0, 0), (0, 0)]
+            s = np.pad(s, [(0, 0)] * (s.ndim - 3) + maps)  # zero maps at the tail
+        out = y + s
+        return np.maximum(out, 0) if self.variant == "original" else out
+
     def layers(self):
         """(name, layer) pairs in checkpoint order."""
         if self.variant == "original":
@@ -238,6 +267,21 @@ class ResidualTrunk:
         if self.final_bn is not None:
             features = relu(self.final_bn.forward(features, training))
         return features, taps
+
+    def replay(self, x, value_of, start=0):
+        """forward(x, training=True, start) in NumPy, as ``ResidualBlock.replay``."""
+        y = x
+        if start == 0:
+            y = self.stem.replay(x, value_of)
+            if self.stem_bn is not None:
+                y = np.maximum(self.stem_bn.replay(y, value_of), 0)
+        taps = []
+        for block in self.blocks[start:]:
+            y = block.replay(y, value_of)
+            taps.append(y)
+        if self.final_bn is not None:
+            y = np.maximum(self.final_bn.replay(y, value_of), 0)
+        return y, taps
 
     def layers(self):
         """(name, layer) pairs in checkpoint order: stem, blocks, final norm."""

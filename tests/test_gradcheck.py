@@ -1,17 +1,21 @@
 """The gradient checker itself: oracles, report plumbing, sabotage detection."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import crmn.gradcheck
+import crmn.layers
 import crmn.lstm
-from crmn.errors import InputError
+from crmn.errors import ContractError, InputError
 from crmn.gradcheck import (
     DEFAULT_EPS, GradEntry, GradReport, check_full, check_lstm, check_ops,
     check_tensors, micro_config, numeric_gradient, relative_error, run_scope,
 )
 from crmn.resnet import ResidualBlock
-from crmn.tensor import Tensor, active_tape, mul, softmax_cross_entropy, sum_all
+from crmn.tensor import (Tensor, active_tape, count_ops, matmul, mul, rows_from_vector,
+                         softmax_cross_entropy, sum_all)
 
 
 def test_relative_error_uses_a_floor_near_zero():
@@ -146,8 +150,8 @@ def test_full_scope_replays_each_loss_bit_identically(monkeypatch):
     assert probed == [n for n, _, _ in seen["model"].named_params()]
 
 
-def capture_back_half(monkeypatch):
-    """Run check_full's set-up only: its model, batch, labels and each back-half (tensor, f)."""
+def capture_probes(monkeypatch):
+    """Run check_full's set-up only: its model, batch, labels and each probed (tensor, f)."""
     seen = {"probes": []}
     build, loss = crmn.gradcheck.build_crmn, crmn.gradcheck.softmax_cross_entropy
 
@@ -167,8 +171,7 @@ def capture_back_half(monkeypatch):
         return loss(logits, labels)
 
     def keep(f, tensor, eps=DEFAULT_EPS):
-        if hasattr(f, "stacked"):
-            seen["probes"].append((tensor, f))
+        seen["probes"].append((tensor, f))
         return np.zeros_like(tensor.data)
 
     monkeypatch.setattr(crmn.gradcheck, "build_crmn", capture_model)
@@ -179,21 +182,29 @@ def capture_back_half(monkeypatch):
     return seen
 
 
-def test_stacked_back_half_equals_whole_model_losses(monkeypatch):
-    """Every LSTM and head tensor: each stacked loss is the whole model's loss bit for bit."""
-    seen = capture_back_half(monkeypatch)
+def _sampled_stacks(tensor, rng, step):
+    """Scalars 0, the last and five random ones of tensor, and a stack of copies probing each."""
+    flat = tensor.data.reshape(-1)
+    picks = np.unique(np.r_[0, flat.size - 1, rng.integers(0, flat.size, 5)])
+    copies = np.tile(flat, (picks.size, 1))
+    copies[np.arange(picks.size), picks] += step
+    return picks, copies.reshape((picks.size,) + tensor.shape)
+
+
+def test_stacked_losses_equal_whole_model_losses(monkeypatch):
+    """Every probed tensor: each stacked loss is the whole model's loss bit for bit."""
+    seen = capture_probes(monkeypatch)
     model, x, labels = seen["model"], seen["x"], seen["labels"]
     names = {id(t): n for n, t, _ in model.named_params()}
-    assert sorted(names[id(t)] for t, _ in seen["probes"]) == sorted(
-        n for n in names.values() if not n.startswith("trunk."))
+    assert sorted(names[id(t)] for t, _ in seen["probes"]) == sorted(names.values())
     rng = np.random.default_rng(3)
     for tensor, f in seen["probes"]:
         flat = tensor.data.reshape(-1)
-        picks = np.unique(np.r_[0, flat.size - 1, rng.integers(0, flat.size, 5)])
         for step in (DEFAULT_EPS, -DEFAULT_EPS):
-            copies = np.tile(flat, (picks.size, 1))
-            copies[np.arange(picks.size), picks] += step
-            stacked = f.stacked(copies.reshape((picks.size,) + tensor.shape))
+            picks, copies = _sampled_stacks(tensor, rng, step)
+            with count_ops() as ops:  # the stacked path charges nothing
+                stacked = f.stacked(copies)
+            assert ops.total == 0
             for k, idx in enumerate(picks):
                 saved = flat[idx]
                 flat[idx] = saved + step
@@ -202,13 +213,47 @@ def test_stacked_back_half_equals_whole_model_losses(monkeypatch):
                 flat[idx] = saved
 
 
+@pytest.mark.parametrize("switches", [
+    {"variant": "preactivation", "shortcut": "projection"},
+    {"variant": "original", "shortcut": "projection"},
+    {"output_gate": "sigmoid", "learn_c0": False},
+])
+def test_stacked_trunk_losses_equal_their_loop_on_every_switch(monkeypatch, switches):
+    """Each architecture switch: stacked trunk losses equal the one-at-a-time suffix losses."""
+    cfg = micro_config()
+    monkeypatch.setattr(crmn.gradcheck, "micro_config", lambda: replace(cfg, **switches))
+    seen = capture_probes(monkeypatch)
+    model = seen["model"]
+    assert all(getattr(model.cfg, k) == v for k, v in switches.items())
+    trunk = {id(t): n for n, t in model.trunk.named_params()}
+    rng = np.random.default_rng(4)
+    probed = []
+    for tensor, f in seen["probes"]:
+        if id(tensor) not in trunk:
+            continue
+        flat = tensor.data.reshape(-1)
+        for step in (DEFAULT_EPS, -DEFAULT_EPS):
+            picks, copies = _sampled_stacks(tensor, rng, step)
+            stacked = f.stacked(copies)
+            for k, idx in enumerate(picks):
+                saved = flat[idx]
+                flat[idx] = saved + step
+                assert stacked[k] == f(), (trunk[id(tensor)], idx, step)
+                flat[idx] = saved
+        probed.append(trunk[id(tensor)])
+    assert sorted(probed) == sorted(trunk.values())
+
+
 def test_numeric_gradient_stacked_equals_its_loop(monkeypatch):
-    """Chunks of 7 leave a partial last chunk on every tensor checked here."""
-    seen = capture_back_half(monkeypatch)
+    """Chunks of at most 7 leave a partial last chunk on most tensors checked here."""
+    seen = capture_probes(monkeypatch)
     monkeypatch.setattr(crmn.gradcheck, "_PROBES", 7)
     names = {id(t): n for n, t, _ in seen["model"].named_params()}
+    checked = []
     for tensor, f in seen["probes"]:
-        if names[id(tensor)] not in ("lstm.w_hf", "lstm.p_o", "lstm.h0", "head.bias"):
+        if names[id(tensor)] not in ("trunk.stem.conv.weight", "trunk.stage2.block0.bn1.scale",
+                                     "trunk.stage3.block0.conv2.weight", "lstm.w_hf",
+                                     "lstm.p_o", "lstm.h0", "head.bias"):
             continue
         before = tensor.data.copy()
         tensor.data.flags.writeable = False  # the stacked path probes copies only
@@ -219,6 +264,23 @@ def test_numeric_gradient_stacked_equals_its_loop(monkeypatch):
         looped = numeric_gradient(lambda: f(), tensor)
         assert np.array_equal(stacked, looped), names[id(tensor)]
         assert np.array_equal(tensor.data, before)
+        checked.append(names[id(tensor)])
+    assert len(checked) == 7
+
+
+def test_numeric_gradient_probes_a_transposed_tensor():
+    rng = np.random.default_rng(5)
+    a = Tensor(rng.standard_normal((4, 3)).T, requires_grad=True)  # not C-contiguous
+    b = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+    entry = check_tensors("mm", lambda: sum_all(matmul(a, b)), [a, b])
+    assert entry.max_rel_err < 1e-8
+
+
+def test_numeric_gradient_refuses_a_read_only_tensor():
+    v = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    rows = rows_from_vector(v, 3)  # a broadcast view
+    with pytest.raises(ContractError):
+        numeric_gradient(lambda: float(rows.data.sum()), rows)
 
 
 def test_full_scope_flags_exactly_a_sabotaged_lstm_tensor(monkeypatch):
@@ -238,19 +300,63 @@ def test_full_scope_flags_exactly_a_sabotaged_lstm_tensor(monkeypatch):
             tape._entries[-2] = (c_new, leaky)
         return out
 
-    real = crmn.gradcheck.numeric_gradient
+    real, build = crmn.gradcheck.numeric_gradient, crmn.gradcheck.build_crmn
+    trunk = set()
+
+    def keep_trunk(*args, **kwargs):
+        model = build(*args, **kwargs)
+        trunk.update(id(t) for _, t in model.trunk.named_params())
+        return model
 
     def back_half_only(f, tensor, eps=DEFAULT_EPS):
-        # the leak reaches no trunk gradient, so skip the trunk's slow probes
-        if not hasattr(f, "stacked"):
+        # the leak reaches no trunk gradient, so skip the trunk's probes
+        if id(tensor) in trunk:
             return tensor.grad
         return real(f, tensor, eps)
 
     monkeypatch.setattr(crmn.lstm, "lstm_step", leaky_step)
+    monkeypatch.setattr(crmn.gradcheck, "build_crmn", keep_trunk)
     monkeypatch.setattr(crmn.gradcheck, "numeric_gradient", back_half_only)
     report = check_full(seed=0)
     failed = [e.name for e in report.entries if e.max_rel_err >= report.tolerance]
     assert failed == ["lstm.w_xi"]
+    assert len(report.entries) > 30
+
+
+def test_full_scope_flags_exactly_a_sabotaged_trunk_tensor(monkeypatch):
+    """Scale the stage-3 conv2 weight gradient in its conv closure by 1.01."""
+    original, build = crmn.layers.conv2d, crmn.gradcheck.build_crmn
+    seen = {}
+
+    def keep_model(*args, **kwargs):
+        seen["model"] = build(*args, **kwargs)
+        return seen["model"]
+
+    def leaky_conv(x, weight, stride=1):
+        out = original(x, weight, stride)
+        tape = active_tape()
+        # the numeric probes run with no tape open, and the stacked ones never call conv2d
+        if tape is not None and weight is seen["model"].trunk.blocks[-1].conv2.weight:
+            o, fn = tape._entries[-1]
+            assert o is out
+            tape._entries[-1] = (o, lambda g, accum: fn(
+                g, lambda t, v: accum(t, v * 1.01 if t is weight else v)))
+        return out
+
+    real = crmn.gradcheck.numeric_gradient
+
+    def trunk_only(f, tensor, eps=DEFAULT_EPS):
+        # the leak reaches no LSTM or head gradient, so skip the back half's probes
+        if all(t is not tensor for _, t in seen["model"].trunk.named_params()):
+            return tensor.grad
+        return real(f, tensor, eps)
+
+    monkeypatch.setattr(crmn.gradcheck, "build_crmn", keep_model)
+    monkeypatch.setattr(crmn.layers, "conv2d", leaky_conv)
+    monkeypatch.setattr(crmn.gradcheck, "numeric_gradient", trunk_only)
+    report = check_full(seed=0)
+    failed = [e.name for e in report.entries if e.max_rel_err >= report.tolerance]
+    assert failed == ["trunk.stage3.block0.conv2.weight"]
     assert len(report.entries) > 30
 
 
