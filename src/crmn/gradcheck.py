@@ -43,10 +43,10 @@ Concatenating the copies into one wide GEMM would be cheaper but is not
 bit-identical: BLAS picks its kernel, and with it the summation order, by
 the matrix shape. The stacked path records nothing and charges no count.
 
-K is sized by bytes: as many probes as fit K copies of the widest array one
-probe adds (a conv column matrix, or the probed tensor's copy) in 2.25 MiB,
-at most 32. For the micro model that is 4 for the stem and block 0, 8 for
-stage 2, 16 for stage 3 and 32 for the LSTM and head. check_full(0) went
+K is sized by bytes: as many probes as fit K copies of a probe's size (the
+column matrix of its widest replayed conv, or the probed tensor's copy) in
+2.25 MiB, at most 32. For the micro model that is 4 for the stem and
+block 0, 8 for stage 2, 16 for stage 3 and 32 for the LSTM and head. check_full(0) went
 from 8.2-10.2 s to 3.1-3.4 s, its trunk probes from 7.2-9.2 s to 2.2-2.4 s
 (1 BLAS thread, 2-core x86_64 VM).
 """
@@ -69,12 +69,17 @@ from .tensor import (Tape, Tensor, _softmax_xent, add, backward, concat_cols, ma
 DEFAULT_EPS = 1e-5
 ERROR_FLOOR = 1e-3
 DEFAULT_TOLERANCE = 1e-4
-# probes per stacked evaluation: as many as fit K copies of the widest array
-# one probe adds (a conv column matrix, or the probed tensor's copy) in
-# _STACK_BYTES, at most _PROBES. 2.25 MiB holds four stage-1 column matrices
-# of the micro model (2 x 36 x 1024, float64). check_full(0)'s process peak
-# was 41.4 MB with only the back half stacked; with every tensor stacked it is
-# 67.4 MB at one K = 32, 45.8 MB at K = 8 and 41.2 MB sized by bytes
+# probes per stacked evaluation: as many as fit K copies of a probe's size
+# (the column matrix its widest replayed conv would have, or the probed
+# tensor's copy) in _STACK_BYTES, at most _PROBES. conv_values streams its
+# columns through a fixed chunk, so the budget now bounds the stacked
+# activations: a 3x3 conv's columns are nine times its stride-1 input, so
+# every stacked trunk activation stays within about a ninth of 2.25 MiB (four
+# probes of the micro model's 2 x 4 x 32 x 32 float64 stage-1 maps). The
+# sizes are kept so that check_full's probes per call, and its report, stay
+# as they were. check_full(0)'s process peak was 41.4 MB with only the back
+# half stacked; with every tensor stacked it is 67.4 MB at one K = 32, 45.8 MB
+# at K = 8 and 41.2 MB sized by bytes
 _PROBES = 32
 _STACK_BYTES = 9 * 2**18
 
@@ -94,7 +99,7 @@ def numeric_gradient(f, tensor, eps=DEFAULT_EPS):
     that also has ``f.stacked(values)``, scoring each copy in a
     (K, *tensor.shape) stack of values, is probed many scalars per call
     instead, on copies, and tensor.data is never written. Its
-    ``f.probe_bytes``, the bytes of the widest array one probe adds, sizes K.
+    ``f.probe_bytes``, one probe's size in bytes, sizes K.
     """
     grad = np.zeros(tensor.shape, dtype=tensor.dtype)
     gflat = grad.reshape(-1)
@@ -393,7 +398,10 @@ def check_full(seed=0, eps=DEFAULT_EPS, batch=2) -> GradReport:
 
 
 def _column_bytes(trunk, start, x):
-    """Bytes of one probe's widest conv column matrix, replaying from block start on x."""
+    """Bytes of one probe's widest conv column matrix, replaying from block start on x.
+
+    ``conv_values`` builds it a chunk at a time; this is its whole-batch size.
+    """
     if start is None:
         return 0
     convs = [(trunk.stem, trunk.cfg.input_extent)] if start == 0 else []

@@ -10,10 +10,15 @@ whose shift plays that role.
 Both convolution passes are im2col GEMMs over a window view of the padded
 input (as_strided, no copy until the column matrix is formed). The view is
 laid out b*ci*k*k*ho*wo, so every copied run of the column matrix is a
-whole output row. The forward is one batched BLAS call, W @ cols, whose
-result is already b*co*(ho*wo). The backward takes the weight gradient as
-one GEMM, g^T @ cols, and the input gradient as one batched GEMM per kernel
-tap, W[:, :, i, j]^T @ g, scatter-added into the strided slice of the
+whole output row. The forward streams the batch in chunks of images whose
+column matrices fit ``_COLUMN_BYTES``: each chunk is copied into the interior
+of one zero-bordered padded buffer, its columns are built from the buffer's
+window view, and W @ cols writes straight into the chunk's slice of the
+b*co*(ho*wo) output. Each image's GEMM has the shape, and the (ci, i, j)
+order along K, of a whole-batch product, so the result is the same bit for
+bit. The backward takes the weight gradient as one GEMM, g^T @ cols, over
+the whole batch's columns, and the input gradient as one batched GEMM per
+kernel tap, W[:, :, i, j]^T @ g, scatter-added into the strided slice of the
 padded input it came from (col2im).
 
 A backward closure keeps no array the tape already holds in another form:
@@ -25,7 +30,8 @@ gradient stays bit-identical.
 
 Each op's forward arithmetic is a NumPy value function (``conv_values``,
 ``batch_stats`` with ``norm_values``, ``pool2x2_values``,
-``global_pool_values``) whose leading axes broadcast; the taped op checks
+``global_pool_values``) that takes leading axes (``conv_values`` on one
+operand only, images or kernels, not both); the taped op checks
 shapes, charges its count, records its closure and calls it. The gradient
 check's stacked probes (``Conv2d.replay``, ``BatchNorm.replay``) run the same
 functions on a leading probe axis, and each slice equals the unstacked
@@ -58,10 +64,19 @@ def he_dense_weight(rng, fan_in, fan_out, dtype=np.float32):
     return Tensor(w.astype(dtype), requires_grad=True)
 
 
-def _windows(x, k, stride):
-    """The window view of x (..., b, ci, h, w), zero-padded: (..., b, ci, k, k, ho, wo)."""
-    pad = (k - 1) // 2
-    xp = np.pad(x, [(0, 0)] * (x.ndim - 2) + [(pad, pad)] * 2)
+# Bytes of column matrix that one forward chunk builds (at least one image). A
+# batch-100 stage-1 convolution's whole-batch column matrix is 56 MiB, nine
+# times its input, against a 2 MiB per-core L2, so forming it cost more than
+# the GEMM. Swept over 0.5, 1, 2 and 4 MiB at every stage shape at batch 100
+# (float32, 1 BLAS thread, 2-core x86_64 VM with 2 MiB L2 per core), 1 MiB was
+# best or within noise of best at each. At 2 MiB a stage-1 chunk holds three
+# images, whose columns (1.7 MiB), padded inputs and outputs overflow L2
+# together, and the call slowed from 16.8 to 19.2 ms.
+_COLUMN_BYTES = 2**20
+
+
+def _window_view(xp, k, stride):
+    """The window view of a padded xp (..., ci, hp, wp): (..., ci, k, k, ho, wo)."""
     ho = (xp.shape[-2] - k) // stride + 1
     wo = (xp.shape[-1] - k) // stride + 1
     *lead, s2, s3 = xp.strides
@@ -69,22 +84,41 @@ def _windows(x, k, stride):
                       strides=(*lead, s2, s3, s2 * stride, s3 * stride))
 
 
+def _windows(x, k, stride):
+    """The window view of x (b, ci, h, w), zero-padded: (b, ci, k, k, ho, wo)."""
+    pad = (k - 1) // 2
+    return _window_view(np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))), k, stride)
+
+
 def conv_values(x, weight, stride):
     """The convolution in NumPy: x (..., b, ci, h, w) with weight (..., co, ci, k, k).
 
-    Leading axes broadcast. A stack of kernels meets every image as
-    (K, 1, co, ci*k*k), so each GEMM slice has the unstacked shape and equals
+    Either side may carry leading axes, not both (``DimensionError``). The
+    images of a stack (K, b, ci, h, w) are convolved as one image axis of K*b
+    images; a kernel stack (K, co, ci, k, k) meets each chunk's columns as
+    (K, 1, co, ci*k*k). Every GEMM slice has the unstacked shape and equals
     the unstacked product bit for bit.
     """
+    if x.ndim > 4 and weight.ndim > 4:
+        raise DimensionError(
+            f"conv_values: images {x.shape} and kernels {weight.shape} are both stacked")
     co, ci, k, _ = weight.shape[-4:]
-    windows = _windows(x, k, stride)
-    ho, wo = windows.shape[-2:]
-    cols = windows.reshape(windows.shape[:-5] + (ci * k * k, ho * wo))
-    wmat = weight.reshape(weight.shape[:-4] + (co, ci * k * k))
-    if weight.ndim > 4:
-        wmat = wmat[..., None, :, :]
-    out = np.matmul(wmat, cols)
-    return out.reshape(out.shape[:-1] + (ho, wo))
+    h, w = x.shape[-2:]
+    pad = (k - 1) // 2
+    ho = (h + 2 * pad - k) // stride + 1
+    wo = (w + 2 * pad - k) // stride + 1
+    images = x.reshape((-1,) + x.shape[-3:])
+    n = len(images)
+    chunk = min(n, max(1, _COLUMN_BYTES // (ci * k * k * ho * wo * x.itemsize)))
+    xp = np.zeros((chunk, ci, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+    wmat = weight.reshape(weight.shape[:-4] + (1, co, ci * k * k))
+    out = np.empty(weight.shape[:-4] + (n, co, ho * wo), dtype=np.result_type(x, weight))
+    for s in range(0, n, chunk):
+        m = min(chunk, n - s)
+        xp[:m, :, pad:pad + h, pad:pad + w] = images[s:s + m]
+        cols = _window_view(xp[:m], k, stride).reshape(m, ci * k * k, ho * wo)
+        np.matmul(wmat, cols, out=out[..., s:s + m, :, :])
+    return out.reshape(weight.shape[:-4] + x.shape[:-3] + (co, ho, wo))
 
 
 def conv2d(x, weight, stride=1):

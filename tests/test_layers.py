@@ -1,9 +1,12 @@
 """Convolution, batch norm, pooling, dense: values against hand arithmetic."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from crmn.errors import ContractError
+from crmn import layers
+from crmn.errors import ContractError, DimensionError
 from crmn.gradcheck import numeric_gradient, relative_error
 from crmn.layers import (
     BatchNorm, Dense, batch_norm, conv2d, global_avg_pool, he_conv_weight,
@@ -155,6 +158,75 @@ def test_conv_forward_of_a_sliced_view_matches_its_copy():
     got = conv2d(Tensor(view), Tensor(w)).data
     assert np.array_equal(got, conv2d(Tensor(view.copy()), Tensor(w)).data)
     assert np.array_equal(got, _rows_first_conv_forward(view, w, 1))
+
+
+def _images_per_chunk(monkeypatch, images, ci, k, out_extent, dtype):
+    # the column budget that makes conv_values stream `images` images per chunk
+    per_image = ci * k * k * out_extent * out_extent * np.dtype(dtype).itemsize
+    monkeypatch.setattr(layers, "_COLUMN_BYTES", images * per_image)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k, stride", [(3, 1), (3, 2), (1, 1), (1, 2)])
+@pytest.mark.parametrize("images", [1, 3, 7], ids=["one-per-chunk", "partial-last",
+                                                   "whole-batch"])
+def test_conv_forward_chunks_match_the_rows_first_oracle(monkeypatch, images, k, stride,
+                                                         dtype):
+    rng = np.random.default_rng(15)
+    base = rng.standard_normal((7, 32, 18, 18)).astype(dtype)
+    x = base[:, ::2, 1:-1, 1:-1]  # 7 images, 16 maps of 16x16, not contiguous
+    w = rng.standard_normal((16, 16, k, k)).astype(dtype)
+    _images_per_chunk(monkeypatch, images, 16, k, 16 // stride, dtype)
+    got = conv2d(Tensor(x), Tensor(w), stride=stride).data
+    assert got.dtype == dtype and got.flags.c_contiguous
+    assert np.array_equal(got, _rows_first_conv_forward(x, w, stride))
+
+
+@pytest.mark.parametrize("images", [2, None], ids=["straddling-chunks", "default-chunks"])
+def test_conv_values_of_stacked_images_equal_each_slice(monkeypatch, images):
+    rng = np.random.default_rng(16)
+    xs = rng.standard_normal((3, 3, 8, 12, 12))  # (K, b, ci, h, w)
+    w = rng.standard_normal((16, 8, 3, 3))
+    if images:
+        _images_per_chunk(monkeypatch, images, 8, 3, 6, xs.dtype)
+    got = layers.conv_values(xs, w, 2)
+    assert got.shape == (3, 3, 16, 6, 6)
+    for stacked, x in zip(got, xs):
+        assert np.array_equal(stacked, conv2d(Tensor(x), Tensor(w), stride=2).data)
+
+
+@pytest.mark.parametrize("images", [2, None], ids=["partial-last", "default-chunks"])
+def test_conv_values_of_a_kernel_stack_equal_each_kernel(monkeypatch, images):
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal((5, 8, 12, 12))
+    ws = rng.standard_normal((4, 16, 8, 3, 3))  # (K, co, ci, k, k)
+    if images:
+        _images_per_chunk(monkeypatch, images, 8, 3, 12, x.dtype)
+    got = layers.conv_values(x, ws, 1)
+    assert got.shape == (4, 5, 16, 12, 12)
+    for stacked, w in zip(got, ws):
+        assert np.array_equal(stacked, conv2d(Tensor(x), Tensor(w)).data)
+
+
+def test_conv_values_refuses_a_stack_on_both_sides():
+    xs = np.zeros((2, 1, 4, 6, 6))
+    ws = np.zeros((2, 4, 4, 3, 3))
+    with pytest.raises(DimensionError, match="both stacked"):
+        layers.conv_values(xs, ws, 1)
+
+
+def test_conv_forward_memory_stays_near_its_output():
+    # a whole-batch column matrix here would be 56.25 MiB, nine times the input
+    rng = np.random.default_rng(18)
+    x = rng.standard_normal((100, 16, 32, 32)).astype(np.float32)
+    w = rng.standard_normal((16, 16, 3, 3)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        out = layers.conv_values(x, w, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * out.nbytes + layers._COLUMN_BYTES
 
 
 def _einsum_conv_backward(x, weight, g, stride):
