@@ -8,6 +8,12 @@ self-describing; round trips are bit-exact.
 
 Batch-norm running statistics are stored alongside the trainable tensors
 so a reloaded model evaluates identically.
+
+Loading draws no random initialization: ``load_model`` builds the model with
+``seed=None`` (every array allocated, nothing drawn) in the dtype of the
+file's parameters, then copies each file tensor into its array. A tensor
+whose name, shape or dtype differs from its destination's is a
+``FormatError``; batch-norm running statistics are always float64.
 """
 
 from __future__ import annotations
@@ -118,6 +124,14 @@ def save_model(model, path):
 
 
 def load_model(path):
+    """Rebuild the model a ``save_model`` file holds, in the file's dtype.
+
+    Nothing is drawn: the model is built with ``seed=None`` and every array
+    is then overwritten from the file (``lstm.c0`` of a cell without a
+    learned c0 is not in the file and stays zeros). Raises ``FormatError``
+    for a bad config or kind, or for a tensor whose name, shape or dtype does
+    not match the model the config describes.
+    """
     manifest, tensors = load_tensors(path)
     try:
         cfg = NetworkConfig.from_dict(manifest.get("config"))
@@ -133,7 +147,9 @@ def load_model(path):
             or cost_report(kind, cfg).params_total > count):
         raise FormatError(f"{path}: config needs more parameters than the "
                           f"{count} values the file holds")
-    model = (build_crmn if kind == "crmn" else build_resnet)(cfg, seed=0)
+    # checkpoint order puts a parameter first; its dtype is the model's
+    dtype = next(iter(tensors.values())).dtype
+    model = (build_crmn if kind == "crmn" else build_resnet)(cfg, seed=None, dtype=dtype)
     arrays = dict(model.named_arrays())
     if arrays.keys() != tensors.keys():
         missing = sorted(arrays.keys() - tensors.keys())[:3]
@@ -144,5 +160,8 @@ def load_model(path):
         if tensors[name].shape != dest.shape:
             raise FormatError(f"{path}: {name} has shape {tensors[name].shape}, "
                               f"expected {dest.shape}")
+        if tensors[name].dtype != dest.dtype:
+            raise FormatError(f"{path}: {name} has dtype {tensors[name].dtype}, "
+                              f"expected {dest.dtype}")
         dest[...] = tensors[name]
     return model

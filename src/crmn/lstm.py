@@ -7,7 +7,8 @@ candidate uses tanh. The output-gate squash is configurable ('tanh' or
 
 Weight matrices are stored input-major, (width, hidden), so a batch of row
 vectors multiplies on the left. All matrices are initialized orthogonally
-(semi-orthogonal for the rectangular input maps) from a seeded Gaussian.
+(semi-orthogonal for the rectangular input maps) from a seeded Gaussian;
+``init_lstm`` with ``rng=None`` draws nothing and leaves them zero.
 Gate biases start at a configurable negative value (candidate bias at 0),
 and the initial state (h0, and c0 when enabled) is a learned parameter
 broadcast across the batch.
@@ -52,7 +53,13 @@ _STEP_PARAMS = PARAM_NAMES[:-2]
 
 
 def orthogonal(rng, rows, cols, dtype=np.float32):
-    """Orthonormal rows or columns (whichever fit) from a Gaussian draw."""
+    """Orthonormal rows or columns (whichever fit) from a Gaussian draw.
+
+    With ``rng`` None nothing is drawn and the matrix is zeros, for a cell
+    whose values are loaded next.
+    """
+    if rng is None:
+        return np.zeros((rows, cols), dtype=dtype)
     a = rng.standard_normal((rows, cols))
     u, _, vt = np.linalg.svd(a, full_matrices=False)
     q = u if u.shape == (rows, cols) else vt

@@ -20,7 +20,8 @@ import numpy as np
 
 from .layers import Dense, he_dense_weight, meanpool2x2, pool2x2_values
 from .lstm import init_lstm, run_sequence
-from .resnet import NetworkConfig, ResidualTrunk, block_plan, build_trunk, trunk_forward
+from .resnet import (NetworkConfig, ResidualTrunk, block_plan, build_trunk, seeded_rng,
+                     trunk_forward)
 from .tensor import Tensor, concat_cols, pad_cols, reshape
 
 TAP_FLATTEN_ORDER = "map,row,col"
@@ -122,20 +123,25 @@ def _head(rng, fan_in, classes, dtype):
 
 
 def build_crmn(cfg: NetworkConfig, seed=0, dtype=np.float32):
-    """Deterministic assembly; trunk, LSTM, and head draw from offset seeds."""
+    """Deterministic assembly; trunk, LSTM, and head draw from offset seeds.
+
+    ``seed=None`` allocates every parameter and state array at its shape and
+    dtype and draws nothing: the weight matrices are zeros, the other arrays
+    take their constant initial values. ``checkpoint.load_model`` builds so.
+    """
     cfg.validate()
     trunk = build_trunk(cfg, seed, dtype)
     width = max_lstm_width(cfg)
-    lstm = init_lstm(width, cfg.hidden_size, np.random.default_rng(seed + 1),
+    lstm = init_lstm(width, cfg.hidden_size, seeded_rng(seed, 1),
                      bias_init=cfg.lstm_bias_init, learn_c0=cfg.learn_c0,
                      output_gate=cfg.output_gate, dtype=dtype)
-    head = _head(np.random.default_rng(seed + 2),
-                 cfg.stage_maps[-1] + cfg.hidden_size, cfg.classes, dtype)
+    head = _head(seeded_rng(seed, 2), cfg.stage_maps[-1] + cfg.hidden_size, cfg.classes, dtype)
     return CrmnModel(cfg, trunk, head, lstm)
 
 
 def build_resnet(cfg: NetworkConfig, seed=0, dtype=np.float32):
+    """The plain baseline on the same trunk; ``seed=None`` as in ``build_crmn``."""
     cfg.validate()
     trunk = build_trunk(cfg, seed, dtype)
-    head = _head(np.random.default_rng(seed + 2), cfg.stage_maps[-1], cfg.classes, dtype)
+    head = _head(seeded_rng(seed, 2), cfg.stage_maps[-1], cfg.classes, dtype)
     return CrmnModel(cfg, trunk, head)

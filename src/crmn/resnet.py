@@ -301,8 +301,15 @@ class ResidualTrunk:
                 if isinstance(layer, BatchNorm) for n, a in layer.state()]
 
 
+def seeded_rng(seed, offset=0):
+    """The generator of ``seed + offset``; None (draw nothing) when seed is None."""
+    return None if seed is None else np.random.default_rng(seed + offset)
+
+
 def build_trunk(cfg: NetworkConfig, seed=0, dtype=np.float32):
-    return ResidualTrunk(cfg, np.random.default_rng(seed), dtype)
+    """A trunk drawn from ``seed``; ``seed=None`` draws nothing and leaves
+    every kernel zeros (a trunk whose values are loaded next)."""
+    return ResidualTrunk(cfg, seeded_rng(seed), dtype)
 
 
 def trunk_forward(trunk: ResidualTrunk, x, training=False, start=0):

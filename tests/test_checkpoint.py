@@ -280,3 +280,52 @@ def test_checkpoint_rejects_a_bias_init_outside_float32(tmp_path, bias):
     save_tensors(path, extra, model.named_arrays())
     with pytest.raises(FormatError, match="lstm_bias_init must be a finite float32"):
         load_model(path)
+
+
+@pytest.mark.parametrize("build", [build_crmn, build_resnet], ids=["crmn", "resnet"])
+def test_loading_a_checkpoint_draws_nothing(tmp_path, monkeypatch, build):
+    model = build(micro_cfg(), seed=14)
+    path = tmp_path / "model.crmn"
+    save_model(model, path)
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: pytest.fail("svd called"))
+    monkeypatch.setattr(np.random, "default_rng", lambda *a, **k: pytest.fail("rng drawn"))
+    back = load_model(path)
+    for (name, want), (_, got) in zip(model.named_arrays(), back.named_arrays()):
+        assert got.tobytes() == want.tobytes(), name
+
+
+def test_float64_checkpoint_roundtrip_is_bit_exact(tmp_path):
+    model = build_crmn(micro_cfg(), seed=0, dtype=np.float64)
+    x = Tensor(np.random.default_rng(15).random((4, 3, 32, 32)))
+    model.forward(x, training=True)  # shift the running statistics
+    path = tmp_path / "model64.crmn"
+    save_model(model, path)
+    back = load_model(path)
+    for (name, want), (_, got) in zip(model.named_arrays(), back.named_arrays()):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert back.head.weight.data.dtype == np.float64
+    assert back.forward(x).data.tobytes() == model.forward(x).data.tobytes()
+
+
+@pytest.mark.parametrize("name, dtype, expected", [
+    ("lstm.w_xi", np.float64, "float32"),
+    ("head.bias", np.float64, "float32"),
+    ("trunk.stem.bn.running_var", np.float32, "float64"),
+])
+def test_checkpoint_rejects_a_tensor_of_another_dtype(tmp_path, name, dtype, expected):
+    model = build_crmn(micro_cfg(), seed=16)
+    arrays = [(n, a.astype(dtype) if n == name else a) for n, a in model.named_arrays()]
+    path = tmp_path / "dtype.crmn"
+    save_tensors(path, {"kind": "crmn", "config": model.cfg.as_dict()}, arrays)
+    with pytest.raises(FormatError, match=f"{name} has dtype .*, expected {expected}"):
+        load_model(path)
+
+
+def test_loading_without_a_learned_c0_leaves_it_zero(tmp_path):
+    model = build_crmn(micro_cfg(learn_c0=False), seed=17)
+    path = tmp_path / "frozen.crmn"
+    save_model(model, path)
+    back = load_model(path)
+    assert not back.lstm.c0.requires_grad
+    assert back.lstm.c0.data.dtype == np.float32
+    assert np.array_equal(back.lstm.c0.data, np.zeros(5))

@@ -247,6 +247,55 @@ def _einsum_conv_backward(x, weight, g, stride):
     return gxp[:, :, pad:pad + h, pad:pad + w], gw
 
 
+def _rows_major_weight_gradient(x, g, k, stride):
+    """The g @ cols^T weight gradient the (cols @ g^T)^T form replaced, kept as an oracle."""
+    b, ci = x.shape[:2]
+    co, ho, wo = g.shape[1:]
+    pad = (k - 1) // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    s0, s1, s2, s3 = xp.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xp, shape=(b, ci, k, k, ho, wo),
+        strides=(s0, s1, s2, s3, s2 * stride, s3 * stride))
+    cols = windows.transpose(1, 2, 3, 0, 4, 5).reshape(ci * k * k, b * ho * wo)
+    gflat = g.transpose(1, 0, 2, 3).reshape(co, b * ho * wo)
+    return (gflat @ cols.T).reshape(co, ci, k, k)
+
+
+def _built_on_openblas():
+    blas = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
+    return "openblas" in str(blas.get("name", ""))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("b, ci, co, extent, k, stride", [
+    (8, 3, 16, 32, 3, 1),    # stem
+    (8, 16, 16, 32, 3, 1),   # stage 1
+    (8, 16, 32, 32, 3, 2),   # stage-2 transition
+    (8, 32, 64, 16, 3, 2),   # stage-3 transition
+    (8, 64, 64, 8, 3, 1),    # stage 3
+    (8, 16, 32, 32, 1, 2),   # 1x1 projection shortcut
+    (2, 2, 3, 5, 3, 2),      # odd extent: 5 -> 3
+])
+def test_conv_weight_gradient_matches_the_rows_major_oracle(b, ci, co, extent, k, stride,
+                                                            dtype):
+    # the GEMM is the same product with its operands swapped: bit-identical on
+    # OpenBLAS, where it was measured; elsewhere the bound is normwise
+    rng = np.random.default_rng(19)
+    x = Tensor(rng.standard_normal((b, ci, extent, extent)).astype(dtype))
+    w = Tensor(rng.standard_normal((co, ci, k, k)).astype(dtype), requires_grad=True)
+    out_extent = (extent - 1) // stride + 1
+    g = rng.standard_normal((b, co, out_extent, out_extent)).astype(dtype)
+    with Tape() as tape:
+        tape.backward(sum_all(conv2d(x, w, stride=stride) * Tensor(g)))
+    want = _rows_major_weight_gradient(x.data, g, k, stride)
+    assert w.grad.dtype == dtype and w.grad.shape == want.shape
+    if _built_on_openblas():
+        assert np.array_equal(w.grad, want)
+    else:
+        assert np.linalg.norm(w.grad - want) <= 1e-6 * np.linalg.norm(want)
+
+
 @pytest.mark.parametrize("ci, co, stride", [(16, 16, 1), (16, 32, 2)])
 def test_conv_backward_matches_the_einsum_oracle(ci, co, stride):
     # float32 at a stage-1 shape and at a stage-transition shape
