@@ -13,21 +13,30 @@ laid out b*ci*k*k*ho*wo, so every copied run of the column matrix is a
 whole output row. The forward streams the batch in chunks of images whose
 column matrices fit ``_COLUMN_BYTES``: each chunk is copied into the interior
 of one zero-bordered padded buffer (a 1x1 kernel has no border and takes the
-view on the images themselves), its columns are built from the buffer's
-window view, and W @ cols writes straight into the chunk's slice of the
-b*co*(ho*wo) output. Each image's GEMM has the shape, and the (ci, i, j)
-order along K, of a whole-batch product, so the result is the same bit for
-bit. The backward takes the weight gradient as one GEMM, g^T @ cols, over
-the whole batch's columns, and the input gradient as one batched GEMM per
-kernel tap, W[:, :, i, j]^T @ g, scatter-added into the strided slice of the
-padded input it came from (col2im).
+view on the images themselves), its columns are copied from the buffer's
+window view into one column buffer (both buffers are kept between calls),
+and W @ cols writes straight into the chunk's slice of the b*co*(ho*wo)
+output. Each image's GEMM has the shape, and the (ci, i, j) order along K,
+of a whole-batch product, so the result is the same bit for bit.
+
+The backward takes the weight gradient as one GEMM, g^T @ cols, over the
+whole batch's columns; at stride 1 they are copied from k column-shifted
+copies of the input, in which each tap's rows over a map are one run. A
+stride-1 convolution's input gradient is the streamed forward of g with the
+kernel flipped in both spatial axes and its co and ci axes swapped (Dumoulin
+& Visin 2016, arXiv:1603.07285, section 4); it sums the taps in another
+order than col2im, so it is not bit-identical to it. A stride-2 convolution
+keeps one batched GEMM per kernel tap, W[:, :, i, j]^T @ g, scatter-added
+into the strided slice of the padded input it came from (col2im): its
+flipped-kernel form would convolve a zero-dilated g, four times the work,
+and measured 2.7x slower.
 
 A backward closure keeps no array the tape already holds in another form:
-the convolution backward rebuilds the padded input, its window view and
-cols from the input tensor, and the batch-norm backward recomputes xhat
-from the input, the mean and the inverse std with the forward's expression.
-Each activation is therefore retained once, as some op's output, and every
-gradient stays bit-identical.
+the convolution backward rebuilds cols from the input tensor, and the
+batch-norm backward recomputes xhat from the input, the mean and the
+inverse std with the forward's expression. Each activation is therefore
+retained once, as some op's output, and the recomputation changes no
+gradient.
 
 Each op's forward arithmetic is a NumPy value function (``conv_values``,
 ``batch_stats`` with ``norm_values``, ``pool2x2_values``,
@@ -40,6 +49,8 @@ value bit for bit.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -79,6 +90,24 @@ def he_dense_weight(rng, fan_in, fan_out, dtype=np.float32):
 # together, and the call slowed from 16.8 to 19.2 ms.
 _COLUMN_BYTES = 2**20
 
+# The forward's padded and column buffers, kept between calls by each thread
+# (and grown to the largest chunk yet) rather than allocated per call. With
+# per-call buffers the stride-1 input gradients of a training step made glibc
+# give the heap top back to the kernel and fault it in again, step after
+# step: acceptance criterion 8 read 1.3M minor faults and 2.7-2.9 s of system
+# time (1 BLAS thread), against 0.28-0.59M and 0.8-1.5 s with kept buffers.
+_scratch = threading.local()
+
+
+def _scratch_array(name, shape, dtype):
+    """This thread's kept buffer ``name`` as an uninitialized array of this shape and dtype."""
+    nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    buf = getattr(_scratch, name, None)
+    if buf is None or buf.nbytes < nbytes:
+        buf = np.empty(nbytes, dtype=np.uint8)
+        setattr(_scratch, name, buf)
+    return buf[:nbytes].view(dtype).reshape(shape)
+
 
 def _window_view(xp, k, stride):
     """The window view of a padded xp (..., ci, hp, wp): (..., ci, k, k, ho, wo)."""
@@ -89,10 +118,27 @@ def _window_view(xp, k, stride):
                       strides=(*lead, s2, s3, s2 * stride, s3 * stride))
 
 
-def _windows(x, k, stride):
-    """The window view of x (b, ci, h, w), zero-padded: (b, ci, k, k, ho, wo)."""
+def _weight_columns(x, k, stride):
+    """x (b, ci, h, w) as the weight gradient's columns: (ci*k*k, b*ho*wo)."""
+    b, ci, h, w = x.shape
     pad = (k - 1) // 2
-    return _window_view(np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))), k, stride)
+    if stride != 1:
+        windows = _window_view(np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))), k, stride)
+        return windows.transpose(1, 2, 3, 0, 4, 5).reshape(ci * k * k, -1)
+    # stride 1: in x shifted left by j - pad and zero-filled, tap (i, j) over a
+    # map is the one run of h*w values from row i on (the window view has h
+    # runs of w); the same matrix, copied 1.1x (stage 1) to 1.8x (stage 3) faster
+    shifted = np.zeros((b, ci, h + 2 * pad, w), dtype=x.dtype)
+    rows = shifted[:, :, pad:pad + h]
+    s0, s1, s2, s3 = shifted.strides
+    cols = np.empty((ci, k, k, b, h * w), dtype=x.dtype)
+    for j in range(k):
+        lo, hi = max(0, pad - j), min(w, w + pad - j)
+        rows[..., :lo] = 0
+        rows[..., hi:] = 0
+        rows[..., lo:hi] = x[..., lo + j - pad:hi + j - pad]
+        cols[:, :, j] = as_strided(shifted, (ci, k, b, h * w), (s1, s2, s0, s3))
+    return cols.reshape(ci * k * k, b * h * w)
 
 
 def conv_values(x, weight, stride):
@@ -116,7 +162,9 @@ def conv_values(x, weight, stride):
     n = len(images)
     chunk = min(n, max(1, _COLUMN_BYTES // (ci * k * k * ho * wo * x.itemsize)))
     if pad:
-        xp = np.zeros((chunk, ci, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+        xp = _scratch_array("padded", (chunk, ci, h + 2 * pad, w + 2 * pad), x.dtype)
+        xp.fill(0)
+    cols = _scratch_array("columns", (chunk, ci * k * k, ho * wo), x.dtype)
     wmat = weight.reshape(weight.shape[:-4] + (1, co, ci * k * k))
     out = np.empty(weight.shape[:-4] + (n, co, ho * wo), dtype=np.result_type(x, weight))
     for s in range(0, n, chunk):
@@ -125,8 +173,8 @@ def conv_values(x, weight, stride):
         if pad:
             xp[:m, :, pad:pad + h, pad:pad + w] = padded
             padded = xp[:m]
-        cols = _window_view(padded, k, stride).reshape(m, ci * k * k, ho * wo)
-        np.matmul(wmat, cols, out=out[..., s:s + m, :, :])
+        np.copyto(cols[:m].reshape(m, ci, k, k, ho, wo), _window_view(padded, k, stride))
+        np.matmul(wmat, cols[:m], out=out[..., s:s + m, :, :])
     return out.reshape(weight.shape[:-4] + x.shape[:-3] + (co, ho, wo))
 
 
@@ -157,10 +205,15 @@ def conv2d(x, weight, stride=1):
             # taken as (cols @ g^T)^T it equals g @ cols^T bit for bit (OpenBLAS)
             # and runs faster at every 3x3 stage shape
             gflat = g.transpose(1, 0, 2, 3).reshape(co, b * ho * wo)
-            cols = (_windows(x.data, k, stride).transpose(1, 2, 3, 0, 4, 5)
-                    .reshape(ci * k * k, b * ho * wo))
+            cols = _weight_columns(x.data, k, stride)
             accum(weight, (cols @ gflat.T).T.reshape(co, ci, k, k))
-        if x.requires_grad:
+        if x.requires_grad and stride == 1:
+            # the forward convolution of g with the kernel flipped in both
+            # spatial axes and its co and ci axes swapped
+            accum(x, conv_values(g, weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), 1))
+        elif x.requires_grad:
+            # col2im: the flipped kernel would need a zero-dilated g, which
+            # measured 2.7x slower at both stride-2 shapes
             gxp = np.zeros((b, ci, h + 2 * pad, w + 2 * pad), dtype=x.data.dtype)
             gmaps = g.reshape(b, co, ho * wo)
             for i in range(k):
@@ -202,7 +255,9 @@ def _per_map(v):
 
 
 def _normalized(x, mean, inv_std):
-    return (x - _per_map(mean)) * _per_map(inv_std)
+    out = x - _per_map(mean)
+    out *= _per_map(inv_std)
+    return out
 
 
 def norm_values(x, scale, shift, mean, var):
@@ -259,11 +314,17 @@ def batch_norm(x, scale, shift, running_mean, running_var,
         if training:
             sum_g = g_xhat.sum(axis=(0, 2, 3))
             sum_gx = np.einsum("bchw,bchw->c", g_xhat, xhat)
-            gx = (g_xhat - (sum_g[:, None, None] + xhat * sum_gx[:, None, None]) / m)
+            # g_xhat - (sum_g + xhat * sum_gx) / m, in place: the same IEEE
+            # operations without four temporaries the size of x
+            xhat *= sum_gx[:, None, None]
+            xhat += sum_g[:, None, None]
+            xhat /= m
+            gx = np.subtract(g_xhat, xhat, out=g_xhat)
             gx *= inv_std[:, None, None]
             accum(x, gx)
         else:
-            accum(x, g_xhat * inv_std[:, None, None])
+            g_xhat *= inv_std[:, None, None]
+            accum(x, g_xhat)
 
     return _taped(out_data, backward_fn, x, scale, shift)
 

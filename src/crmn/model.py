@@ -43,7 +43,9 @@ def adapt_values(tap, max_width):
     """adapt_tap in NumPy on tap (..., b, c, h, w): (..., b, max_width)."""
     pooled = pool2x2_values(tap)
     flat = pooled.reshape(pooled.shape[:-3] + (-1,))
-    return np.pad(flat, [(0, 0)] * (flat.ndim - 1) + [(0, max_width - flat.shape[-1])])
+    out = np.zeros(flat.shape[:-1] + (max_width,), dtype=flat.dtype)
+    out[..., :flat.shape[-1]] = flat
+    return out
 
 
 TapTrace = namedtuple("TapTrace", "stage index maps extent pooled_width pad")

@@ -204,9 +204,10 @@ class ResidualBlock:
         if self.proj is not None:
             s = self.proj_bn.replay(self.proj.replay(x, value_of), value_of)
         elif self.spec.changes_shape:
-            s = x[..., ::2, ::2] if self.spec.stride == 2 else x
-            maps = [(0, self.spec.out_maps - s.shape[-3]), (0, 0), (0, 0)]
-            s = np.pad(s, [(0, 0)] * (s.ndim - 3) + maps)  # zero maps at the tail
+            kept = x[..., ::2, ::2] if self.spec.stride == 2 else x
+            s = np.zeros(kept.shape[:-3] + (self.spec.out_maps,) + kept.shape[-2:],
+                         dtype=kept.dtype)
+            s[..., :kept.shape[-3], :, :] = kept  # zero maps at the tail
         out = y + s
         return np.maximum(out, 0) if self.variant == "original" else out
 

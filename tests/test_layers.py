@@ -1,5 +1,7 @@
 """Convolution, batch norm, pooling, dense: values against hand arithmetic."""
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -12,7 +14,7 @@ from crmn.layers import (
     BatchNorm, Dense, batch_norm, conv2d, global_avg_pool, he_conv_weight,
     he_dense_weight, meanpool2x2,
 )
-from crmn.tensor import Tape, Tensor, sum_all
+from crmn.tensor import Tape, Tensor, pad_maps, sum_all
 
 
 def t64(data, requires_grad=True):
@@ -215,6 +217,34 @@ def test_conv_values_refuses_a_stack_on_both_sides():
         layers.conv_values(xs, ws, 1)
 
 
+def test_conv_values_in_concurrent_threads_match_one_thread():
+    # each thread keeps its own padded and column buffers
+    rng = np.random.default_rng(24)
+    cases = [(rng.standard_normal((6, ci, e, e)), rng.standard_normal((8, ci, 3, 3)))
+             for ci, e in ((4, 24), (8, 20), (12, 16), (16, 12))]
+    want = [layers.conv_values(x, w, 1) for x, w in cases]
+    wrong = []
+
+    def work(case):
+        x, w = cases[case]
+        for _ in range(40):
+            if not np.array_equal(layers.conv_values(x, w, 1), want[case]):
+                wrong.append(case)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(cases))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not wrong
+
+
 def test_conv_forward_memory_stays_near_its_output():
     # a whole-batch column matrix here would be 56.25 MiB, nine times the input
     rng = np.random.default_rng(18)
@@ -310,6 +340,104 @@ def test_conv_backward_matches_the_einsum_oracle(ci, co, stride):
     for got, want in ((x.grad, gx), (w.grad, gw)):
         assert got.dtype == np.float32
         assert np.abs(got - want).max() / np.abs(want).max() <= 1e-5
+
+
+def _per_tap_input_gradient(x_shape, weight, g, stride):
+    """The per-tap col2im input gradient the stride-1 flipped kernel replaced, kept as an oracle."""
+    b, ci, h, w = x_shape
+    co, _, k, _ = weight.shape
+    pad = (k - 1) // 2
+    ho, wo = g.shape[2:]
+    gxp = np.zeros((b, ci, h + 2 * pad, w + 2 * pad), dtype=g.dtype)
+    gmaps = g.reshape(b, co, ho * wo)
+    for i in range(k):
+        for j in range(k):
+            spread = np.matmul(weight[:, :, i, j].T, gmaps)
+            gxp[:, :, i:i + ho * stride:stride, j:j + wo * stride:stride] += (
+                spread.reshape(b, ci, ho, wo))
+    return gxp[:, :, pad:pad + h, pad:pad + w]
+
+
+def _conv_input_gradient(x, w, g, stride):
+    x = Tensor(x, requires_grad=True)
+    with Tape() as tape:
+        tape.backward(sum_all(conv2d(x, Tensor(w), stride=stride) * Tensor(g)))
+    return x.grad
+
+
+def _conv_operands(rng, b, ci, co, extent, k, stride, dtype):
+    out_extent = (extent - 1) // stride + 1
+    return (rng.standard_normal((b, ci, extent, extent)).astype(dtype),
+            rng.standard_normal((co, ci, k, k)).astype(dtype),
+            rng.standard_normal((b, co, out_extent, out_extent)).astype(dtype))
+
+
+@pytest.mark.parametrize("dtype, bound", [(np.float32, 1e-6), (np.float64, 1e-13)])
+@pytest.mark.parametrize("b, ci, co, extent, k", [
+    (4, 3, 16, 32, 3),    # stem
+    (4, 16, 16, 32, 3),   # stage 1
+    (4, 32, 32, 16, 3),   # stage 2
+    (4, 64, 64, 8, 3),    # stage 3
+    (4, 16, 32, 16, 3),   # ci != co, as at a stage transition
+    (4, 8, 8, 32, 3),     # criterion 8's 8 maps
+    (2, 2, 3, 5, 3),      # odd extent: 5 -> 5
+    (1, 16, 16, 8, 3),    # batch 1
+    (4, 16, 32, 16, 1),   # 1x1 kernel
+])
+def test_stride1_input_gradient_matches_the_per_tap_oracle(b, ci, co, extent, k, dtype,
+                                                           bound):
+    # the flipped-kernel convolution sums the taps in another order, so the
+    # bound is normwise
+    x, w, g = _conv_operands(np.random.default_rng(20), b, ci, co, extent, k, 1, dtype)
+    got = _conv_input_gradient(x, w, g, 1)
+    want = _per_tap_input_gradient(x.shape, w, g, 1)
+    assert got.dtype == dtype and got.shape == want.shape
+    assert np.linalg.norm(got - want) <= bound * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("b, ci, co, extent, k", [
+    (4, 16, 32, 32, 3),   # stage-2 transition
+    (4, 32, 64, 16, 3),   # stage-3 transition
+    (4, 16, 32, 32, 1),   # 1x1 projection shortcut
+    (2, 2, 3, 5, 3),      # odd extent: 5 -> 3
+])
+def test_stride2_input_gradient_equals_the_per_tap_oracle(b, ci, co, extent, k, dtype):
+    x, w, g = _conv_operands(np.random.default_rng(21), b, ci, co, extent, k, 2, dtype)
+    got = _conv_input_gradient(x, w, g, 2)
+    assert got.dtype == dtype
+    assert np.array_equal(got, _per_tap_input_gradient(x.shape, w, g, 2))
+
+
+@pytest.mark.parametrize("k", [3, 1])
+def test_conv_input_gradient_of_a_sliced_g_matches_its_copy(k):
+    # pad_maps' backward hands the conv its gradient as the view g[:, :have]
+    rng = np.random.default_rng(22)
+    x, w, g = _conv_operands(rng, 4, 16, 16, 16, k, 1, np.float32)
+    wide = rng.standard_normal((4, 32, 16, 16)).astype(np.float32)
+    wide[:, :16] = g
+    xt = Tensor(x, requires_grad=True)
+    with Tape() as tape:
+        tape.backward(sum_all(pad_maps(conv2d(xt, Tensor(w)), 32) * Tensor(wide)))
+    assert np.array_equal(xt.grad, _conv_input_gradient(x, w, g, 1))
+
+
+@pytest.mark.parametrize("shape, k", [
+    ((4, 16, 32, 32), 3),   # stage 1
+    ((4, 64, 8, 8), 3),     # stage 3
+    ((2, 2, 5, 7), 3),      # odd, unequal extents
+    ((3, 2, 1, 1), 3),      # a single pixel: every tap but the centre is border
+    ((2, 4, 6, 6), 1),      # 1x1 kernel
+])
+def test_stride1_weight_columns_equal_the_window_view_columns(shape, k):
+    rng = np.random.default_rng(23)
+    base = rng.standard_normal((shape[0], 2 * shape[1]) + shape[2:]).astype(np.float32)
+    x = base[:, ::2]  # not contiguous
+    b, ci, h, w = shape
+    pad = (k - 1) // 2
+    windows = layers._window_view(np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))), k, 1)
+    want = windows.transpose(1, 2, 3, 0, 4, 5).reshape(ci * k * k, b * h * w)
+    assert np.array_equal(layers._weight_columns(x, k, 1), want)
 
 
 def test_batch_norm_standardizes_per_map_in_training():
