@@ -19,22 +19,27 @@ and W @ cols writes straight into the chunk's slice of the b*co*(ho*wo)
 output. Each image's GEMM has the shape, and the (ci, i, j) order along K,
 of a whole-batch product, so the result is the same bit for bit.
 
-The backward takes the weight gradient as one GEMM, g^T @ cols, over the
-whole batch's columns; at stride 1 they are copied from k column-shifted
-copies of the input, in which each tap's rows over a map are one run. A
-stride-1 convolution's input gradient is the streamed forward of g with the
+The backward of a stride-1 convolution whose input needs a gradient is one
+streamed pass over g. Each chunk's columns of g are built once, by the same
+loop as the forward's (``_column_chunks``), and meet two GEMMs while they are
+in cache. W_flip @ cols is the input gradient: the forward of g with the
 kernel flipped in both spatial axes and its co and ci axes swapped (Dumoulin
-& Visin 2016, arXiv:1603.07285, section 4); it sums the taps in another
-order than col2im, so it is not bit-identical to it. A stride-2 convolution
-keeps one batched GEMM per kernel tap, W[:, :, i, j]^T @ g, scatter-added
-into the strided slice of the padded input it came from (col2im): its
-flipped-kernel form would convolve a zero-dilated g, four times the work,
-and measured 2.7x slower.
+& Visin 2016, arXiv:1603.07285, section 4), bit for bit what
+``conv_values`` returns for it. cols @ x^T, added image by image, is the
+flipped kernel's gradient, which read back flipped is the weight gradient;
+it sums the images in another order than a whole-batch GEMM, so it is not
+bit-identical to one. Every other convolution takes its weight gradient as
+one GEMM, g^T @ cols, over the whole batch's columns of x: the stem, whose
+input needs no gradient (its 27 rows of x's columns are fewer than g's 144),
+and the stride-2 convolutions. Their input gradient is one batched GEMM per
+kernel tap, W[:, :, i, j]^T @ g, scatter-added into the strided slice of the
+padded input it came from (col2im): the flipped-kernel form would convolve
+a zero-dilated g, four times the work, and measured 2.7x slower.
 
 A backward closure keeps no array the tape already holds in another form:
-the convolution backward rebuilds cols from the input tensor, and the
-batch-norm backward recomputes xhat from the input, the mean and the
-inverse std with the forward's expression. Each activation is therefore
+the convolution backward rebuilds its columns from its input or from g,
+and the batch-norm backward recomputes xhat from the input, the mean and
+the inverse std with the forward's expression. Each activation is therefore
 retained once, as some op's output, and the recomputation changes no
 gradient.
 
@@ -80,7 +85,7 @@ def he_dense_weight(rng, fan_in, fan_out, dtype=np.float32):
     return _he_normal(rng, (fan_in, fan_out), fan_in, dtype)
 
 
-# Bytes of column matrix that one forward chunk builds (at least one image). A
+# Bytes of column matrix that one streamed chunk builds (at least one image). A
 # batch-100 stage-1 convolution's whole-batch column matrix is 56 MiB, nine
 # times its input, against a 2 MiB per-core L2, so forming it cost more than
 # the GEMM. Swept over 0.5, 1, 2 and 4 MiB at every stage shape at batch 100
@@ -90,12 +95,13 @@ def he_dense_weight(rng, fan_in, fan_out, dtype=np.float32):
 # together, and the call slowed from 16.8 to 19.2 ms.
 _COLUMN_BYTES = 2**20
 
-# The forward's padded and column buffers, kept between calls by each thread
-# (and grown to the largest chunk yet) rather than allocated per call. With
-# per-call buffers the stride-1 input gradients of a training step made glibc
-# give the heap top back to the kernel and fault it in again, step after
-# step: acceptance criterion 8 read 1.3M minor faults and 2.7-2.9 s of system
-# time (1 BLAS thread), against 0.28-0.59M and 0.8-1.5 s with kept buffers.
+# The streamed passes' padded, column and product buffers, kept between calls
+# by each thread (and grown to the largest chunk yet) rather than allocated
+# per call. With per-call buffers the stride-1 input gradients of a training
+# step made glibc give the heap top back to the kernel and fault it in again,
+# step after step: acceptance criterion 8 read 1.3M minor faults and 2.7-2.9 s
+# of system time (1 BLAS thread), against 0.28-0.59M and 0.8-1.5 s with kept
+# buffers.
 _scratch = threading.local()
 
 
@@ -120,25 +126,33 @@ def _window_view(xp, k, stride):
 
 def _weight_columns(x, k, stride):
     """x (b, ci, h, w) as the weight gradient's columns: (ci*k*k, b*ho*wo)."""
-    b, ci, h, w = x.shape
     pad = (k - 1) // 2
-    if stride != 1:
-        windows = _window_view(np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))), k, stride)
-        return windows.transpose(1, 2, 3, 0, 4, 5).reshape(ci * k * k, -1)
-    # stride 1: in x shifted left by j - pad and zero-filled, tap (i, j) over a
-    # map is the one run of h*w values from row i on (the window view has h
-    # runs of w); the same matrix, copied 1.1x (stage 1) to 1.8x (stage 3) faster
-    shifted = np.zeros((b, ci, h + 2 * pad, w), dtype=x.dtype)
-    rows = shifted[:, :, pad:pad + h]
-    s0, s1, s2, s3 = shifted.strides
-    cols = np.empty((ci, k, k, b, h * w), dtype=x.dtype)
-    for j in range(k):
-        lo, hi = max(0, pad - j), min(w, w + pad - j)
-        rows[..., :lo] = 0
-        rows[..., hi:] = 0
-        rows[..., lo:hi] = x[..., lo + j - pad:hi + j - pad]
-        cols[:, :, j] = as_strided(shifted, (ci, k, b, h * w), (s1, s2, s0, s3))
-    return cols.reshape(ci * k * k, b * h * w)
+    windows = _window_view(np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))), k, stride)
+    return windows.transpose(1, 2, 3, 0, 4, 5).reshape(x.shape[1] * k * k, -1)
+
+
+def _column_chunks(images, k, stride, ho, wo):
+    """Yield (s, cols) per chunk of images (n, ci, h, w): the columns of images[s:s + m].
+
+    cols (m, ci*k*k, ho*wo) is a view of this thread's kept column buffer,
+    which the next chunk overwrites.
+    """
+    n, ci, h, w = images.shape
+    pad = (k - 1) // 2
+    # at least one image, also for an empty batch
+    chunk = max(1, min(n, _COLUMN_BYTES // (ci * k * k * ho * wo * images.itemsize)))
+    if pad:
+        xp = _scratch_array("padded", (chunk, ci, h + 2 * pad, w + 2 * pad), images.dtype)
+        xp.fill(0)
+    cols = _scratch_array("columns", (chunk, ci * k * k, ho * wo), images.dtype)
+    for s in range(0, n, chunk):
+        m = min(chunk, n - s)
+        padded = images[s:s + m]  # as it stands when k = 1, which pads nothing
+        if pad:
+            xp[:m, :, pad:pad + h, pad:pad + w] = padded
+            padded = xp[:m]
+        np.copyto(cols[:m].reshape(m, ci, k, k, ho, wo), _window_view(padded, k, stride))
+        yield s, cols[:m]
 
 
 def conv_values(x, weight, stride):
@@ -159,23 +173,40 @@ def conv_values(x, weight, stride):
     ho = (h + 2 * pad - k) // stride + 1
     wo = (w + 2 * pad - k) // stride + 1
     images = x.reshape((-1,) + x.shape[-3:])
-    n = len(images)
-    chunk = min(n, max(1, _COLUMN_BYTES // (ci * k * k * ho * wo * x.itemsize)))
-    if pad:
-        xp = _scratch_array("padded", (chunk, ci, h + 2 * pad, w + 2 * pad), x.dtype)
-        xp.fill(0)
-    cols = _scratch_array("columns", (chunk, ci * k * k, ho * wo), x.dtype)
     wmat = weight.reshape(weight.shape[:-4] + (1, co, ci * k * k))
-    out = np.empty(weight.shape[:-4] + (n, co, ho * wo), dtype=np.result_type(x, weight))
-    for s in range(0, n, chunk):
-        m = min(chunk, n - s)
-        padded = images[s:s + m]  # as it stands when k = 1, which pads nothing
-        if pad:
-            xp[:m, :, pad:pad + h, pad:pad + w] = padded
-            padded = xp[:m]
-        np.copyto(cols[:m].reshape(m, ci, k, k, ho, wo), _window_view(padded, k, stride))
-        np.matmul(wmat, cols[:m], out=out[..., s:s + m, :, :])
+    out = np.empty(weight.shape[:-4] + (len(images), co, ho * wo),
+                   dtype=np.result_type(x, weight))
+    for s, cols in _column_chunks(images, k, stride, ho, wo):
+        np.matmul(wmat, cols, out=out[..., s:s + len(cols), :, :])
     return out.reshape(weight.shape[:-4] + x.shape[:-3] + (co, ho, wo))
+
+
+def _stride1_backward(x, weight, g):
+    """A stride-1 convolution's input and weight gradients, from g (b, co, h, w).
+
+    Both come from one streamed pass over g's columns. The input gradient is
+    the forward of g with the kernel flipped in both spatial axes and its co
+    and ci axes swapped, computed as conv_values computes it. The flipped
+    kernel's gradient sums cols @ x^T over the images; flipped back, it is
+    the weight gradient.
+    """
+    co, ci, k, _ = weight.shape
+    b, _, h, w = x.shape
+    dtype = np.result_type(g, weight)
+    flipped = weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(1, ci, co * k * k)
+    gx = np.empty((b, ci, h * w), dtype=dtype)
+    gw = np.zeros((co * k * k, ci), dtype=dtype)
+    product = _scratch_array("product", gw.shape, dtype)
+    xt = x.reshape(b, ci, h * w).transpose(0, 2, 1)
+    for s, cols in _column_chunks(g, k, 1, h, w):
+        np.matmul(flipped, cols, out=gx[s:s + len(cols)])
+        # one GEMM per image, added in image order: a batched product summed
+        # over its first axis needs a buffer as large as cols (stage 3) and
+        # measured slower at all three stage shapes
+        for n, image_cols in enumerate(cols, s):
+            gw += np.matmul(image_cols, xt[n], out=product)
+    # gw[(o, i, j), c] is the gradient of weight[o, c, k - 1 - i, k - 1 - j]
+    return gx.reshape(x.shape), gw.reshape(co, k, k, ci)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
 
 
 def conv2d(x, weight, stride=1):
@@ -199,6 +230,11 @@ def conv2d(x, weight, stride=1):
     _bump(mults=n, adds=n)
 
     def backward_fn(g, accum):
+        if x.requires_grad and stride == 1:
+            gx, gw = _stride1_backward(x.data, weight.data, g)
+            accum(x, gx)
+            accum(weight, gw)
+            return
         if weight.requires_grad:
             # cols is rebuilt as one (ci*k*k) x (b*ho*wo) matrix, so the weight
             # gradient is a single GEMM instead of a batched one summed over b;
@@ -207,11 +243,7 @@ def conv2d(x, weight, stride=1):
             gflat = g.transpose(1, 0, 2, 3).reshape(co, b * ho * wo)
             cols = _weight_columns(x.data, k, stride)
             accum(weight, (cols @ gflat.T).T.reshape(co, ci, k, k))
-        if x.requires_grad and stride == 1:
-            # the forward convolution of g with the kernel flipped in both
-            # spatial axes and its co and ci axes swapped
-            accum(x, conv_values(g, weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), 1))
-        elif x.requires_grad:
+        if x.requires_grad:
             # col2im: the flipped kernel would need a zero-dilated g, which
             # measured 2.7x slower at both stride-2 shapes
             gxp = np.zeros((b, ci, h + 2 * pad, w + 2 * pad), dtype=x.data.dtype)

@@ -440,6 +440,103 @@ def test_stride1_weight_columns_equal_the_window_view_columns(shape, k):
     assert np.array_equal(layers._weight_columns(x, k, 1), want)
 
 
+@pytest.mark.parametrize("k, stride", [(3, 1), (3, 2), (1, 2)])
+def test_conv_of_an_empty_batch(k, stride):
+    x = Tensor(np.zeros((0, 4, 6, 6), dtype=np.float32), requires_grad=True)
+    w = Tensor(np.ones((8, 4, k, k), dtype=np.float32), requires_grad=True)
+    with Tape() as tape:
+        out = conv2d(x, w, stride=stride)
+        tape.backward(sum_all(out))
+    extent = 6 // stride
+    assert out.shape == (0, 8, extent, extent)
+    assert x.grad.shape == (0, 4, 6, 6)
+    assert w.grad.shape == w.shape and not w.grad.any()
+
+
+def _flipped_input_gradient(w, g):
+    return layers.conv_values(g, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), 1)
+
+
+def _conv_gradients(x, w, g, stride=1):
+    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    with Tape() as tape:
+        tape.backward(sum_all(conv2d(xt, wt, stride=stride) * Tensor(g)))
+    return xt.grad, wt.grad
+
+
+@pytest.mark.parametrize("dtype, bound", [(np.float32, 1e-6), (np.float64, 1e-13)])
+@pytest.mark.parametrize("b, ci, co, extent, k, images", [
+    (4, 3, 16, 32, 3, None),    # stem
+    (4, 16, 16, 32, 3, None),   # stage 1
+    (4, 32, 32, 16, 3, None),   # stage 2
+    (4, 64, 64, 8, 3, None),    # stage 3
+    (4, 16, 32, 16, 3, None),   # ci != co
+    (2, 2, 3, 5, 3, None),      # odd extent: 5 -> 5
+    (1, 16, 16, 8, 3, None),    # batch 1
+    (4, 16, 32, 16, 1, None),   # 1x1 kernel
+    (7, 16, 16, 16, 3, 3),      # chunks of 3, 3 and 1 images
+])
+def test_streamed_weight_gradient_matches_the_rows_major_oracle(monkeypatch, b, ci, co,
+                                                                extent, k, images, dtype,
+                                                                bound):
+    # an input that needs a gradient takes the weight gradient from g's
+    # columns, image by image: another summation order, so the bound is normwise
+    x, w, g = _conv_operands(np.random.default_rng(25), b, ci, co, extent, k, 1, dtype)
+    if images:
+        _images_per_chunk(monkeypatch, images, co, k, extent, dtype)
+    gx, gw = _conv_gradients(x, w, g)
+    want = _rows_major_weight_gradient(x, g, k, 1)
+    assert gw.dtype == dtype and gw.shape == want.shape
+    assert np.linalg.norm(gw - want) <= bound * np.linalg.norm(want)
+    assert gx.dtype == dtype
+    assert np.array_equal(gx, _flipped_input_gradient(w, g))
+
+
+def test_streamed_conv_backward_in_concurrent_threads_matches_one_thread():
+    # each thread keeps its own padded, column and product buffers
+    rng = np.random.default_rng(26)
+    cases = [_conv_operands(rng, 4, 16, 16, e, 3, 1, np.float64) for e in (32, 24, 16, 12)]
+    want = [layers._stride1_backward(x, w, g) for x, w, g in cases]
+    wrong, done = [], []
+
+    def work(case):
+        x, w, g = cases[case]
+        for _ in range(20):
+            got = layers._stride1_backward(x, w, g)
+            if not all(np.array_equal(a, b) for a, b in zip(got, want[case])):
+                wrong.append(case)
+        done.append(case)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(cases))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(done) == list(range(len(cases))) and not wrong
+
+
+def test_streamed_conv_backward_memory_stays_near_its_input():
+    # the whole-batch weight-gradient columns of x here would be 28.1 MiB
+    x, w, g = _conv_operands(np.random.default_rng(27), 50, 16, 16, 32, 3, 1, np.float32)
+    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    with Tape() as tape:
+        loss = sum_all(conv2d(xt, wt) * Tensor(g))
+        tracemalloc.start()
+        try:
+            tape.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert xt.grad.shape == x.shape and wt.grad.shape == w.shape
+    assert peak < 3 * x.nbytes + 2 * layers._COLUMN_BYTES
+
+
 def test_batch_norm_standardizes_per_map_in_training():
     rng = np.random.default_rng(1)
     x = Tensor(rng.standard_normal((8, 3, 4, 4)) * 3.0 + 5.0, dtype=np.float64)
