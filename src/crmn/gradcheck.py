@@ -29,8 +29,8 @@ Every tensor is also scored many probes per evaluation. Its loss function
 carries a ``stacked`` form that takes K copies of the probed tensor, each
 with one scalar moved by +eps (or -eps), and runs the same replay once with
 the copies on a leading probe axis, in NumPy: the blocks through
-``ResidualTrunk.replay`` (which reuses the arithmetic of ``conv2d``,
-``batch_norm`` and the pools through their value functions), the adapter
+``ResidualTrunk.run`` over the ``layers.Values`` op table (the arithmetic of
+``conv2d`` and ``batch_norm`` through their value functions), the adapter
 through ``model.adapt_values``, the LSTM through ``lstm.gate_values``, then
 the head. Stacked arrays are kernels (K, co, ci, k, k), matrices
 (K, rows, cols), per-map vectors (K, c), per-unit vectors (K, 1, n) and
@@ -46,9 +46,7 @@ the matrix shape. The stacked path records nothing and charges no count.
 K is sized by bytes: as many probes as fit K copies of a probe's size (the
 column matrix of its widest replayed conv, or the probed tensor's copy) in
 2.25 MiB, at most 32. For the micro model that is 4 for the stem and
-block 0, 8 for stage 2, 16 for stage 3 and 32 for the LSTM and head. check_full(0) went
-from 8.2-10.2 s to 3.1-3.4 s, its trunk probes from 7.2-9.2 s to 2.2-2.4 s
-(1 BLAS thread, 2-core x86_64 VM).
+block 0, 8 for stage 2, 16 for stage 3 and 32 for the LSTM and head.
 """
 
 from __future__ import annotations
@@ -58,7 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, InputError
-from .layers import (BatchNorm, Dense, batch_norm, conv2d, global_avg_pool,
+from .layers import (BatchNorm, Dense, Values, batch_norm, conv2d, global_avg_pool,
                      global_pool_values, meanpool2x2)
 from .lstm import gate_values, init_lstm, initial_state, lstm_step, run_sequence
 from .model import adapt_tap, adapt_values, build_crmn, max_lstm_width
@@ -75,11 +73,8 @@ DEFAULT_TOLERANCE = 1e-4
 # columns through a fixed chunk, so the budget now bounds the stacked
 # activations: a 3x3 conv's columns are nine times its stride-1 input, so
 # every stacked trunk activation stays within about a ninth of 2.25 MiB (four
-# probes of the micro model's 2 x 4 x 32 x 32 float64 stage-1 maps). The
-# sizes are kept so that check_full's probes per call, and its report, stay
-# as they were. check_full(0)'s process peak was 41.4 MB with only the back
-# half stacked; with every tensor stacked it is 67.4 MB at one K = 32, 45.8 MB
-# at K = 8 and 41.2 MB sized by bytes
+# probes of the micro model's 2 x 4 x 32 x 32 float64 stage-1 maps). Sized so,
+# check_full(0)'s process peak is 41.2 MB, against 67.4 MB at one K = 32
 _PROBES = 32
 _STACK_BYTES = 9 * 2**18
 
@@ -368,7 +363,7 @@ def check_full(seed=0, eps=DEFAULT_EPS, batch=2) -> GradReport:
                     for v in (w["h0"], w["c0"]))
         else:
             value_of = lambda t: values if t is tensor else t.data
-            features, fresh = model.trunk.replay(inputs[start].data, value_of, start)
+            features, fresh = model.trunk.run(inputs[start].data, Values(value_of), start)
             pool, taps = global_pool_values(features), [adapt_values(t, width) for t in fresh]
             h, c = states[start].h.data, states[start].c.data
         for a in taps:

@@ -47,10 +47,10 @@ Each op's forward arithmetic is a NumPy value function (``conv_values``,
 ``batch_stats`` with ``norm_values``, ``pool2x2_values``,
 ``global_pool_values``) that takes leading axes (``conv_values`` on one
 operand only, images or kernels, not both); the taped op checks
-shapes, charges its count, records its closure and calls it. The gradient
-check's stacked probes (``Conv2d.replay``, ``BatchNorm.replay``) run the same
-functions on a leading probe axis, and each slice equals the unstacked
-value bit for bit.
+shapes, charges its count, records its closure and calls it. The trunk
+runs over an op table, ``Taped`` or ``Values``; the latter takes the value
+functions on a stand-in for any parameter, such as the gradient check's
+stack of probes, each slice equal to the unstacked value bit for bit.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import ContractError, DimensionError
-from .tensor import Tensor, _bump, _taped, _tensor, add, matmul
+from .tensor import Tensor, _bump, _taped, _tensor, add, matmul, pad_maps, relu, space_subsample
 
 BN_MOMENTUM = 0.1  # weight of each batch's statistics in the running estimates
 BN_EPS = 1e-5
@@ -268,10 +268,6 @@ class Conv2d:
     def forward(self, x):
         return conv2d(x, self.weight, self.stride)
 
-    def replay(self, x, value_of):
-        """forward in NumPy, with ``value_of(self.weight)`` as the kernel."""
-        return conv_values(x, value_of(self.weight), self.stride)
-
     def params(self):
         return [("weight", self.weight)]
 
@@ -375,11 +371,6 @@ class BatchNorm:
         return batch_norm(x, self.scale, self.shift, self.running_mean,
                           self.running_var, training, self.momentum)
 
-    def replay(self, x, value_of):
-        """forward(x, training=True) in NumPy; the running estimates stay as they are."""
-        scale, shift = value_of(self.scale), value_of(self.shift)
-        return norm_values(x, scale, shift, *batch_stats(x))[0]
-
     def params(self):
         return [("scale", self.scale), ("shift", self.shift)]
 
@@ -445,3 +436,52 @@ class Dense:
 
     def params(self):
         return [("weight", self.weight), ("bias", self.bias)]
+
+
+class Taped:
+    """Taped ops. ``conv2d`` and ``batch_norm`` are looked up here at call time and a block
+    is entered through ``ResidualBlock.forward``, so wrappers on those names see every call."""
+
+    def __init__(self, training):
+        self.training = training
+
+    def conv(self, layer, x):
+        return layer.forward(x)
+
+    def norm(self, layer, x):
+        return layer.forward(x, self.training)
+
+    def block(self, block, x):
+        return block.forward(x, self.training)
+
+    relu = staticmethod(relu)
+
+    def pad_maps(self, x, maps, stride):
+        return pad_maps(space_subsample(x) if stride == 2 else x, maps)
+
+
+class Values:
+    """The training forward's ops in NumPy on arrays with leading axes, ``value_of(t)`` standing
+    for each parameter t's data; nothing is recorded, counted or put in the running estimates."""
+
+    def __init__(self, value_of):
+        self.value_of = value_of
+
+    def conv(self, layer, x):
+        return conv_values(x, self.value_of(layer.weight), layer.stride)
+
+    def norm(self, layer, x):
+        scale, shift = self.value_of(layer.scale), self.value_of(layer.shift)
+        return norm_values(x, scale, shift, *batch_stats(x))[0]
+
+    def block(self, block, x):
+        return block.run(x, self)
+
+    def relu(self, x):
+        return np.maximum(x, 0)
+
+    def pad_maps(self, x, maps, stride):
+        kept = x[..., ::2, ::2] if stride == 2 else x
+        out = np.zeros(kept.shape[:-3] + (maps,) + kept.shape[-2:], dtype=kept.dtype)
+        out[..., :kept.shape[-3], :, :] = kept  # zero maps at the tail
+        return out

@@ -18,11 +18,10 @@ Dimension-changing shortcuts default to the parameter-free form (stride-2
 spatial subsampling plus zero maps appended at the tail). A 1x1 projection
 convolution followed by batch norm is available as a config option.
 
-``ResidualBlock.replay`` and ``ResidualTrunk.replay`` repeat the training
-forward in NumPy on arrays with leading axes, with any parameter replaced by
-a stand-in such as a stack of perturbed copies. They record nothing, charge
-no count and leave the running estimates alone; the gradient check uses
-them to score many probes per evaluation.
+The block's and the trunk's wiring is written once, in ``run``, over an
+op table from ``layers``: ``forward`` runs it over ``Taped``, and the
+gradient check over ``Values``, the training forward in NumPy with any
+parameter replaced by a stand-in such as a stack of perturbed copies.
 """
 
 from __future__ import annotations
@@ -33,8 +32,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .errors import ContractError, DimensionError, InputError
-from .layers import BatchNorm, Conv2d, global_avg_pool, he_conv_weight
-from .tensor import add, pad_maps, relu, space_subsample
+from .layers import BatchNorm, Conv2d, Taped, global_avg_pool, he_conv_weight
 
 VARIANTS = ("original", "preactivation")
 SHORTCUTS = ("pad", "projection")
@@ -163,53 +161,27 @@ class ResidualBlock:
             self.proj = Conv2d(he_conv_weight(rng, m, m_in, 1, dtype), spec.stride)
             self.proj_bn = BatchNorm(m, dtype=dtype)
 
-    def _shortcut(self, x, training):
-        if not self.spec.changes_shape:
-            return x
-        if self.proj is not None:
-            return self.proj_bn.forward(self.proj.forward(x), training)
-        s = space_subsample(x) if self.spec.stride == 2 else x
-        return pad_maps(s, self.spec.out_maps)
-
-    def _branch(self, x, training):
+    def run(self, x, ops):
+        """The block on x through the op table ``ops`` (``Taped`` or ``Values``)."""
+        # y is rebound once its maps are dead, so an untaped forward frees them early
         if self.variant == "original":
-            y = self.bn1.forward(self.conv1.forward(x), training)
-            y = self.conv2.forward(relu(y))
-            return self.bn2.forward(y, training)
-        y = relu(self.bn1.forward(x, training))
-        y = self.conv1.forward(y)
-        y = relu(self.bn2.forward(y, training))
-        return self.conv2.forward(y)
+            y = ops.norm(self.bn1, ops.conv(self.conv1, x))
+            y = ops.conv(self.conv2, ops.relu(y))
+            y = ops.norm(self.bn2, y)
+        else:
+            y = ops.conv(self.conv1, ops.relu(ops.norm(self.bn1, x)))
+            y = ops.relu(ops.norm(self.bn2, y))
+            y = ops.conv(self.conv2, y)
+        if self.proj is not None:  # the shortcut runs after the branch, in tape order
+            y = y + ops.norm(self.proj_bn, ops.conv(self.proj, x))
+        elif self.spec.changes_shape:
+            y = y + ops.pad_maps(x, self.spec.out_maps, self.spec.stride)
+        else:
+            y = y + x
+        return ops.relu(y) if self.variant == "original" else y
 
     def forward(self, x, training):
-        out = add(self._branch(x, training), self._shortcut(x, training))
-        if self.variant == "original":
-            out = relu(out)
-        return out
-
-    def replay(self, x, value_of):
-        """forward(x, training=True) in NumPy on x (..., b, c, h, w).
-
-        ``value_of(t)`` stands for each parameter t's data. Leading axes of x
-        and of the stand-ins broadcast, and the running estimates stay as
-        they are.
-        """
-        if self.variant == "original":
-            y = self.bn1.replay(self.conv1.replay(x, value_of), value_of)
-            y = self.bn2.replay(self.conv2.replay(np.maximum(y, 0), value_of), value_of)
-        else:
-            y = self.conv1.replay(np.maximum(self.bn1.replay(x, value_of), 0), value_of)
-            y = self.conv2.replay(np.maximum(self.bn2.replay(y, value_of), 0), value_of)
-        s = x
-        if self.proj is not None:
-            s = self.proj_bn.replay(self.proj.replay(x, value_of), value_of)
-        elif self.spec.changes_shape:
-            kept = x[..., ::2, ::2] if self.spec.stride == 2 else x
-            s = np.zeros(kept.shape[:-3] + (self.spec.out_maps,) + kept.shape[-2:],
-                         dtype=kept.dtype)
-            s[..., :kept.shape[-3], :, :] = kept  # zero maps at the tail
-        out = y + s
-        return np.maximum(out, 0) if self.variant == "original" else out
+        return self.run(x, Taped(training))
 
     def layers(self):
         """(name, layer) pairs in checkpoint order."""
@@ -255,33 +227,21 @@ class ResidualTrunk:
         if x.ndim != 4 or x.shape[1:] != (maps, e, e):
             raise DimensionError(f"trunk expects b*{maps}*{e}*{e} input at block {start}, "
                                  f"got {x.shape}")
-        y = x
-        if start == 0:
-            y = self.stem.forward(x)
-            if self.stem_bn is not None:
-                y = relu(self.stem_bn.forward(y, training))
-        taps = []
-        for block in self.blocks[start:]:
-            y = block.forward(y, training)
-            taps.append(y)
-        features = y
-        if self.final_bn is not None:
-            features = relu(self.final_bn.forward(features, training))
-        return features, taps
+        return self.run(x, Taped(training), start)
 
-    def replay(self, x, value_of, start=0):
-        """forward(x, training=True, start) in NumPy, as ``ResidualBlock.replay``."""
+    def run(self, x, ops, start=0):
+        """(features, taps) of x from block ``start`` on, through the op table ``ops``."""
         y = x
         if start == 0:
-            y = self.stem.replay(x, value_of)
+            y = ops.conv(self.stem, x)
             if self.stem_bn is not None:
-                y = np.maximum(self.stem_bn.replay(y, value_of), 0)
+                y = ops.relu(ops.norm(self.stem_bn, y))
         taps = []
         for block in self.blocks[start:]:
-            y = block.replay(y, value_of)
+            y = ops.block(block, y)
             taps.append(y)
         if self.final_bn is not None:
-            y = np.maximum(self.final_bn.replay(y, value_of), 0)
+            y = ops.relu(ops.norm(self.final_bn, y))
         return y, taps
 
     def layers(self):

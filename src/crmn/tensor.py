@@ -31,6 +31,7 @@ values and gradients are bit-reproducible for a given seed.
 
 from __future__ import annotations
 
+import threading
 from contextlib import contextmanager
 
 import numpy as np
@@ -114,23 +115,30 @@ class OpCounter:
         }
 
 
-_ACTIVE_TAPES: list["Tape"] = []
-_ACTIVE_COUNTERS: list[OpCounter] = []
+class _Active(threading.local):
+    """Open tapes and counters, innermost last, of the thread that runs an op."""
+
+    def __init__(self):
+        self.tapes = []
+        self.counters = []
+
+
+_ACTIVE = _Active()
 
 
 @contextmanager
 def count_ops():
     """Count forward scalar operations executed inside the block."""
     counter = OpCounter()
-    _ACTIVE_COUNTERS.append(counter)
+    _ACTIVE.counters.append(counter)
     try:
         yield counter
     finally:
-        _ACTIVE_COUNTERS.remove(counter)
+        _ACTIVE.counters.remove(counter)
 
 
 def _bump(mults=0, adds=0, activations=0):
-    for counter in _ACTIVE_COUNTERS:
+    for counter in _ACTIVE.counters:
         counter.mults += mults
         counter.adds += adds
         counter.activations += activations
@@ -153,11 +161,11 @@ class Tape:
         self._outputs = set()
 
     def __enter__(self):
-        _ACTIVE_TAPES.append(self)
+        _ACTIVE.tapes.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        _ACTIVE_TAPES.remove(self)
+        _ACTIVE.tapes.remove(self)
         return False
 
     def record(self, out, backward_fn):
@@ -200,7 +208,7 @@ class Tape:
 
 
 def active_tape():
-    return _ACTIVE_TAPES[-1] if _ACTIVE_TAPES else None
+    return _ACTIVE.tapes[-1] if _ACTIVE.tapes else None
 
 
 def backward(loss):

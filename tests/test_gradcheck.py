@@ -217,6 +217,7 @@ def test_stacked_losses_equal_whole_model_losses(monkeypatch):
     {"variant": "preactivation", "shortcut": "projection"},
     {"variant": "original", "shortcut": "projection"},
     {"output_gate": "sigmoid", "learn_c0": False},
+    {"variant": "preactivation"},
 ])
 def test_stacked_trunk_losses_equal_their_loop_on_every_switch(monkeypatch, switches):
     """Each architecture switch: stacked trunk losses equal the one-at-a-time suffix losses."""

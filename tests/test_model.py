@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import crmn.layers
 import crmn.model
 from crmn.lstm import initial_state, lstm_step
 from crmn.model import (
@@ -10,7 +11,7 @@ from crmn.model import (
     build_resnet, max_lstm_width,
 )
 from crmn.resnet import NetworkConfig, trunk_forward
-from crmn.tensor import Tensor
+from crmn.tensor import Tape, Tensor
 
 
 def cfg_for(n, base, **kw):
@@ -196,3 +197,32 @@ def test_config_roundtrips_through_dict():
                   shortcut="projection", output_gate="sigmoid", learn_c0=False)
     clone = NetworkConfig.from_dict(cfg.as_dict())
     assert clone.as_dict() == cfg.as_dict()
+
+
+@pytest.mark.parametrize("kw", [{"variant": v, "shortcut": s}
+                                for v in ("original", "preactivation")
+                                for s in ("pad", "projection")],
+                         ids=lambda kw: f"{kw['variant']}-{kw['shortcut']}")
+def test_a_taped_forward_calls_conv2d_and_batch_norm_through_the_layers_module(
+        monkeypatch, kw):
+    """Every conv and norm of the trunk is a call-time lookup a profiler can wrap."""
+    calls = {"conv2d": 0, "batch_norm": 0}
+
+    def counting(name):
+        original = getattr(crmn.layers, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(crmn.layers, name, counting(name))
+    cfg = cfg_for(2, 4, hidden_size=3, input_extent=8, **kw)
+    model = build_crmn(cfg, seed=5)
+    x = Tensor(np.random.default_rng(6).random((2, 3, 8, 8), dtype=np.float32))
+    with Tape():
+        model.forward(x, training=True)
+    projections = 2 if kw["shortcut"] == "projection" else 0  # stages 2 and 3
+    assert calls == {"conv2d": 1 + 6 * cfg.n + projections,
+                     "batch_norm": 1 + 6 * cfg.n + projections}

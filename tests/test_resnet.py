@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from crmn.errors import ContractError, DimensionError, InputError
+from crmn.layers import Values
 from crmn.resnet import (
     BlockSpec, NetworkConfig, ResidualBlock, block_plan, build_trunk,
     trunk_forward,
 )
-from crmn.tensor import Tensor
+from crmn.tensor import Tensor, count_ops
 
 
 def cfg_for(n, base, **kw):
@@ -212,3 +213,44 @@ def test_forward_from_a_block_rejects_the_wrong_input():
     for start in (-1, len(taps) + 1):
         with pytest.raises(ContractError):
             trunk.forward(taps[-1], training=False, start=start)
+
+
+SWITCHES = [{"variant": v, "shortcut": s}
+            for v in ("original", "preactivation") for s in ("pad", "projection")]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kw", SWITCHES, ids=lambda kw: f"{kw['variant']}-{kw['shortcut']}")
+def test_value_table_repeats_the_taped_training_forward(kw, dtype):
+    """From every block: byte-equal to the taped forward, no count, no running-estimate update."""
+    trunk = build_trunk(cfg_for(1, 4, input_extent=8, **kw), seed=16, dtype=dtype)
+    x = np.random.default_rng(17).standard_normal((3, 3, 8, 8)).astype(dtype)
+    inputs = [x] + [t.data for t in trunk.forward(Tensor(x), True)[1]]
+    for start, block_input in enumerate(inputs):
+        state = [a.copy() for _, a in trunk.named_state()]
+        with count_ops() as ops:
+            features, taps = trunk.run(block_input, Values(lambda t: t.data), start)
+        assert ops.total == 0
+        assert all(np.array_equal(a, b, equal_nan=True)
+                   for a, (_, b) in zip(state, trunk.named_state())), start
+        want_features, want_taps = trunk.forward(Tensor(block_input), True, start)
+        assert features.dtype == dtype and features.tobytes() == want_features.data.tobytes()
+        assert len(taps) == len(want_taps) == len(trunk.blocks) - start
+        assert all(a.tobytes() == b.data.tobytes() for a, b in zip(taps, want_taps)), start
+
+
+def test_value_table_runs_a_kernel_stack_as_one_forward_per_kernel():
+    trunk = build_trunk(cfg_for(1, 4, input_extent=8, shortcut="projection"), seed=18,
+                        dtype=np.float64)
+    block = trunk.blocks[1]
+    weight = block.conv1.weight
+    rng = np.random.default_rng(19)
+    kernels = weight.data + 0.1 * rng.standard_normal((3,) + weight.shape)
+    x = rng.standard_normal((2, 4, 8, 8))
+    features, taps = trunk.run(x, Values(lambda t: kernels if t is weight else t.data), 1)
+    assert features.shape == (3, 2, 16, 2, 2)
+    for k, kernel in enumerate(kernels):
+        weight.data[...] = kernel
+        want_features, want_taps = trunk.forward(Tensor(x), True, 1)
+        assert np.array_equal(features[k], want_features.data), k
+        assert all(np.array_equal(a[k], b.data) for a, b in zip(taps, want_taps)), k

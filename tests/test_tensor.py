@@ -1,5 +1,7 @@
 """Autodiff core: forward values, hand-computed gradients, tape contracts."""
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -427,3 +429,38 @@ def test_an_output_is_taped_exactly_when_an_input_needs_a_gradient(op, shapes):
         recorded = {id(out) for out, _ in tape._entries}
         assert len(tape._entries) == len(recorded)
         assert recorded == ({id(o) for o in outs} if taped else set()), grad_at
+
+
+def test_tapes_and_counters_in_concurrent_threads_see_only_their_own_ops():
+    # each thread records onto its own tape and charges its own counter
+    rng = np.random.default_rng(31)
+    x, w = rng.standard_normal((4, 8, 12, 12)), rng.standard_normal((8, 8, 3, 3))
+    passes = 20
+    conv_ops = 2 * (4 * 8 * 12 * 12) * (8 * 3 * 3)  # a multiply and an add per tap
+    want = passes * (conv_ops + 4 * 8 * 12 * 12)  # and sum_all's adds
+    errors, counts = [], {}
+
+    def work(i):
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        try:
+            with count_ops() as ops:
+                for _ in range(passes):
+                    with Tape() as tape:
+                        tape.backward(sum_all(conv2d(xt, wt)))
+            counts[i] = ops.total
+        except ContractError as e:
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert counts == {i: want for i in range(4)}
