@@ -11,15 +11,18 @@ so a reloaded model evaluates identically.
 
 Loading draws no random initialization: ``load_model`` builds the model with
 ``seed=None`` (every array allocated, nothing drawn) in the dtype of the
-file's parameters, then copies each file tensor into its array. A tensor
-whose name, shape or dtype differs from its destination's is a
-``FormatError``; batch-norm running statistics are always float64.
+file's parameters, checks every tensor's name, shape and dtype against its
+array, and reads each tensor's bytes straight into that array; nothing else
+holds a copy. A tensor whose name, shape or dtype differs from its
+destination's is a ``FormatError``; batch-norm running statistics are
+always float64.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -74,18 +77,22 @@ def _entry_layout(path, entry):
     return name, dtype, tuple(shape)
 
 
-def load_tensors(path):
-    """Read a container; returns (manifest, ordered dict of name -> array)."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < len(MAGIC) + 8 or data[:len(MAGIC)] != MAGIC:
+def _read_header(path, fh):
+    """Check an open container's magic, manifest and size against its tensor list.
+
+    Returns (manifest, [(name, dtype, shape)]) with ``fh`` at the first
+    tensor's bytes, which the listed tensors fill exactly.
+    """
+    size = os.fstat(fh.fileno()).st_size
+    head = fh.read(len(MAGIC) + 8)
+    if len(head) < len(MAGIC) + 8 or head[:len(MAGIC)] != MAGIC:
         raise FormatError(f"{path}: not a tensor container (bad magic)")
-    (blob_len,) = struct.unpack_from("<Q", data, len(MAGIC))
-    start = len(MAGIC) + 8
-    if len(data) < start + blob_len:
-        raise FormatError(f"{path}: truncated manifest ({len(data)} bytes)")
+    (blob_len,) = struct.unpack_from("<Q", head, len(MAGIC))
+    offset = len(head) + blob_len
+    if size < offset:
+        raise FormatError(f"{path}: truncated manifest ({size} bytes)")
     try:
-        manifest = json.loads(data[start:start + blob_len].decode("utf-8"))
+        manifest = json.loads(fh.read(blob_len).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"{path}: unreadable manifest: {exc}") from exc
     if not isinstance(manifest, dict):
@@ -95,22 +102,36 @@ def load_tensors(path):
     listing = manifest.get("tensors")
     if not isinstance(listing, list):
         raise FormatError(f"{path}: manifest has no tensor list")
-    offset = start + blob_len
-    tensors = {}
+    layouts = []
     for entry in listing:
         name, dtype, shape = _entry_layout(path, entry)
-        count = math.prod(shape)
-        nbytes = count * dtype.itemsize
-        if offset + nbytes > len(data):
+        end = offset + math.prod(shape) * dtype.itemsize
+        if end > size:
             raise FormatError(f"{path}: truncated at byte {offset} reading {name!r}")
-        try:
-            arr = np.frombuffer(data, dtype=dtype, count=count, offset=offset).reshape(shape)
-        except ValueError as exc:  # an empty shape NumPy cannot hold (>64 dims, huge dims)
-            raise FormatError(f"{path}: {name!r} has shape {list(shape)}: {exc}") from None
-        tensors[name] = arr.copy()
-        offset += nbytes
-    if offset != len(data):
-        raise FormatError(f"{path}: {len(data) - offset} trailing bytes")
+        layouts.append((name, dtype, shape))
+        offset = end
+    if offset != size:
+        raise FormatError(f"{path}: {size - offset} trailing bytes")
+    return manifest, layouts
+
+
+def _read_into(path, fh, name, dest):
+    if fh.readinto(dest) != dest.nbytes:
+        raise FormatError(f"{path}: truncated reading {name!r}")
+
+
+def load_tensors(path):
+    """Read a container; returns (manifest, ordered dict of name -> array)."""
+    with open(path, "rb") as fh:
+        manifest, layouts = _read_header(path, fh)
+        tensors = {}
+        for name, dtype, shape in layouts:
+            try:
+                arr = np.empty(shape, dtype=dtype)
+            except ValueError as exc:  # an empty shape NumPy cannot hold (>64 dims, huge dims)
+                raise FormatError(f"{path}: {name!r} has shape {list(shape)}: {exc}") from None
+            _read_into(path, fh, name, arr)
+            tensors[name] = arr
     return manifest, tensors
 
 
@@ -132,36 +153,37 @@ def load_model(path):
     for a bad config or kind, or for a tensor whose name, shape or dtype does
     not match the model the config describes.
     """
-    manifest, tensors = load_tensors(path)
-    try:
-        cfg = NetworkConfig.from_dict(manifest.get("config"))
-    except InputError as exc:
-        raise FormatError(f"{path}: bad model config: {exc}") from None
-    kind = manifest.get("kind")
-    if kind not in KINDS:
-        raise FormatError(f"{path}: unknown model kind {kind!r}")
-    # no real model has fewer values than n, maps, hidden units or classes; ruling
-    # those out first keeps cost_report's walk over 3n blocks short and its ratio finite
-    count = sum(arr.size for arr in tensors.values())
-    if (max(cfg.n, cfg.base_maps, cfg.hidden_size, cfg.classes) > count
-            or cost_report(kind, cfg).params_total > count):
-        raise FormatError(f"{path}: config needs more parameters than the "
-                          f"{count} values the file holds")
-    # checkpoint order puts a parameter first; its dtype is the model's
-    dtype = next(iter(tensors.values())).dtype
-    model = (build_crmn if kind == "crmn" else build_resnet)(cfg, seed=None, dtype=dtype)
-    arrays = dict(model.named_arrays())
-    if arrays.keys() != tensors.keys():
-        missing = sorted(arrays.keys() - tensors.keys())[:3]
-        surplus = sorted(tensors.keys() - arrays.keys())[:3]
-        raise FormatError(f"{path}: tensor names do not match config "
-                          f"(missing {missing}, surplus {surplus})")
-    for name, dest in arrays.items():
-        if tensors[name].shape != dest.shape:
-            raise FormatError(f"{path}: {name} has shape {tensors[name].shape}, "
-                              f"expected {dest.shape}")
-        if tensors[name].dtype != dest.dtype:
-            raise FormatError(f"{path}: {name} has dtype {tensors[name].dtype}, "
-                              f"expected {dest.dtype}")
-        dest[...] = tensors[name]
+    with open(path, "rb") as fh:
+        manifest, layouts = _read_header(path, fh)
+        try:
+            cfg = NetworkConfig.from_dict(manifest.get("config"))
+        except InputError as exc:
+            raise FormatError(f"{path}: bad model config: {exc}") from None
+        kind = manifest.get("kind")
+        if kind not in KINDS:
+            raise FormatError(f"{path}: unknown model kind {kind!r}")
+        # no real model has fewer values than n, maps, hidden units or classes; ruling
+        # those out first keeps cost_report's walk over 3n blocks short and its ratio finite
+        count = sum(math.prod(shape) for _, _, shape in layouts)
+        if (max(cfg.n, cfg.base_maps, cfg.hidden_size, cfg.classes) > count
+                or cost_report(kind, cfg).params_total > count):
+            raise FormatError(f"{path}: config needs more parameters than the "
+                              f"{count} values the file holds")
+        # checkpoint order puts a parameter first; its dtype is the model's
+        model = (build_crmn if kind == "crmn" else build_resnet)(cfg, seed=None,
+                                                                  dtype=layouts[0][1])
+        arrays = dict(model.named_arrays())
+        names = {name for name, _, _ in layouts}
+        if arrays.keys() != names:
+            missing = sorted(arrays.keys() - names)[:3]
+            surplus = sorted(names - arrays.keys())[:3]
+            raise FormatError(f"{path}: tensor names do not match config "
+                              f"(missing {missing}, surplus {surplus})")
+        for name, dtype, shape in layouts:
+            dest = arrays[name]
+            if shape != dest.shape:
+                raise FormatError(f"{path}: {name} has shape {shape}, expected {dest.shape}")
+            if dtype != dest.dtype:
+                raise FormatError(f"{path}: {name} has dtype {dtype}, expected {dest.dtype}")
+            _read_into(path, fh, name, dest)
     return model

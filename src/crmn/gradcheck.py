@@ -11,30 +11,29 @@ Three scopes:
   full  - an end-to-end micro model (n=1, base 4, hidden 5, 3 classes,
           batch 2, training mode)
 
-The full sweep exploits the model's one-way dataflow, caching the taps of
-the analytic pass, their adapted forms, the LSTM state after each and the
-pool features:
+The full sweep exploits the model's one-way dataflow, caching every block's
+input, the adapted taps, the LSTM state before each tap and the pool
+features of the analytic pass:
   trunk suffix - perturbing a parameter of block j changes nothing before
-                 block j, so its numeric evaluations rerun the trunk from
-                 block j on block j-1's cached output, then the LSTM from
-                 its cached state after tap j-1 over the fresh taps, then
-                 the head; the stem and block 0 run the whole model
+                 block j, so its numeric evaluations run the model's loop,
+                 ``CrmnModel.run``, from block j on its cached input and the
+                 LSTM's cached state; the stem and block 0 run it all
   back half    - perturbing LSTM or head parameters cannot change trunk
-                 activations, so those evaluations replay only the LSTM and
-                 the head on the cached adapted taps and pool features
-Every replayed loss is bit-identical to a whole-model evaluation. The
-analytic side is still one whole-graph backward pass.
+                 activations, so those evaluations run only the LSTM steps
+                 over the cached adapted taps, then the head
+Both go through an op table, ``model.Taped`` for one probe. Every replayed
+loss is bit-identical to a whole-model evaluation. The analytic side is
+still one whole-graph backward pass.
 
 Every tensor is also scored many probes per evaluation. Its loss function
 carries a ``stacked`` form that takes K copies of the probed tensor, each
 with one scalar moved by +eps (or -eps), and runs the same replay once with
-the copies on a leading probe axis, in NumPy: the blocks through
-``ResidualTrunk.run`` over the ``layers.Values`` op table (the arithmetic of
-``conv2d`` and ``batch_norm`` through their value functions), the adapter
-through ``model.adapt_values``, the LSTM through ``lstm.gate_values``, then
-the head. Stacked arrays are kernels (K, co, ci, k, k), matrices
-(K, rows, cols), per-map vectors (K, c), per-unit vectors (K, 1, n) and
-activations (K, batch, ...). ``np.matmul`` then runs one GEMM per probe
+the copies on a leading probe axis, in NumPy, over ``model.Values``: the
+arithmetic of ``conv2d`` and ``batch_norm`` through their value functions,
+the adapter, the LSTM step through ``lstm.gate_values``, then the head.
+Stacked arrays are kernels (K, co, ci, k, k), matrices (K, rows, cols),
+per-map vectors (K, c), per-unit vectors (K, 1, n) and activations
+(K, batch, ...). ``np.matmul`` then runs one GEMM per probe
 (per probe and image in a conv), each of the unstacked shape, and the
 batch-norm statistics of a (K, b, c, h, w) stack reduce each slice in the
 unstacked order, so every loss is bit-identical to its one-at-a-time
@@ -56,10 +55,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, InputError
-from .layers import (BatchNorm, Dense, Values, batch_norm, conv2d, global_avg_pool,
-                     global_pool_values, meanpool2x2)
-from .lstm import gate_values, init_lstm, initial_state, lstm_step, run_sequence
-from .model import adapt_tap, adapt_values, build_crmn, max_lstm_width
+from .layers import BatchNorm, Dense, batch_norm, conv2d, global_avg_pool, meanpool2x2
+from .lstm import LstmState, init_lstm, run_sequence
+# adapt_tap and trunk_forward are unused here: bench/tracer.py wraps them in this module
+from .model import Taped, Values, adapt_tap, build_crmn
 from .resnet import NetworkConfig, trunk_forward
 from .tensor import (Tape, Tensor, _softmax_xent, add, backward, concat_cols, matmul, mul,
                      pad_cols, relu, sigmoid, softmax_cross_entropy, sum_all, tanh)
@@ -198,89 +197,52 @@ def _t(rng, *shape):
 
 
 def check_ops(seed=0, eps=DEFAULT_EPS) -> GradReport:
-    report = GradReport("ops")
     rng = np.random.default_rng(seed)
-
     a, b = _t(rng, 3, 4), _t(rng, 4, 2)
-    report.entries.append(check_tensors(
-        "matmul", lambda: _weighted_sum(matmul(a, b), np.random.default_rng(7)), [a, b], eps))
-
-    x, y = _t(rng, 3, 5), _t(rng, 3, 5)
-    report.entries.append(check_tensors(
-        "add", lambda: _weighted_sum(add(x, y), np.random.default_rng(8)), [x, y], eps))
-    v = _t(rng, 5)
-    report.entries.append(check_tensors(
-        "add_vector", lambda: _weighted_sum(add(x, v), np.random.default_rng(9)), [x, v], eps))
-    report.entries.append(check_tensors(
-        "mul", lambda: _weighted_sum(mul(x, y), np.random.default_rng(10)), [x, y], eps))
-    report.entries.append(check_tensors(
-        "mul_vector", lambda: _weighted_sum(mul(x, v), np.random.default_rng(11)), [x, v], eps))
-
-    s = _t(rng, 4, 6)
-    report.entries.append(check_tensors(
-        "sigmoid", lambda: _weighted_sum(sigmoid(s), np.random.default_rng(12)), [s], eps))
-    report.entries.append(check_tensors(
-        "tanh", lambda: _weighted_sum(tanh(s), np.random.default_rng(13)), [s], eps))
-    r = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
+    x, y, v = _t(rng, 3, 5), _t(rng, 3, 5), _t(rng, 5)
+    s, r = _t(rng, 4, 6), _t(rng, 4, 6)
     r.data[np.abs(r.data) < 0.05] += 0.1  # keep clear of the kink
-    report.entries.append(check_tensors(
-        "relu", lambda: _weighted_sum(relu(r), np.random.default_rng(14)), [r], eps))
-
     cx = _t(rng, 2, 3, 5, 5)
     cw = Tensor(rng.standard_normal((4, 3, 3, 3)) * 0.5, requires_grad=True)
-    report.entries.append(check_tensors(
-        "conv2d", lambda: _weighted_sum(conv2d(cx, cw), np.random.default_rng(15)),
-        [cx, cw], eps))
-    report.entries.append(check_tensors(
-        "conv2d_stride2", lambda: _weighted_sum(conv2d(cx, cw, stride=2),
-                                                np.random.default_rng(16)),
-        [cx, cw], eps))
-
     bx = _t(rng, 3, 2, 4, 4)
     bn = BatchNorm(2, dtype=np.float64)
     bn.scale.data += rng.standard_normal(2) * 0.2
     bn.shift.data += rng.standard_normal(2) * 0.2
-    report.entries.append(check_tensors(
-        "batch_norm_train",
-        lambda: _weighted_sum(batch_norm(bx, bn.scale, bn.shift, bn.running_mean,
-                                         bn.running_var, True),
-                              np.random.default_rng(17)),
-        [bx, bn.scale, bn.shift], eps))
-    report.entries.append(check_tensors(
-        "batch_norm_eval",
-        lambda: _weighted_sum(batch_norm(bx, bn.scale, bn.shift, bn.running_mean,
-                                         bn.running_var, False),
-                              np.random.default_rng(18)),
-        [bx, bn.scale, bn.shift], eps))
-
     px = _t(rng, 2, 3, 4, 4)
-    report.entries.append(check_tensors(
-        "meanpool2x2", lambda: _weighted_sum(meanpool2x2(px), np.random.default_rng(19)),
-        [px], eps))
-    report.entries.append(check_tensors(
-        "global_avg_pool",
-        lambda: _weighted_sum(global_avg_pool(px), np.random.default_rng(20)), [px], eps))
-
     dx, dw, db = _t(rng, 3, 6), _t(rng, 6, 4), _t(rng, 4)
-    dense = Dense(dw, db)
-    report.entries.append(check_tensors(
-        "dense", lambda: _weighted_sum(dense.forward(dx), np.random.default_rng(21)),
-        [dx, dw, db], eps))
-
     logits = _t(rng, 4, 5)
-    labels = np.array([0, 2, 4, 1])
-    report.entries.append(check_tensors(
-        "softmax_cross_entropy", lambda: softmax_cross_entropy(logits, labels),
-        [logits], eps))
-
     ca, cb = _t(rng, 2, 3), _t(rng, 2, 4)
-    report.entries.append(check_tensors(
-        "concat_cols", lambda: _weighted_sum(concat_cols(ca, cb), np.random.default_rng(22)),
-        [ca, cb], eps))
     pc = _t(rng, 2, 3)
-    report.entries.append(check_tensors(
-        "pad_cols", lambda: _weighted_sum(pad_cols(pc, 6), np.random.default_rng(23)),
-        [pc], eps))
+    norm = lambda training: batch_norm(bx, bn.scale, bn.shift, bn.running_mean,
+                                       bn.running_var, training)
+    # (name, seed of the fixed random weighting of the op's output, op, inputs);
+    # the cross-entropy is a loss already and takes no weighting
+    checks = [
+        ("matmul", 7, lambda: matmul(a, b), [a, b]),
+        ("add", 8, lambda: add(x, y), [x, y]),
+        ("add_vector", 9, lambda: add(x, v), [x, v]),
+        ("mul", 10, lambda: mul(x, y), [x, y]),
+        ("mul_vector", 11, lambda: mul(x, v), [x, v]),
+        ("sigmoid", 12, lambda: sigmoid(s), [s]),
+        ("tanh", 13, lambda: tanh(s), [s]),
+        ("relu", 14, lambda: relu(r), [r]),
+        ("conv2d", 15, lambda: conv2d(cx, cw), [cx, cw]),
+        ("conv2d_stride2", 16, lambda: conv2d(cx, cw, stride=2), [cx, cw]),
+        ("batch_norm_train", 17, lambda: norm(True), [bx, bn.scale, bn.shift]),
+        ("batch_norm_eval", 18, lambda: norm(False), [bx, bn.scale, bn.shift]),
+        ("meanpool2x2", 19, lambda: meanpool2x2(px), [px]),
+        ("global_avg_pool", 20, lambda: global_avg_pool(px), [px]),
+        ("dense", 21, lambda: Dense(dw, db).forward(dx), [dx, dw, db]),
+        ("softmax_cross_entropy", None,
+         lambda: softmax_cross_entropy(logits, np.array([0, 2, 4, 1])), [logits]),
+        ("concat_cols", 22, lambda: concat_cols(ca, cb), [ca, cb]),
+        ("pad_cols", 23, lambda: pad_cols(pc, 6), [pc]),
+    ]
+    report = GradReport("ops")
+    for name, weighting, op, inputs in checks:
+        loss_fn = op if weighting is None else (
+            lambda op=op, k=weighting: _weighted_sum(op(), np.random.default_rng(k)))
+        report.entries.append(check_tensors(name, loss_fn, inputs, eps))
     return report
 
 
@@ -297,10 +259,8 @@ def check_lstm(seed=0, eps=DEFAULT_EPS, steps=3, width=8, hidden=5, batch=2) -> 
     def loss_fn():
         return _weighted_sum(run_sequence(params, xs), np.random.default_rng(40))
 
-    for name, t in params.named_params():
+    for name, t in params.named_params() + [(f"x{k}", t) for k, t in enumerate(xs)]:
         report.entries.append(check_tensors(f"lstm.{name}", loss_fn, [t], eps))
-    for k, t in enumerate(xs):
-        report.entries.append(check_tensors(f"lstm.x{k}", loss_fn, [t], eps))
     return report
 
 
@@ -323,61 +283,36 @@ def check_full(seed=0, eps=DEFAULT_EPS, batch=2) -> GradReport:
     # cache every block's input, the adapted taps, the LSTM state before each
     # tap and the pool features once: a perturbation of block j changes
     # nothing before block j, and one of the LSTM or head nothing in the trunk
-    inputs = [x] + [Tensor(t.data) for t in parts["taps"]]
-    pool_out = Tensor(parts["pool_out"].data)
-    width = max_lstm_width(cfg)
-    adapted = [adapt_tap(t, width) for t in inputs[1:]]
-    states = [initial_state(model.lstm, batch)]
+    inputs = [x.data] + [t.data for t in parts["taps"]]
+    pool_out = parts["pool_out"].data
+    plain = Values(lambda t: t.data)
+    adapted = [plain.adapt(t, model.max_width) for t in inputs[1:]]
+    states = [plain.start(model.lstm, batch)]
     for a in adapted:
-        states.append(lstm_step(model.lstm, a, states[-1]))
+        states.append(plain.step(model.lstm, a, states[-1]))
 
-    def taped_loss(start):
-        """The loss through the taped ops, replaying as stacked_losses does."""
-        if start is None:
-            hidden = run_sequence(model.lstm, adapted)
-            pool = pool_out
-        else:
-            pool, taps = trunk_forward(model.trunk, inputs[start], True, start=start)
-            hidden = run_sequence(model.lstm, [adapt_tap(t, width) for t in taps], states[start])
-        return softmax_cross_entropy(model.head.forward(concat_cols(pool, hidden)), labels)
-
-    lstm_params = model.lstm.named_params()
-
-    def stacked_losses(tensor, values, start):
-        """The loss with tensor set to each copy in a (K, *tensor.shape) stack.
-
-        A trunk tensor replays blocks ``start`` onward (the stem too at 0) in
-        NumPy, then the LSTM from its cached state ``start`` over the fresh
-        taps; an LSTM or head tensor (``start`` None) replays the LSTM from
-        the beginning over the cached taps. The probe axis leads every stacked
-        array, so each GEMM slice has the unstacked shape and each loss equals
-        the one-at-a-time loss bit for bit.
-        """
-        # an LSTM or head vector (K, n) -> (K, 1, n), broadcast over the batch
-        rows = values[:, None, :] if values.ndim == 2 else values
-        w = {n: rows if t is tensor else t.data for n, t in lstm_params}
-        head_w, head_b = (rows if t is tensor else t.data for _, t in model.head.params())
-        if start is None:
-            pool, taps = pool_out.data, [a.data for a in adapted]
-            h, c = (np.broadcast_to(v, np.broadcast_shapes(v.shape, (batch, model.lstm.hidden)))
-                    for v in (w["h0"], w["c0"]))
-        else:
-            value_of = lambda t: values if t is tensor else t.data
-            features, fresh = model.trunk.run(inputs[start].data, Values(value_of), start)
-            pool, taps = global_pool_values(features), [adapt_values(t, width) for t in fresh]
-            h, c = states[start].h.data, states[start].c.data
-        for a in taps:
-            *_, c, o, tc = gate_values(a, h, c, w, model.lstm.output_gate)
-            h = o * tc
-        lead = np.broadcast_shapes(pool.shape[:-1], h.shape[:-1])
-        features = np.concatenate([np.broadcast_to(v, lead + v.shape[-1:]) for v in (pool, h)],
-                                  axis=-1)
-        return _softmax_xent(features @ head_w + head_b, labels)[1]
+    def replay(ops, wrap, start):
+        """The logits through ``ops``, the cached values taken by ``wrap``: the model
+        from block ``start`` on, or with ``start`` None the LSTM and the head alone."""
+        if start is not None:
+            state = LstmState(wrap(states[start].h), wrap(states[start].c))
+            return model.run(wrap(inputs[start]), ops, start, state)[0]
+        state = ops.start(model.lstm, batch)
+        for a in adapted:
+            state = ops.step(model.lstm, wrap(a), state)
+        return ops.head(model.head, wrap(pool_out), state.h)
 
     def probe_loss(tensor, start):
         """tensor's loss for numeric_gradient, taped for one probe or stacked for many."""
-        value = lambda: taped_loss(start).item()
-        value.stacked = lambda values: stacked_losses(tensor, values, start)
+        def stacked(values):
+            # an LSTM or head vector (K, n) -> (K, 1, n), broadcast over the batch
+            if start is None and values.ndim == 2:
+                values = values[:, None, :]
+            ops = Values(lambda t: values if t is tensor else t.data)
+            return _softmax_xent(replay(ops, np.asarray, start), labels)[1]
+
+        value = lambda: softmax_cross_entropy(replay(Taped(True), Tensor, start), labels).item()
+        value.stacked = stacked
         value.probe_bytes = max(tensor.data.nbytes, _column_bytes(model.trunk, start, x.data))
         return value
 

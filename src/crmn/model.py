@@ -2,9 +2,17 @@
 
 Each tap is mean-pooled 2x2, flattened in (map, row, col) order, and
 zero-padded at the tail to the widest pooled tap, which is always the
-stage-1 width: base_maps * (input_extent/2)^2. The adapted taps run through
-the LSTM shallowest-first; the final hidden state is concatenated after the
+stage-1 width: base_maps * (input_extent/2)^2. The LSTM reads the adapted
+taps shallowest-first; the final hidden state is concatenated after the
 trunk's global-pool features and fed to a single dense layer.
+
+The model runs as one depth-wise loop, ``CrmnModel.run``, over an op table
+that adds the adapter, LSTM step, pool and head to the trunk's: ``Taped``
+for ``forward``, ``Values`` for the gradient check's stacked probes. The
+LSTM reads each tap once the next block has run on it, the last after the
+pool, so an untaped forward holds one tap, not all 3n. The lag keeps the
+tape order of reading every tap after the trunk: each tap's gradient sums
+its terms (adapter, next block's shortcut and first op) in that order.
 
 The LSTM only reads tap values; nothing feeds back into the trunk, so
 trunk activations are identical with and without the LSTM attached. One
@@ -18,8 +26,11 @@ from collections import namedtuple
 
 import numpy as np
 
-from .layers import Dense, he_dense_weight, meanpool2x2, pool2x2_values
-from .lstm import init_lstm, run_sequence
+from . import layers, lstm
+from .layers import (Dense, global_avg_pool, global_pool_values, he_dense_weight, meanpool2x2,
+                     pool2x2_values)
+# run_sequence and trunk_forward are unused here: bench/tracer.py wraps them in this module
+from .lstm import LstmState, gate_values, init_lstm, initial_state, run_sequence
 from .resnet import (NetworkConfig, ResidualTrunk, block_plan, build_trunk, seeded_rng,
                      trunk_forward)
 from .tensor import Tensor, concat_cols, pad_cols, reshape
@@ -39,15 +50,6 @@ def adapt_tap(tap, max_width):
     return pad_cols(flat, max_width)
 
 
-def adapt_values(tap, max_width):
-    """adapt_tap in NumPy on tap (..., b, c, h, w): (..., b, max_width)."""
-    pooled = pool2x2_values(tap)
-    flat = pooled.reshape(pooled.shape[:-3] + (-1,))
-    out = np.zeros(flat.shape[:-1] + (max_width,), dtype=flat.dtype)
-    out[..., :flat.shape[-1]] = flat
-    return out
-
-
 TapTrace = namedtuple("TapTrace", "stage index maps extent pooled_width pad")
 
 
@@ -60,6 +62,52 @@ def adapter_trace(cfg: NetworkConfig):
         rows.append(TapTrace(spec.stage, spec.index, spec.out_maps,
                              spec.out_extent, pooled, width - pooled))
     return rows
+
+
+class Taped(layers.Taped):
+    """The trunk's taped ops plus the memory path and head. ``adapt_tap`` and
+    ``lstm.lstm_step`` are looked up at call time, so wrappers on them see every call."""
+
+    start = staticmethod(initial_state)
+    pool = staticmethod(global_avg_pool)
+
+    def adapt(self, tap, width):
+        return adapt_tap(tap, width)
+
+    def step(self, p, x, state):
+        return lstm.lstm_step(p, x, state)
+
+    def head(self, head, pool, hidden):
+        return head.forward(pool if hidden is None else concat_cols(pool, hidden))
+
+
+class Values(layers.Values):
+    """The trunk's NumPy ops plus the memory path and head, on arrays whose leading
+    axes broadcast; an LSTM state is an ``LstmState`` of arrays."""
+
+    pool = staticmethod(global_pool_values)
+
+    def adapt(self, tap, width):
+        flat = pool2x2_values(tap).reshape(tap.shape[:-3] + (-1,))
+        out = np.zeros(flat.shape[:-1] + (width,), dtype=flat.dtype)
+        out[..., :flat.shape[-1]] = flat
+        return out
+
+    def start(self, p, batch):
+        return LstmState(*(np.broadcast_to(v, np.broadcast_shapes(v.shape, (batch, p.hidden)))
+                           for v in (self.value_of(p.h0), self.value_of(p.c0))))
+
+    def step(self, p, x, state):
+        w = {n: self.value_of(t) for n, t in p.named_params()}
+        *_, c, o, tc = gate_values(x, state.h, state.c, w, p.output_gate)
+        return LstmState(o * tc, c)
+
+    def head(self, head, pool, hidden):
+        if hidden is not None:
+            lead = np.broadcast_shapes(pool.shape[:-1], hidden.shape[:-1])
+            pool = np.concatenate([np.broadcast_to(v, lead + v.shape[-1:])
+                                   for v in (pool, hidden)], axis=-1)
+        return pool @ self.value_of(head.weight) + self.value_of(head.bias)
 
 
 def _decays(name):
@@ -79,17 +127,39 @@ class CrmnModel:
         self.max_width = max_lstm_width(cfg)
 
     def forward(self, x, training=False, return_parts=False):
-        pool_out, taps = trunk_forward(self.trunk, x, training)
+        """Logits of x; with ``return_parts`` also the pool features, the taps and
+        (CRMN only) the final hidden state. Taps are kept only for ``return_parts``."""
+        taps = [] if return_parts else None
+        logits, pool_out, hidden = self.run(x, Taped(training), taps=taps)
         parts = {"pool_out": pool_out, "taps": taps}
-        features = pool_out
-        if self.lstm is not None:
-            adapted = [adapt_tap(t, self.max_width) for t in taps]
-            parts["hidden"] = run_sequence(self.lstm, adapted)
-            features = concat_cols(pool_out, parts["hidden"])
-        logits = self.head.forward(features)
-        if return_parts:
-            return logits, parts
-        return logits
+        if hidden is not None:
+            parts["hidden"] = hidden
+        return (logits, parts) if return_parts else logits
+
+    def run(self, x, ops, start=0, state=None, taps=None):
+        """(logits, pool features, final hidden or None) of x through ``ops``.
+
+        ``x`` is block ``start``'s input (the images at 0) and ``state`` the
+        LSTM state before its tap, by default the initial state. The LSTM reads
+        each tap once the next block has run on it, the last after the pool;
+        a ``taps`` list keeps every tap read.
+        """
+        if self.lstm is not None and state is None:
+            state = ops.start(self.lstm, x.shape[0])
+
+        def read(tap):
+            nonlocal state
+            if taps is not None:
+                taps.append(tap)
+            if self.lstm is not None:
+                state = ops.step(self.lstm, ops.adapt(tap, self.max_width), state)
+
+        features, unread = self.trunk.run(x, ops, start, read)
+        pool = ops.pool(features)
+        for tap in unread:
+            read(tap)
+        hidden = None if state is None else state.h
+        return ops.head(self.head, pool, hidden), pool, hidden
 
     def named_params(self):
         """Ordered (name, tensor, decays) triples over all trainable scalars."""

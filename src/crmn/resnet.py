@@ -55,20 +55,13 @@ class NetworkConfig:
     learn_c0: bool = True
 
     def validate(self):
-        if self.n < 1:
-            raise InputError(f"n must be >= 1, got {self.n}")
-        if self.base_maps < 1:
-            raise InputError(f"base_maps must be >= 1, got {self.base_maps}")
-        if self.classes < 2:
-            raise InputError(f"classes must be >= 2, got {self.classes}")
-        if self.hidden_size < 1:
-            raise InputError(f"hidden_size must be >= 1, got {self.hidden_size}")
-        if self.variant not in VARIANTS + ("auto",):
-            raise InputError(f"variant must be one of {VARIANTS + ('auto',)}, got {self.variant!r}")
-        if self.shortcut not in SHORTCUTS:
-            raise InputError(f"shortcut must be one of {SHORTCUTS}, got {self.shortcut!r}")
-        if self.output_gate not in OUTPUT_GATES:
-            raise InputError(f"output_gate must be one of {OUTPUT_GATES}, got {self.output_gate!r}")
+        for name, least in (("n", 1), ("base_maps", 1), ("classes", 2), ("hidden_size", 1)):
+            if getattr(self, name) < least:
+                raise InputError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        for name, allowed in (("variant", VARIANTS + ("auto",)), ("shortcut", SHORTCUTS),
+                              ("output_gate", OUTPUT_GATES)):
+            if getattr(self, name) not in allowed:
+                raise InputError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
         if not abs(self.lstm_bias_init) <= float(np.finfo(np.float32).max):
             raise InputError(f"lstm_bias_init must be a finite float32, got {self.lstm_bias_init}")
         if self.input_extent < 8 or self.input_extent % 8:
@@ -211,26 +204,24 @@ class ResidualTrunk:
                          if self.variant == "preactivation" else None)
 
     def forward(self, x, training=False, start=0):
-        """Return (features, taps): final pre-pool maps and the block outputs.
+        """Return (features, taps): final pre-pool maps and the block outputs."""
+        return self.run(x, Taped(training), start)
 
-        With ``start=j > 0``, ``x`` is the output of block j-1: the stem and
-        the blocks before j are skipped and the taps are those of blocks j
-        onward. ``start=len(blocks)`` runs only the final norm, if any.
+    def run(self, x, ops, start=0, read=None):
+        """(features, taps) of x from block ``start`` on, through the op table ``ops``.
+
+        With ``start=j > 0``, ``x`` is block j-1's output and the taps are
+        those of blocks j onward; ``start=len(blocks)`` runs only the final
+        norm, if any. ``read``, if given, takes each tap but the last as soon
+        as the next block has run on it; ``taps`` then holds only the last.
         """
         if not 0 <= start <= len(self.blocks):
             raise ContractError(f"start must be in 0..{len(self.blocks)}, got {start}")
-        if start == 0:
-            maps, e = 3, self.cfg.input_extent
-        else:
-            spec = self.blocks[start - 1].spec
-            maps, e = spec.out_maps, spec.out_extent
+        spec = self.blocks[start - 1].spec if start else None
+        maps, e = (spec.out_maps, spec.out_extent) if spec else (3, self.cfg.input_extent)
         if x.ndim != 4 or x.shape[1:] != (maps, e, e):
             raise DimensionError(f"trunk expects b*{maps}*{e}*{e} input at block {start}, "
                                  f"got {x.shape}")
-        return self.run(x, Taped(training), start)
-
-    def run(self, x, ops, start=0):
-        """(features, taps) of x from block ``start`` on, through the op table ``ops``."""
         y = x
         if start == 0:
             y = ops.conv(self.stem, x)
@@ -239,6 +230,8 @@ class ResidualTrunk:
         taps = []
         for block in self.blocks[start:]:
             y = ops.block(block, y)
+            if read is not None and taps:
+                read(taps.pop())
             taps.append(y)
         if self.final_bn is not None:
             y = ops.relu(ops.norm(self.final_bn, y))

@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -329,3 +330,24 @@ def test_loading_without_a_learned_c0_leaves_it_zero(tmp_path):
     assert not back.lstm.c0.requires_grad
     assert back.lstm.c0.data.dtype == np.float32
     assert np.array_equal(back.lstm.c0.data, np.zeros(5))
+
+
+def test_loading_reads_each_tensor_straight_into_the_model(tmp_path):
+    """No second copy of the file's tensors: a CRMN-32x1 load peaks near its own arrays.
+
+    Reading the whole file first, then copying each tensor out and again into
+    the model, peaked at twice the arrays' bytes.
+    """
+    model = build_crmn(NetworkConfig(n=5, base_maps=16, hidden_size=100), seed=0)
+    path = tmp_path / "crmn32.crmn"
+    save_model(model, path)
+    nbytes = sum(a.nbytes for _, a in model.named_arrays())
+    tracemalloc.start()
+    try:
+        back = load_model(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * nbytes
+    for (name, want), (_, got) in zip(model.named_arrays(), back.named_arrays()):
+        assert got.tobytes() == want.tobytes(), name

@@ -1,17 +1,20 @@
 """Model assembly: tap adaptation, widths, head wiring, snapshots."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import crmn.layers
+import crmn.lstm
 import crmn.model
-from crmn.lstm import initial_state, lstm_step
+from crmn.lstm import initial_state, lstm_step, run_sequence
 from crmn.model import (
     CrmnModel, TAP_FLATTEN_ORDER, adapt_tap, adapter_trace, build_crmn,
     build_resnet, max_lstm_width,
 )
-from crmn.resnet import NetworkConfig, trunk_forward
-from crmn.tensor import Tape, Tensor
+from crmn.resnet import NetworkConfig, ResidualBlock, trunk_forward
+from crmn.tensor import Tape, Tensor, concat_cols, count_ops, softmax_cross_entropy
 
 
 def cfg_for(n, base, **kw):
@@ -226,3 +229,98 @@ def test_a_taped_forward_calls_conv2d_and_batch_norm_through_the_layers_module(
     projections = 2 if kw["shortcut"] == "projection" else 0  # stages 2 and 3
     assert calls == {"conv2d": 1 + 6 * cfg.n + projections,
                      "batch_norm": 1 + 6 * cfg.n + projections}
+
+
+SWITCHES = pytest.mark.parametrize("kw", [{"variant": v, "shortcut": s}
+                                          for v in ("original", "preactivation")
+                                          for s in ("pad", "projection")],
+                                   ids=lambda kw: f"{kw['variant']}-{kw['shortcut']}")
+
+
+@pytest.mark.parametrize("build", [build_crmn, build_resnet])
+def test_an_untaped_forward_holds_no_tap_list(build):
+    """Each tap is dropped once the next block and the LSTM have read it.
+
+    A batch-100 eval forward of the 32-layer x1 models peaks at about four
+    stage-1 maps; holding every tap (and every adapted tap) took 78.5 MiB for
+    the CRMN and 57.9 MiB for the ResNet, against a bound of 31.25 MiB.
+    """
+    model = build(cfg_for(5, 16, hidden_size=100), seed=0)
+    x = Tensor(np.random.default_rng(0).random((100, 3, 32, 32), dtype=np.float32))
+    model.forward(x)  # first calls allocate the convolution's kept buffers
+    stage1_map = 100 * 16 * 32 * 32 * 4
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        model.forward(x)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * stage1_map
+
+
+def _composed_logits(model, x, training):
+    """The whole trunk, then every tap adapted, then the LSTM and the head, in that order."""
+    pool_out, taps = trunk_forward(model.trunk, x, training)
+    if model.lstm is None:
+        return model.head.forward(pool_out)
+    hidden = run_sequence(model.lstm, [adapt_tap(t, model.max_width) for t in taps])
+    return model.head.forward(concat_cols(pool_out, hidden))
+
+
+def _taped_step(model, logits_of, x, labels):
+    with count_ops() as counter, Tape() as tape:
+        loss = softmax_cross_entropy(logits_of(x), labels)
+        tape.backward(loss)
+    return ([loss.data] + [t.grad for _, t, _ in model.named_params()]
+            + [a for _, a in model.named_state()], counter.total)
+
+
+@SWITCHES
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("build", [build_crmn, build_resnet])
+def test_the_depthwise_loop_keeps_the_composed_tape_order(kw, dtype, build):
+    """Loss, every gradient, the batch-norm state and the op count are bit-identical.
+
+    A tap's gradient sums three terms (its adapter, the next block's shortcut
+    and its first op); reading the tap right after its own block, not after
+    the next one, would sum them in another order.
+    """
+    cfg = cfg_for(2, 4, hidden_size=5, classes=3, **kw)
+    rng = np.random.default_rng(7)
+    x = Tensor(rng.random((3, 3, 32, 32)).astype(dtype))
+    labels = rng.integers(0, 3, 3)
+    loop = build(cfg, seed=2, dtype=dtype)
+    composed = build(cfg, seed=2, dtype=dtype)
+    got, ops = _taped_step(loop, lambda x: loop.forward(x, training=True), x, labels)
+    want, want_ops = _taped_step(composed, lambda x: _composed_logits(composed, x, True),
+                                 x, labels)
+    assert ops == want_ops
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@SWITCHES
+@pytest.mark.parametrize("build", [build_crmn, build_resnet])
+def test_the_loop_looks_up_the_adapter_step_and_blocks_at_call_time(monkeypatch, kw, build):
+    """Wrappers on ``model.adapt_tap``, ``lstm.lstm_step`` and ``ResidualBlock.forward``
+    see every call: 3n each for the CRMN, and no adapter or step for the ResNet."""
+    calls = {"adapt_tap": 0, "lstm_step": 0, "forward": 0}
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapped)
+
+    counting(crmn.model, "adapt_tap")
+    counting(crmn.lstm, "lstm_step")
+    counting(ResidualBlock, "forward")
+    cfg = cfg_for(2, 4, hidden_size=3, input_extent=8, **kw)
+    model = build(cfg, seed=5)
+    model.forward(Tensor(np.random.default_rng(6).random((2, 3, 8, 8), dtype=np.float32)))
+    memory = 3 * cfg.n if build is build_crmn else 0
+    assert calls == {"adapt_tap": memory, "lstm_step": memory, "forward": 3 * cfg.n}
