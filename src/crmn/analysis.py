@@ -16,7 +16,8 @@ forward pass must agree exactly.
 ``tape_bytes`` counts the bytes of array data a taped training forward keeps
 alive until its backward, per block. Every recorded op keeps its output and
 nothing else of size; a batch norm also keeps its per-map mean and inverse
-std. Views (subsampling, reshapes, broadcast initial states) and pads that
+std. A ReLU or shortcut add fused into its norm keeps nothing: the fused op
+has one output. Views (subsampling, broadcast initial states) and pads that
 leave their input as it is keep nothing new. Python object headers are not
 counted, so traced growth exceeds the count by a few hundred bytes per op.
 """
@@ -85,43 +86,43 @@ def _trunk_layers(cfg: NetworkConfig):
     """Every recorded trunk op in forward order, as (block, op, maps, extent, fan_in).
 
     ``block`` is the op's ``BlockSpec``, or None for the stem, the final norm
-    and the pool. ``maps`` and ``extent`` describe the op's output; ``fan_in``
-    is the number of inputs summed into each output value (a conv's
-    in_maps * k * k, the pool's window) and 1 for every other op. The stride-2
-    subsample is a view and is not listed; the map pad copies and is. A
-    block's rows are consecutive, so grouping by ``block`` gives the stem,
-    each block and the tail in turn.
+    and the pool. ``op`` names the op, or the parts of a fused one joined by
+    "+": a norm with the ReLU after it ("norm+relu"), and the original
+    variant's block tail ("norm+add+relu"). ``maps`` and ``extent`` describe
+    the op's output; ``fan_in`` is the number of inputs summed into each
+    output value (a conv's in_maps * k * k, the pool's window) and 1 for every
+    other op. The stride-2 subsample is a view and is not listed; the map pad
+    copies and is. A block's rows are consecutive, so grouping by ``block``
+    gives the stem, each block and the tail in turn.
     """
     original = cfg.resolved_variant == "original"
     base, e = cfg.base_maps, cfg.input_extent
     rows = [(None, "conv", base, e, 27)]
     if original:
-        rows += [(None, "norm", base, e, 1), (None, "relu", base, e, 1)]
+        rows.append((None, "norm+relu", base, e, 1))
     for spec in block_plan(cfg):
         m_in, m, e_in, e = spec.in_maps, spec.out_maps, spec.in_extent, spec.out_extent
         conv1, conv2 = ("conv", m, e, 9 * m_in), ("conv", m, e, 9 * m)
-        norm, relu = ("norm", m, e, 1), ("relu", m, e, 1)
+        norm_relu = ("norm+relu", m, e, 1)
         if original:
-            ops = [conv1, norm, relu, conv2, norm]
+            ops = [conv1, norm_relu, conv2]
         else:
-            ops = [("norm", m_in, e_in, 1), ("relu", m_in, e_in, 1), conv1, norm, relu, conv2]
+            ops = [("norm+relu", m_in, e_in, 1), conv1, norm_relu, conv2]
         if spec.changes_shape and cfg.shortcut == "projection":
-            ops += [("conv", m, e, m_in), norm]
+            ops += [("conv", m, e, m_in), ("norm", m, e, 1)]
         elif m_in < m:
             ops.append(("pad", m, e, 1))
-        ops.append(("add", m, e, 1))
-        if original:
-            ops.append(relu)
+        ops.append(("norm+add+relu", m, e, 1) if original else ("add", m, e, 1))
         rows += [(spec, *op) for op in ops]
     m = cfg.stage_maps[-1]  # and e is the last block's output extent
     if not original:
-        rows += [(None, "norm", m, e, 1), (None, "relu", m, e, 1)]
+        rows.append((None, "norm+relu", m, e, 1))
     rows.append((None, "pool", m, 1, e * e))
     return rows
 
 
 def trunk_param_count(cfg: NetworkConfig):
-    return sum(maps * fan_in if op == "conv" else 2 * maps if op == "norm" else 0
+    return sum(maps * fan_in if op == "conv" else 2 * maps if op.startswith("norm") else 0
                for _, op, maps, _, fan_in in _trunk_layers(cfg))
 
 
@@ -134,16 +135,22 @@ def lstm_param_count(i, h, learn_c0=True):
 
 
 def _charge(op, values, fan_in):
-    """Operations of one op with ``values`` output values, as tensor and layers charge them."""
+    """Operations of one op with ``values`` output values, as tensor and layers charge them.
+
+    A fused op charges the sum of its parts.
+    """
     ops = OpCounter()
-    if op in ("conv", "norm"):  # a norm's fan_in is 1: one scale and one shift per value
-        ops.mults = ops.adds = values * fan_in
-    elif op == "pool":
-        ops.mults, ops.adds = values, values * fan_in
-    elif op == "add":
-        ops.adds = values
-    elif op == "relu":
-        ops.activations = values
+    for part in op.split("+"):
+        if part in ("conv", "norm"):  # a norm's fan_in is 1: one scale and one shift per value
+            ops.mults += values * fan_in
+            ops.adds += values * fan_in
+        elif part == "pool":
+            ops.mults += values
+            ops.adds += values * fan_in
+        elif part == "add":
+            ops.adds += values
+        elif part == "relu":
+            ops.activations += values
     return ops
 
 
@@ -221,7 +228,8 @@ def tape_bytes(kind, cfg: NetworkConfig, batch=1):
     trunk, blocks = 0, []
     for block, rows in groupby(_trunk_layers(cfg), key=itemgetter(0)):
         # each op keeps its output; a norm also its per-map mean and inverse std
-        kept = sum(size * (batch * maps * extent * extent + (2 * maps if op == "norm" else 0))
+        kept = sum(size * (batch * maps * extent * extent
+                           + (2 * maps if op.startswith("norm") else 0))
                    for _, op, maps, extent, _ in rows)
         if block is not None:
             blocks.append({"stage": block.stage, "index": block.index, "bytes": kept})
@@ -229,10 +237,8 @@ def tape_bytes(kind, cfg: NetworkConfig, batch=1):
     parts = {"trunk": trunk}
     head = 2 * size * batch * cfg.classes  # product and bias add
     if kind == "crmn":
-        width = max_lstm_width(cfg)
-        # the pooled tap, and its zero-padded copy unless it is already widest
-        parts["adapter"] = sum(size * batch * (t.pooled_width + (width if t.pad else 0))
-                               for t in adapter_trace(cfg))
+        # each adapter keeps its zero-padded row and not the pooled tap
+        parts["adapter"] = 3 * cfg.n * size * batch * max_lstm_width(cfg)
         # per step: the four gates, tanh(c), and the new c and h
         parts["lstm"] = 3 * cfg.n * 7 * size * batch * cfg.hidden_size
         head += size * batch * (cfg.stage_maps[-1] + cfg.hidden_size)  # concatenated features

@@ -215,6 +215,23 @@ def check_ops(seed=0, eps=DEFAULT_EPS) -> GradReport:
     pc = _t(rng, 2, 3)
     norm = lambda training: batch_norm(bx, bn.scale, bn.shift, bn.running_mean,
                                        bn.running_var, training)
+    # the fused norm + shortcut add + ReLU, on fixed running estimates (fresh
+    # copies per call, so a training probe moves nothing the next one reads)
+    fx = _t(rng, 3, 2, 4, 4)
+    stats = rng.standard_normal(2) * 0.3, 0.5 + rng.random(2)
+
+    def fused(training, shortcut, relu=True):
+        return batch_norm(fx, bn.scale, bn.shift, stats[0].copy(), stats[1].copy(), training,
+                          add=shortcut, relu=relu)
+
+    def off_kink(training):
+        # a shortcut that keeps every sum before the ReLU at least 0.05 from it
+        shortcut = _t(rng, 3, 2, 4, 4)
+        before = fused(training, shortcut, relu=False).data
+        shortcut.data[np.abs(before) < 0.05] += 0.1
+        return shortcut
+
+    fa_train, fa_eval = off_kink(True), off_kink(False)
     # (name, seed of the fixed random weighting of the op's output, op, inputs);
     # the cross-entropy is a loss already and takes no weighting
     checks = [
@@ -237,6 +254,10 @@ def check_ops(seed=0, eps=DEFAULT_EPS) -> GradReport:
          lambda: softmax_cross_entropy(logits, np.array([0, 2, 4, 1])), [logits]),
         ("concat_cols", 22, lambda: concat_cols(ca, cb), [ca, cb]),
         ("pad_cols", 23, lambda: pad_cols(pc, 6), [pc]),
+        ("batch_norm_add_relu_train", 24, lambda: fused(True, fa_train),
+         [fx, bn.scale, bn.shift, fa_train]),
+        ("batch_norm_add_relu_eval", 25, lambda: fused(False, fa_eval),
+         [fx, bn.scale, bn.shift, fa_eval]),
     ]
     report = GradReport("ops")
     for name, weighting, op, inputs in checks:

@@ -43,14 +43,25 @@ the inverse std with the forward's expression. Each activation is therefore
 retained once, as some op's output, and the recomputation changes no
 gradient.
 
+A batch norm can also add a shortcut and apply the ReLU after it, as one op
+(In-Place Activated BatchNorm, Rota Bulo et al. 2018, arXiv:1712.02616): its
+one output buffer takes every step in place, and its backward takes the
+ReLU's mask from that output. The norm's own output and the sum before the
+ReLU, which only the next op read, are never kept, so the trunk's every
+norm-ReLU pair and the original block's tail (bn2, the shortcut add and the
+ReLU) each keep one map on the tape, not two or three. Forward values, every
+gradient and every count equal those of the three separate ops bit for bit.
+
 Each op's forward arithmetic is a NumPy value function (``conv_values``,
 ``batch_stats`` with ``norm_values``, ``pool2x2_values``,
 ``global_pool_values``) that takes leading axes (``conv_values`` on one
 operand only, images or kernels, not both); the taped op checks
 shapes, charges its count, records its closure and calls it. The trunk
-runs over an op table, ``Taped`` or ``Values``; the latter takes the value
-functions on a stand-in for any parameter, such as the gradient check's
-stack of probes, each slice equal to the unstacked value bit for bit.
+runs over an op table, ``Taped`` or ``Values``: ``conv``, ``norm`` (with
+its optional add and ReLU), ``pad_maps`` and ``block``. ``Values`` takes
+the value functions on a stand-in for any parameter, such as the gradient
+check's stack of probes, each slice equal to the unstacked value bit for
+bit.
 """
 
 from __future__ import annotations
@@ -61,7 +72,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import ContractError, DimensionError
-from .tensor import Tensor, _bump, _taped, _tensor, add, matmul, pad_maps, relu, space_subsample
+from .tensor import Tensor, _bump, _taped, _tensor, add, matmul, pad_maps, space_subsample
 
 BN_MOMENTUM = 0.1  # weight of each batch's statistics in the running estimates
 BN_EPS = 1e-5
@@ -209,6 +220,33 @@ def _stride1_backward(x, weight, g):
     return gx.reshape(x.shape), gw.reshape(co, k, k, ci)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
 
 
+def _direct_backward(x, weight, stride, g, accum):
+    """Both gradients of a convolution from g (b, co, ho, wo): one GEMM and col2im."""
+    b, ci, h, w = x.shape
+    co, _, k, _ = weight.shape
+    ho, wo = g.shape[2:]
+    pad = (k - 1) // 2
+    if weight.requires_grad:
+        # cols is rebuilt as one (ci*k*k) x (b*ho*wo) matrix, so the weight
+        # gradient is a single GEMM instead of a batched one summed over b;
+        # taken as (cols @ g^T)^T it equals g @ cols^T bit for bit (OpenBLAS)
+        # and runs faster at every 3x3 stage shape
+        gflat = g.transpose(1, 0, 2, 3).reshape(co, b * ho * wo)
+        cols = _weight_columns(x.data, k, stride)
+        accum(weight, (cols @ gflat.T).T.reshape(co, ci, k, k))
+    if x.requires_grad:
+        # col2im: the flipped kernel would need a zero-dilated g, which
+        # measured 2.7x slower at both stride-2 shapes
+        gxp = np.zeros((b, ci, h + 2 * pad, w + 2 * pad), dtype=x.data.dtype)
+        gmaps = g.reshape(b, co, ho * wo)
+        for i in range(k):
+            for j in range(k):
+                spread = np.matmul(weight.data[:, :, i, j].T, gmaps)
+                gxp[:, :, i:i + ho * stride:stride, j:j + wo * stride:stride] += (
+                    spread.reshape(b, ci, ho, wo))
+        accum(x, gxp[:, :, pad:pad + h, pad:pad + w])
+
+
 def conv2d(x, weight, stride=1):
     """Cross-correlate ``x`` (b*ci*H*W) with ``weight`` (co*ci*k*k)."""
     x, weight = _tensor(x), _tensor(weight)
@@ -229,31 +267,15 @@ def conv2d(x, weight, stride=1):
     n = b * co * ho * wo * ci * k * k
     _bump(mults=n, adds=n)
 
+    # the closure keeps only its three inputs: every local it read would be
+    # kept on the tape with it, until the backward
     def backward_fn(g, accum):
         if x.requires_grad and stride == 1:
             gx, gw = _stride1_backward(x.data, weight.data, g)
             accum(x, gx)
             accum(weight, gw)
-            return
-        if weight.requires_grad:
-            # cols is rebuilt as one (ci*k*k) x (b*ho*wo) matrix, so the weight
-            # gradient is a single GEMM instead of a batched one summed over b;
-            # taken as (cols @ g^T)^T it equals g @ cols^T bit for bit (OpenBLAS)
-            # and runs faster at every 3x3 stage shape
-            gflat = g.transpose(1, 0, 2, 3).reshape(co, b * ho * wo)
-            cols = _weight_columns(x.data, k, stride)
-            accum(weight, (cols @ gflat.T).T.reshape(co, ci, k, k))
-        if x.requires_grad:
-            # col2im: the flipped kernel would need a zero-dilated g, which
-            # measured 2.7x slower at both stride-2 shapes
-            gxp = np.zeros((b, ci, h + 2 * pad, w + 2 * pad), dtype=x.data.dtype)
-            gmaps = g.reshape(b, co, ho * wo)
-            for i in range(k):
-                for j in range(k):
-                    spread = np.matmul(weight.data[:, :, i, j].T, gmaps)
-                    gxp[:, :, i:i + ho * stride:stride, j:j + wo * stride:stride] += (
-                        spread.reshape(b, ci, ho, wo))
-            accum(x, gxp[:, :, pad:pad + h, pad:pad + w])
+        else:
+            _direct_backward(x, weight, stride, g, accum)
 
     return _taped(out_data, backward_fn, x, weight)
 
@@ -288,24 +310,48 @@ def _normalized(x, mean, inv_std):
     return out
 
 
-def norm_values(x, scale, shift, mean, var):
-    """The per-map affine normalization of x in NumPy, and its inverse std.
+def norm_values(x, scale, shift, mean, var, add=None, relu=False):
+    """The per-map affine normalization of x in NumPy, then ``+ add`` and the ReLU
+    if asked for, and its inverse std.
 
-    Per-map vectors are (..., c); their leading axes broadcast with x's.
+    Per-map vectors are (..., c); their leading axes, and add's, broadcast with
+    x's. One output buffer takes x - mean and then every later step in place,
+    each the IEEE operation of the unfused form: ``*= inv_std``, ``*= scale``,
+    ``+= shift``, ``+= add``, ``max(., 0)``.
     """
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    return _per_map(scale) * _normalized(x, mean, inv_std) + _per_map(shift), inv_std
+    terms = [_per_map(v) for v in (mean, inv_std, scale, shift)]
+    if add is not None:
+        terms.append(add)
+    out = np.empty(np.broadcast(x, *terms).shape, dtype=np.result_type(x, *terms))
+    np.subtract(x, terms[0], out=out)
+    out *= terms[1]
+    out *= terms[2]
+    out += terms[3]
+    if add is not None:
+        out += add
+    if relu:
+        np.maximum(out, 0, out=out)
+    return out, inv_std
 
 
 def batch_norm(x, scale, shift, running_mean, running_var,
-               training, momentum=BN_MOMENTUM):
-    """Normalize each map over the batch and spatial axes, then rescale.
+               training, momentum=BN_MOMENTUM, add=None, relu=False):
+    """Normalize each map over the batch and spatial axes, then rescale; then add
+    ``add`` (a shortcut of x's shape) and apply the ReLU, if asked for.
 
     Training mode uses batch statistics (biased variance) and folds them
     into the running estimates in place. Eval mode applies the running
     estimates as a fixed per-map affine. Counted cost is two operations
     per element in either mode, since the normalization constants fold
-    into a single scale-and-shift.
+    into a single scale-and-shift, plus the add's one add and the ReLU's one
+    activation per element, as the unfused ops charge them.
+
+    One op keeps one output: the sum before the ReLU and the norm's own
+    output are never kept. The backward takes the ReLU's mask from the
+    output (out > 0 exactly where the sum is, NaN included), passes the
+    masked gradient to ``add`` and then through the norm, so every gradient
+    equals the one of the norm, the add and the ReLU as three ops, bit for bit.
     """
     x, scale, shift = _tensor(x), _tensor(scale), _tensor(shift)
     if x.ndim != 4:
@@ -314,6 +360,10 @@ def batch_norm(x, scale, shift, running_mean, running_var,
     if scale.shape != (c,) or shift.shape != (c,):
         raise DimensionError(
             f"batch_norm: scale/shift {scale.shape}/{shift.shape} for {c} maps")
+    if add is not None:
+        add = _tensor(add)
+        if add.shape != x.shape:
+            raise DimensionError(f"batch_norm: add {add.shape} does not fit input {x.shape}")
 
     if training:
         if b < 2:
@@ -328,11 +378,16 @@ def batch_norm(x, scale, shift, running_mean, running_var,
         mean = running_mean.astype(x.data.dtype)
         var = running_var.astype(x.data.dtype, copy=False)
 
-    out_data, inv_std = norm_values(x.data, scale.data, shift.data, mean, var)
-    _bump(mults=out_data.size, adds=out_data.size)
-    m = b * h * w
+    out_data, inv_std = norm_values(x.data, scale.data, shift.data, mean, var,
+                                    None if add is None else add.data, relu)
+    n = out_data.size
+    _bump(mults=n, adds=2 * n if add is not None else n, activations=n if relu else 0)
 
     def backward_fn(g, accum):
+        if relu:
+            g = g * (out_data > 0)
+        if add is not None:
+            accum(add, g)
         xhat = _normalized(x.data, mean, inv_std)
         accum(scale, np.einsum("bchw,bchw->c", g, xhat))
         accum(shift, g.sum(axis=(0, 2, 3)))
@@ -346,7 +401,7 @@ def batch_norm(x, scale, shift, running_mean, running_var,
             # operations without four temporaries the size of x
             xhat *= sum_gx[:, None, None]
             xhat += sum_g[:, None, None]
-            xhat /= m
+            xhat /= g.size // g.shape[1]  # the count each map's statistics average over
             gx = np.subtract(g_xhat, xhat, out=g_xhat)
             gx *= inv_std[:, None, None]
             accum(x, gx)
@@ -354,7 +409,9 @@ def batch_norm(x, scale, shift, running_mean, running_var,
             g_xhat *= inv_std[:, None, None]
             accum(x, g_xhat)
 
-    return _taped(out_data, backward_fn, x, scale, shift)
+    if add is None:
+        return _taped(out_data, backward_fn, x, scale, shift)
+    return _taped(out_data, backward_fn, x, scale, shift, add)
 
 
 class BatchNorm:
@@ -367,9 +424,9 @@ class BatchNorm:
         self.running_var = np.ones(maps, dtype=np.float64)
         self.momentum = BN_MOMENTUM
 
-    def forward(self, x, training):
+    def forward(self, x, training, add=None, relu=False):
         return batch_norm(x, self.scale, self.shift, self.running_mean,
-                          self.running_var, training, self.momentum)
+                          self.running_var, training, self.momentum, add, relu)
 
     def params(self):
         return [("scale", self.scale), ("shift", self.shift)]
@@ -385,6 +442,11 @@ def pool2x2_values(x):
             + (x[..., 1::2, 0::2] + x[..., 1::2, 1::2])) * 0.25
 
 
+def pool2x2_grad(g):
+    """The gradient of ``pool2x2_values``'s input from its output's gradient g (b, c, h, w)."""
+    return np.repeat(np.repeat(g, 2, axis=2), 2, axis=3) * np.asarray(0.25, dtype=g.dtype)
+
+
 def meanpool2x2(x):
     """Average non-overlapping 2x2 spatial windows; extents must be even."""
     x = _tensor(x)
@@ -397,8 +459,7 @@ def meanpool2x2(x):
     _bump(mults=pooled.size, adds=4 * pooled.size)
 
     def backward_fn(g, accum):
-        gx = np.repeat(np.repeat(g, 2, axis=2), 2, axis=3) * np.asarray(0.25, dtype=g.dtype)
-        accum(x, gx)
+        accum(x, pool2x2_grad(g))
 
     return _taped(pooled, backward_fn, x)
 
@@ -448,13 +509,11 @@ class Taped:
     def conv(self, layer, x):
         return layer.forward(x)
 
-    def norm(self, layer, x):
-        return layer.forward(x, self.training)
+    def norm(self, layer, x, add=None, relu=False):
+        return layer.forward(x, self.training, add, relu)
 
     def block(self, block, x):
         return block.forward(x, self.training)
-
-    relu = staticmethod(relu)
 
     def pad_maps(self, x, maps, stride):
         return pad_maps(space_subsample(x) if stride == 2 else x, maps)
@@ -470,15 +529,12 @@ class Values:
     def conv(self, layer, x):
         return conv_values(x, self.value_of(layer.weight), layer.stride)
 
-    def norm(self, layer, x):
+    def norm(self, layer, x, add=None, relu=False):
         scale, shift = self.value_of(layer.scale), self.value_of(layer.shift)
-        return norm_values(x, scale, shift, *batch_stats(x))[0]
+        return norm_values(x, scale, shift, *batch_stats(x), add, relu)[0]
 
     def block(self, block, x):
         return block.run(x, self)
-
-    def relu(self, x):
-        return np.maximum(x, 0)
 
     def pad_maps(self, x, maps, stride):
         kept = x[..., ::2, ::2] if stride == 2 else x

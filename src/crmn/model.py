@@ -2,7 +2,9 @@
 
 Each tap is mean-pooled 2x2, flattened in (map, row, col) order, and
 zero-padded at the tail to the widest pooled tap, which is always the
-stage-1 width: base_maps * (input_extent/2)^2. The LSTM reads the adapted
+stage-1 width: base_maps * (input_extent/2)^2. ``adapt_values`` is that
+arithmetic in NumPy, and ``adapt_tap`` runs it as one taped op, so the tape
+keeps the padded row and not the pooled map. The LSTM reads the adapted
 taps shallowest-first; the final hidden state is concatenated after the
 trunk's global-pool features and fed to a single dense layer.
 
@@ -27,13 +29,14 @@ from collections import namedtuple
 import numpy as np
 
 from . import layers, lstm
-from .layers import (Dense, global_avg_pool, global_pool_values, he_dense_weight, meanpool2x2,
+from .errors import ContractError, DimensionError
+from .layers import (Dense, global_avg_pool, global_pool_values, he_dense_weight, pool2x2_grad,
                      pool2x2_values)
 # run_sequence and trunk_forward are unused here: bench/tracer.py wraps them in this module
 from .lstm import LstmState, gate_values, init_lstm, initial_state, run_sequence
 from .resnet import (NetworkConfig, ResidualTrunk, block_plan, build_trunk, seeded_rng,
                      trunk_forward)
-from .tensor import Tensor, concat_cols, pad_cols, reshape
+from .tensor import Tensor, _bump, _taped, _tensor, concat_cols
 
 TAP_FLATTEN_ORDER = "map,row,col"
 
@@ -43,11 +46,35 @@ def max_lstm_width(cfg: NetworkConfig):
     return cfg.base_maps * (cfg.input_extent // 2) ** 2
 
 
+def adapt_values(tap, width):
+    """Meanpool 2x2, flatten (map, row, col), zero-pad the tail to ``width``, in NumPy.
+
+    ``tap`` is (..., maps, rows, cols); leading axes stay. A tap already as
+    wide as ``width`` (stage 1) is its pooled array, not a second copy.
+    """
+    flat = pool2x2_values(tap).reshape(tap.shape[:-3] + (-1,))
+    if flat.shape[-1] == width:
+        return flat
+    out = np.zeros(flat.shape[:-1] + (width,), dtype=flat.dtype)
+    out[..., :flat.shape[-1]] = flat
+    return out
+
+
 def adapt_tap(tap, max_width):
-    """Meanpool 2x2, flatten (map, row, col), zero-pad tail to max_width."""
-    pooled = meanpool2x2(tap)
-    flat = reshape(pooled, (pooled.shape[0], -1))
-    return pad_cols(flat, max_width)
+    """The tap's ``adapt_values`` as one taped op, which keeps only its padded row."""
+    tap = _tensor(tap)
+    if tap.ndim != 4 or tap.shape[2] % 2 or tap.shape[3] % 2:
+        raise DimensionError(f"adapt_tap: expected a rank-4 tap of even extents, got {tap.shape}")
+    b, maps, h, w = tap.shape
+    pooled = maps * (h // 2) * (w // 2)
+    if pooled > max_width:
+        raise ContractError(f"adapt_tap: pooled width {pooled} exceeds target {max_width}")
+    _bump(mults=b * pooled, adds=4 * b * pooled)  # meanpool2x2's count
+
+    def backward_fn(g, accum):
+        accum(tap, pool2x2_grad(g[:, :pooled].reshape(b, maps, h // 2, w // 2)))
+
+    return _taped(adapt_values(tap.data, max_width), backward_fn, tap)
 
 
 TapTrace = namedtuple("TapTrace", "stage index maps extent pooled_width pad")
@@ -86,19 +113,20 @@ class Values(layers.Values):
     axes broadcast; an LSTM state is an ``LstmState`` of arrays."""
 
     pool = staticmethod(global_pool_values)
+    adapt = staticmethod(adapt_values)
 
-    def adapt(self, tap, width):
-        flat = pool2x2_values(tap).reshape(tap.shape[:-3] + (-1,))
-        out = np.zeros(flat.shape[:-1] + (width,), dtype=flat.dtype)
-        out[..., :flat.shape[-1]] = flat
-        return out
+    def __init__(self, value_of):
+        super().__init__(value_of)
+        self._weights = {}  # each LSTM cell's step weights, by cell
 
     def start(self, p, batch):
         return LstmState(*(np.broadcast_to(v, np.broadcast_shapes(v.shape, (batch, p.hidden)))
                            for v in (self.value_of(p.h0), self.value_of(p.c0))))
 
     def step(self, p, x, state):
-        w = {n: self.value_of(t) for n, t in p.named_params()}
+        w = self._weights.get(p)
+        if w is None:
+            w = self._weights[p] = {n: self.value_of(t) for n, t in p.named_params()}
         *_, c, o, tc = gate_values(x, state.h, state.c, w, p.output_gate)
         return LstmState(o * tc, c)
 

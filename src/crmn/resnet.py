@@ -21,7 +21,11 @@ convolution followed by batch norm is available as a config option.
 The block's and the trunk's wiring is written once, in ``run``, over an
 op table from ``layers``: ``forward`` runs it over ``Taped``, and the
 gradient check over ``Values``, the training forward in NumPy with any
-parameter replaced by a stand-in such as a stack of perturbed copies.
+parameter replaced by a stand-in such as a stack of perturbed copies. Every
+ReLU follows a norm and is fused into it, and so is the original variant's
+shortcut add: the block tail (bn2, the add, the ReLU) is one op, run after
+the shortcut's ops. A taped original block so keeps four maps (conv1, bn1
+with its ReLU, conv2, the tail), not seven.
 """
 
 from __future__ import annotations
@@ -155,23 +159,29 @@ class ResidualBlock:
             self.proj_bn = BatchNorm(m, dtype=dtype)
 
     def run(self, x, ops):
-        """The block on x through the op table ``ops`` (``Taped`` or ``Values``)."""
+        """The block on x through the op table ``ops`` (``Taped`` or ``Values``).
+
+        Every ReLU is fused into the norm before it, and in the original
+        variant so is the shortcut add: bn2, the add and the ReLU are one op,
+        run after the shortcut's ops.
+        """
         # y is rebound once its maps are dead, so an untaped forward frees them early
         if self.variant == "original":
-            y = ops.norm(self.bn1, ops.conv(self.conv1, x))
-            y = ops.conv(self.conv2, ops.relu(y))
-            y = ops.norm(self.bn2, y)
-        else:
-            y = ops.conv(self.conv1, ops.relu(ops.norm(self.bn1, x)))
-            y = ops.relu(ops.norm(self.bn2, y))
+            y = ops.norm(self.bn1, ops.conv(self.conv1, x), relu=True)
             y = ops.conv(self.conv2, y)
-        if self.proj is not None:  # the shortcut runs after the branch, in tape order
-            y = y + ops.norm(self.proj_bn, ops.conv(self.proj, x))
-        elif self.spec.changes_shape:
-            y = y + ops.pad_maps(x, self.spec.out_maps, self.spec.stride)
-        else:
-            y = y + x
-        return ops.relu(y) if self.variant == "original" else y
+            return ops.norm(self.bn2, y, add=self._shortcut(x, ops), relu=True)
+        y = ops.conv(self.conv1, ops.norm(self.bn1, x, relu=True))
+        y = ops.norm(self.bn2, y, relu=True)
+        y = ops.conv(self.conv2, y)
+        return y + self._shortcut(x, ops)  # the shortcut runs after the branch, in tape order
+
+    def _shortcut(self, x, ops):
+        """The block input x as the branch output's shape, through ``ops``."""
+        if self.proj is not None:
+            return ops.norm(self.proj_bn, ops.conv(self.proj, x))
+        if self.spec.changes_shape:
+            return ops.pad_maps(x, self.spec.out_maps, self.spec.stride)
+        return x
 
     def forward(self, x, training):
         return self.run(x, Taped(training))
@@ -226,7 +236,7 @@ class ResidualTrunk:
         if start == 0:
             y = ops.conv(self.stem, x)
             if self.stem_bn is not None:
-                y = ops.relu(ops.norm(self.stem_bn, y))
+                y = ops.norm(self.stem_bn, y, relu=True)
         taps = []
         for block in self.blocks[start:]:
             y = ops.block(block, y)
@@ -234,7 +244,7 @@ class ResidualTrunk:
                 read(taps.pop())
             taps.append(y)
         if self.final_bn is not None:
-            y = ops.relu(ops.norm(self.final_bn, y))
+            y = ops.norm(self.final_bn, y, relu=True)
         return y, taps
 
     def layers(self):

@@ -53,6 +53,9 @@ def _as_array(data, dtype=None):
 class Tensor:
     """A dense n-dimensional array that can participate in the gradient tape."""
 
+    # no per-instance dict: a taped forward keeps every op's output Tensor until its backward
+    __slots__ = ("data", "requires_grad", "grad")
+
     def __init__(self, data, requires_grad=False, dtype=None):
         self.data = _as_array(data, dtype)
         self.requires_grad = bool(requires_grad)

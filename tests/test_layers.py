@@ -14,7 +14,8 @@ from crmn.layers import (
     BatchNorm, Dense, batch_norm, conv2d, global_avg_pool, he_conv_weight,
     he_dense_weight, meanpool2x2,
 )
-from crmn.tensor import Tape, Tensor, pad_maps, sum_all
+from crmn.tensor import Tape, Tensor, add, count_ops, mul, pad_maps, sum_all
+from crmn.tensor import relu as tensor_relu
 
 
 def t64(data, requires_grad=True):
@@ -629,6 +630,66 @@ def test_eval_backward_ignores_a_later_update_of_the_running_statistics():
 
     for got, want in zip(grads(update=True), grads(update=False)):
         assert np.array_equal(got, want)
+
+
+def _norm_add_relu(fused, training, dtype, shortcut, relu, nan=False):
+    """One batch norm, with a shortcut add and a ReLU after it, and its backward.
+
+    ``fused`` runs them as one op; otherwise as ``batch_norm``, ``add`` and
+    ``relu``. Returns every array the two forms must agree on bit for bit.
+    """
+    rng = np.random.default_rng(21)
+    x = Tensor(rng.standard_normal((4, 3, 5, 5)).astype(dtype), requires_grad=True)
+    a = Tensor(rng.standard_normal((4, 3, 5, 5)).astype(dtype), requires_grad=True)
+    if nan:
+        a.data[1, 2, 3, 4] = np.nan
+    bn = BatchNorm(3, dtype=dtype)
+    bn.scale.data[:] = [1.2, -0.7, 0.9]
+    bn.shift.data[:] = [0.1, 0.3, -0.2]
+    bn.running_mean[:] = [0.5, -1.0, 2.0]
+    bn.running_var[:] = [1.5, 0.7, 3.0]
+    weights = Tensor(rng.standard_normal((4, 3, 5, 5)).astype(dtype))
+    with count_ops() as ops, Tape() as tape:
+        if fused:
+            out = bn.forward(x, training, a if shortcut else None, relu)
+        else:
+            out = bn.forward(x, training)
+            out = add(out, a) if shortcut else out
+            out = tensor_relu(out) if relu else out
+        tape.backward(sum_all(mul(out, weights)))
+    grads = [t.grad for t in (x, bn.scale, bn.shift) + ((a,) if shortcut else ())]
+    assert all(g is not None for g in grads)
+    return [out.data, *grads, bn.running_mean, bn.running_var], ops.as_dict()
+
+
+@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shortcut", [True, False], ids=["add", "no-add"])
+@pytest.mark.parametrize("relu", [True, False], ids=["relu", "no-relu"])
+def test_fused_norm_add_relu_equals_the_three_ops_bit_for_bit(training, dtype, shortcut, relu):
+    got, got_ops = _norm_add_relu(True, training, dtype, shortcut, relu)
+    want, want_ops = _norm_add_relu(False, training, dtype, shortcut, relu)
+    assert got_ops == want_ops
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+def test_fused_relu_mask_from_the_output_matches_the_input_mask_at_a_nan():
+    # max(NaN, 0) is NaN, and NaN > 0 is false on both sides of the ReLU
+    got, _ = _norm_add_relu(True, False, np.float64, True, True, nan=True)
+    want, _ = _norm_add_relu(False, False, np.float64, True, True, nan=True)
+    assert np.isnan(got[0][1, 2, 3, 4])
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
+def test_fused_norm_refuses_a_shortcut_of_another_shape():
+    bn = BatchNorm(2)
+    x = Tensor(np.ones((2, 2, 4, 4)))
+    for shape in [(2, 2, 4, 2), (2, 4, 4, 4), (2, 2, 16)]:
+        with pytest.raises(DimensionError):
+            bn.forward(x, training=True, add=Tensor(np.ones(shape)))
 
 
 def test_meanpool_halves_extent_and_averages():

@@ -8,13 +8,17 @@ import pytest
 import crmn.layers
 import crmn.lstm
 import crmn.model
+from crmn.errors import ContractError, DimensionError
+from crmn.layers import batch_norm, conv2d, global_avg_pool, meanpool2x2
 from crmn.lstm import initial_state, lstm_step, run_sequence
 from crmn.model import (
     CrmnModel, TAP_FLATTEN_ORDER, adapt_tap, adapter_trace, build_crmn,
     build_resnet, max_lstm_width,
 )
 from crmn.resnet import NetworkConfig, ResidualBlock, trunk_forward
-from crmn.tensor import Tape, Tensor, concat_cols, count_ops, softmax_cross_entropy
+from crmn.tensor import (Tape, Tensor, add, concat_cols, count_ops, pad_cols, pad_maps, relu,
+                         reshape, softmax_cross_entropy, space_subsample)
+from crmn.training import SgdOptimizer
 
 
 def cfg_for(n, base, **kw):
@@ -61,6 +65,15 @@ def test_adapt_tap_spatial_order_is_row_then_col():
             tap.data[0, 0, 2 * r:2 * r + 2, 2 * c:2 * c + 2] = 10 * r + c
     out = adapt_tap(tap, 4)
     assert np.array_equal(out.data, [[0.0, 1.0, 10.0, 11.0]])
+
+
+def test_adapt_tap_refuses_what_the_pool_and_pad_refused():
+    with pytest.raises(DimensionError):
+        adapt_tap(Tensor(np.zeros((1, 2, 3, 4))), 8)  # odd extent
+    with pytest.raises(DimensionError):
+        adapt_tap(Tensor(np.zeros((2, 4, 4))), 8)
+    with pytest.raises(ContractError):
+        adapt_tap(Tensor(np.zeros((1, 3, 4, 4))), 11)  # 12 pooled values
 
 
 def test_pad_weight_rows_are_inert_exactly_on_padded_steps():
@@ -324,3 +337,103 @@ def test_the_loop_looks_up_the_adapter_step_and_blocks_at_call_time(monkeypatch,
     model.forward(Tensor(np.random.default_rng(6).random((2, 3, 8, 8), dtype=np.float32)))
     memory = 3 * cfg.n if build is build_crmn else 0
     assert calls == {"adapt_tap": memory, "lstm_step": memory, "forward": 3 * cfg.n}
+
+
+def _unfused_norm(bn, x, training):
+    return batch_norm(x, bn.scale, bn.shift, bn.running_mean, bn.running_var, training,
+                      bn.momentum)
+
+
+def _unfused_block(block, x, training):
+    """The block as separate taped ops: every norm, shortcut add and ReLU its own op,
+    the shortcut after the branch's last norm."""
+    conv = lambda layer, y: conv2d(y, layer.weight, layer.stride)
+    norm = lambda bn, y: _unfused_norm(bn, y, training)
+    if block.variant == "original":
+        y = norm(block.bn1, conv(block.conv1, x))
+        y = norm(block.bn2, conv(block.conv2, relu(y)))
+    else:
+        y = conv(block.conv1, relu(norm(block.bn1, x)))
+        y = conv(block.conv2, relu(norm(block.bn2, y)))
+    if block.proj is not None:
+        y = add(y, norm(block.proj_bn, conv(block.proj, x)))
+    elif block.spec.changes_shape:
+        kept = space_subsample(x) if block.spec.stride == 2 else x
+        y = add(y, pad_maps(kept, block.spec.out_maps))
+    else:
+        y = add(y, x)
+    return relu(y) if block.variant == "original" else y
+
+
+def _unfused_logits(model, x, training):
+    """The model with no fused op: the trunk, each tap pooled, flattened and padded
+    as three ops, then the LSTM and the head."""
+    trunk = model.trunk
+    y = conv2d(x, trunk.stem.weight)
+    if trunk.stem_bn is not None:
+        y = relu(_unfused_norm(trunk.stem_bn, y, training))
+    taps = []
+    for block in trunk.blocks:
+        y = _unfused_block(block, y, training)
+        taps.append(y)
+    if trunk.final_bn is not None:
+        y = relu(_unfused_norm(trunk.final_bn, y, training))
+    pool = global_avg_pool(y)
+    if model.lstm is None:
+        return model.head.forward(pool)
+    adapted = [pad_cols(reshape(meanpool2x2(t), (t.shape[0], -1)), model.max_width)
+               for t in taps]
+    return model.head.forward(concat_cols(pool, run_sequence(model.lstm, adapted)))
+
+
+@SWITCHES
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("build", [build_crmn, build_resnet])
+def test_the_fused_forward_equals_the_unfused_oracle_over_three_sgd_steps(kw, dtype, build):
+    """Losses, every gradient, the batch-norm state and the op counts of three
+    training steps, then the eval logits, are bit-identical to the unfused model's."""
+    cfg = cfg_for(2, 4, hidden_size=5, classes=3, **kw)
+    fused, oracle = build(cfg, seed=4, dtype=dtype), build(cfg, seed=4, dtype=dtype)
+    optimizers = [SgdOptimizer(m.named_params()) for m in (fused, oracle)]
+    lrs = {"trunk": 0.1, "lstm": 0.1, "head": 0.1}
+    rng = np.random.default_rng(8)
+    for _ in range(3):
+        x = Tensor(rng.standard_normal((3, 3, 32, 32)).astype(dtype))
+        labels = rng.integers(0, 3, 3)
+        got, ops = _taped_step(fused, lambda x: fused.forward(x, training=True), x, labels)
+        want, want_ops = _taped_step(oracle, lambda x: _unfused_logits(oracle, x, True),
+                                     x, labels)
+        assert ops == want_ops
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        for model, opt in zip((fused, oracle), optimizers):
+            opt.step(lrs)
+            opt.zero_grads()
+    x = Tensor(rng.standard_normal((5, 3, 32, 32)).astype(dtype))
+    assert fused.forward(x).data.tobytes() == _unfused_logits(oracle, x, False).data.tobytes()
+
+
+def test_a_taped_training_step_keeps_one_map_per_fused_norm():
+    """A CRMN-32x1 training step at batch 10 peaks at about 69 stage-1 maps under
+    tracemalloc; keeping each norm's output, pre-ReLU sum and ReLU output apart
+    (three ops, not one) peaked at about 97."""
+    model = build_crmn(cfg_for(5, 16, hidden_size=100), seed=0)
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.random((10, 3, 32, 32), dtype=np.float32))
+    labels = rng.integers(0, 10, 10)
+
+    def step():
+        with Tape() as tape:
+            tape.backward(softmax_cross_entropy(model.forward(x, training=True), labels))
+
+    step()  # first calls allocate the convolution's kept buffers
+    stage1_map = 10 * 16 * 32 * 32 * 4
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        step()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 80 * stage1_map

@@ -11,7 +11,7 @@ from crmn.errors import ContractError, DimensionError, InputError
 from crmn.gradcheck import numeric_gradient, relative_error
 from crmn.layers import batch_norm, conv2d, global_avg_pool, meanpool2x2
 from crmn.lstm import _STEP_PARAMS, LstmParams, LstmState, lstm_step
-from crmn.model import build_crmn
+from crmn.model import adapt_tap, build_crmn
 from crmn.resnet import NetworkConfig
 from crmn.tensor import (
     Tape, Tensor, add, backward, concat_cols, count_ops, matmul, mul,
@@ -385,7 +385,7 @@ def _lstm_step(x, h, c, *params):
     return state.h, state.c
 
 
-# every op of tensor and layers, and lstm_step, with the shapes of its tensor inputs
+# every op of tensor and layers, lstm_step and adapt_tap, with the shapes of its tensor inputs
 TAPED_OPS = {
     "matmul": (matmul, [(3, 4), (4, 2)]),
     "add": (add, [(3, 5), (3, 5)]),
@@ -409,7 +409,11 @@ TAPED_OPS = {
                          [(3, 2, 4, 4), (2,), (2,)]),
     "batch_norm_eval": (lambda x, s, b: batch_norm(x, s, b, np.zeros(2), np.ones(2), False),
                         [(3, 2, 4, 4), (2,), (2,)]),
+    "batch_norm_add_relu": (lambda x, s, b, a: batch_norm(x, s, b, np.zeros(2), np.ones(2), True,
+                                                         add=a, relu=True),
+                            [(3, 2, 4, 4), (2,), (2,), (3, 2, 4, 4)]),
     "meanpool2x2": (meanpool2x2, [(2, 2, 4, 4)]),
+    "adapt_tap": (lambda t: adapt_tap(t, 12), [(2, 2, 4, 4)]),
     "global_avg_pool": (global_avg_pool, [(2, 2, 4, 4)]),
     "lstm_step": (_lstm_step, [(2, 3), (2, 2), (2, 2)] + [(3, 2), (2, 2)] * 4 + [(2,)] * 7),
 }
