@@ -4,7 +4,9 @@ Layout: an 8-byte magic, a little-endian uint64 manifest length, a JSON
 manifest, then each tensor's raw little-endian bytes concatenated in
 manifest order. The manifest records the model kind and full config
 (including flatten order and the output-gate choice), so a file is
-self-describing; round trips are bit-exact.
+self-describing; round trips are bit-exact. The writer checks every
+tensor's dtype, writes the header, then writes each array straight from its
+own memory, so saving holds no second copy of the model.
 
 Batch-norm running statistics are stored alongside the trainable tensors
 so a reloaded model evaluates identically.
@@ -41,16 +43,18 @@ _TAG_DTYPES = {"<f4": np.dtype("<f4"), "<f8": np.dtype("<f8")}
 
 
 def save_tensors(path, extra, tensors):
-    """Write (name, array) pairs with a manifest carrying ``extra`` fields."""
+    """Write (name, array) pairs with a manifest carrying ``extra`` fields.
+
+    An unsupported dtype raises ``FormatError`` before the file is opened.
+    """
+    tensors = list(tensors)
     listing = []
-    buffers = []
     for name, arr in tensors:
         try:
             tag = _DTYPE_TAGS[arr.dtype]
         except KeyError:
             raise FormatError(f"unsupported dtype {arr.dtype} for tensor {name!r}") from None
         listing.append({"name": name, "dtype": tag, "shape": list(arr.shape)})
-        buffers.append(np.ascontiguousarray(arr).astype(tag, copy=False).tobytes())
     manifest = dict(extra)
     manifest["format"] = FORMAT_NAME
     manifest["tensors"] = listing
@@ -59,8 +63,8 @@ def save_tensors(path, extra, tensors):
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
-        for buf in buffers:
-            fh.write(buf)
+        for (_, arr), entry in zip(tensors, listing):
+            fh.write(np.ascontiguousarray(arr).astype(entry["dtype"], copy=False).data)
 
 
 def _entry_layout(path, entry):

@@ -7,7 +7,8 @@ on either side scores inf, so it fails every tolerance.
 
 Three scopes:
   ops   - each primitive op on small random shapes
-  lstm  - a full 3-step cell (width 8, hidden 5) through every parameter
+  lstm  - a full 3-step cell (width 8, hidden 5, batch 2) through every
+          parameter
   full  - an end-to-end micro model (n=1, base 4, hidden 5, 3 classes,
           batch 2, training mode)
 
@@ -42,10 +43,12 @@ Concatenating the copies into one wide GEMM would be cheaper but is not
 bit-identical: BLAS picks its kernel, and with it the summation order, by
 the matrix shape. The stacked path records nothing and charges no count.
 
-K is sized by bytes: as many probes as fit K copies of a probe's size (the
-column matrix of its widest replayed conv, or the probed tensor's copy) in
-2.25 MiB, at most 32. For the micro model that is 4 for the stem and
-block 0, 8 for stage 2, 16 for stage 3 and 32 for the LSTM and head.
+K is sized by the activations it stacks: as many probes as fit K copies of
+the widest activation one probe adds (block j's output for a replay from
+block j, the LSTM's hidden state for the back half) in 256 KiB, at most 32.
+For the micro model that is 4 for the stem and block 0, 8 for stage 2, 16
+for stage 3 and 32 for the LSTM and head. The K copies of the probed tensor
+are not counted; the widest, of a 1024 x 5 LSTM input weight, take 1.25 MiB.
 """
 
 from __future__ import annotations
@@ -66,16 +69,15 @@ from .tensor import (Tape, Tensor, _softmax_xent, add, backward, concat_cols, ma
 DEFAULT_EPS = 1e-5
 ERROR_FLOOR = 1e-3
 DEFAULT_TOLERANCE = 1e-4
-# probes per stacked evaluation: as many as fit K copies of a probe's size
-# (the column matrix its widest replayed conv would have, or the probed
-# tensor's copy) in _STACK_BYTES, at most _PROBES. conv_values streams its
-# columns through a fixed chunk, so the budget now bounds the stacked
-# activations: a 3x3 conv's columns are nine times its stride-1 input, so
-# every stacked trunk activation stays within about a ninth of 2.25 MiB (four
-# probes of the micro model's 2 x 4 x 32 x 32 float64 stage-1 maps). Sized so,
-# check_full(0)'s process peak is 41.2 MB, against 67.4 MB at one K = 32
+# probes per stacked evaluation: as many as fit K copies of one probe's widest
+# stacked activation (f.probe_bytes) in _STACK_BYTES, at most _PROBES; four
+# probes of the micro model's 2 x 4 x 32 x 32 float64 stage-1 maps fill it.
+# Sized so, check_full(0)'s process peak is 43.1 MB, against 48.2 MB at one
+# K = 32 (x86_64, NumPy 2.4, one BLAS thread)
 _PROBES = 32
-_STACK_BYTES = 9 * 2**18
+_STACK_BYTES = 2**18
+# the LSTM check's sequence and the batch of both model checks
+_STEPS, _WIDTH, _HIDDEN, _BATCH = 3, 8, 5, 2
 
 
 def relative_error(analytic, numeric, floor=ERROR_FLOOR):
@@ -93,7 +95,8 @@ def numeric_gradient(f, tensor, eps=DEFAULT_EPS):
     that also has ``f.stacked(values)``, scoring each copy in a
     (K, *tensor.shape) stack of values, is probed many scalars per call
     instead, on copies, and tensor.data is never written. Its
-    ``f.probe_bytes``, one probe's size in bytes, sizes K.
+    ``f.probe_bytes``, the bytes of the widest activation one probe adds to
+    the stack, sizes K.
     """
     grad = np.zeros(tensor.shape, dtype=tensor.dtype)
     gflat = grad.reshape(-1)
@@ -267,15 +270,15 @@ def check_ops(seed=0, eps=DEFAULT_EPS) -> GradReport:
     return report
 
 
-def check_lstm(seed=0, eps=DEFAULT_EPS, steps=3, width=8, hidden=5, batch=2) -> GradReport:
+def check_lstm(seed=0, eps=DEFAULT_EPS) -> GradReport:
     report = GradReport("lstm")
     rng = np.random.default_rng(seed)
-    params = init_lstm(width, hidden, rng, dtype=np.float64)
+    params = init_lstm(_WIDTH, _HIDDEN, rng, dtype=np.float64)
     # move off the all-zero init so peephole/initial-state gradients are exercised
     for name in ("p_i", "p_f", "p_o", "h0", "c0"):
-        getattr(params, name).data += rng.standard_normal(hidden) * 0.3
-    xs = [Tensor(rng.standard_normal((batch, width)), requires_grad=True)
-          for _ in range(steps)]
+        getattr(params, name).data += rng.standard_normal(_HIDDEN) * 0.3
+    xs = [Tensor(rng.standard_normal((_BATCH, _WIDTH)), requires_grad=True)
+          for _ in range(_STEPS)]
 
     def loss_fn():
         return _weighted_sum(run_sequence(params, xs), np.random.default_rng(40))
@@ -289,13 +292,13 @@ def micro_config():
     return NetworkConfig(n=1, base_maps=4, classes=3, hidden_size=5, input_extent=32)
 
 
-def check_full(seed=0, eps=DEFAULT_EPS, batch=2) -> GradReport:
+def check_full(seed=0, eps=DEFAULT_EPS) -> GradReport:
     report = GradReport("full")
     cfg = micro_config()
     model = build_crmn(cfg, seed=seed, dtype=np.float64)
     rng = np.random.default_rng(seed + 50)
-    x = Tensor(rng.uniform(0.0, 1.0, (batch, 3, cfg.input_extent, cfg.input_extent)))
-    labels = rng.integers(0, cfg.classes, batch)
+    x = Tensor(rng.uniform(0.0, 1.0, (_BATCH, 3, cfg.input_extent, cfg.input_extent)))
+    labels = rng.integers(0, cfg.classes, _BATCH)
 
     with Tape():  # unnamed, so its entries are freed once backward has run
         logits, parts = model.forward(x, training=True, return_parts=True)
@@ -308,7 +311,7 @@ def check_full(seed=0, eps=DEFAULT_EPS, batch=2) -> GradReport:
     pool_out = parts["pool_out"].data
     plain = Values(lambda t: t.data)
     adapted = [plain.adapt(t, model.max_width) for t in inputs[1:]]
-    states = [plain.start(model.lstm, batch)]
+    states = [plain.start(model.lstm, _BATCH)]
     for a in adapted:
         states.append(plain.step(model.lstm, a, states[-1]))
 
@@ -318,7 +321,7 @@ def check_full(seed=0, eps=DEFAULT_EPS, batch=2) -> GradReport:
         if start is not None:
             state = LstmState(wrap(states[start].h), wrap(states[start].c))
             return model.run(wrap(inputs[start]), ops, start, state)[0]
-        state = ops.start(model.lstm, batch)
+        state = ops.start(model.lstm, _BATCH)
         for a in adapted:
             state = ops.step(model.lstm, wrap(a), state)
         return ops.head(model.head, wrap(pool_out), state.h)
@@ -334,7 +337,9 @@ def check_full(seed=0, eps=DEFAULT_EPS, batch=2) -> GradReport:
 
         value = lambda: softmax_cross_entropy(replay(Taped(True), Tensor, start), labels).item()
         value.stacked = stacked
-        value.probe_bytes = max(tensor.data.nbytes, _column_bytes(model.trunk, start, x.data))
+        # block start's output (no later map of the replay is wider), or the back
+        # half's hidden state
+        value.probe_bytes = (states[-1].h if start is None else inputs[start + 1]).nbytes
         return value
 
     # the first block each trunk parameter reaches; any other (the stem)
@@ -346,19 +351,6 @@ def check_full(seed=0, eps=DEFAULT_EPS, batch=2) -> GradReport:
         start = starts.get(id(t), 0) if name.startswith("trunk.") else None
         report.entries.append(GradEntry(name, _max_error(t, probe_loss(t, start), eps), t.size))
     return report
-
-
-def _column_bytes(trunk, start, x):
-    """Bytes of one probe's widest conv column matrix, replaying from block start on x.
-
-    ``conv_values`` builds it a chunk at a time; this is its whole-batch size.
-    """
-    if start is None:
-        return 0
-    convs = [(trunk.stem, trunk.cfg.input_extent)] if start == 0 else []
-    convs += [(conv, block.spec.out_extent) for block in trunk.blocks[start:]
-              for conv in (block.conv1, block.conv2, block.proj) if conv is not None]
-    return max(x.shape[0] * conv.weight.data[0].size * e * e * x.itemsize for conv, e in convs)
 
 
 SCOPES = {"ops": check_ops, "lstm": check_lstm, "full": check_full}

@@ -161,7 +161,6 @@ class Tape:
 
     def __init__(self):
         self._entries = []
-        self._outputs = set()
 
     def __enter__(self):
         _ACTIVE.tapes.append(self)
@@ -173,41 +172,32 @@ class Tape:
 
     def record(self, out, backward_fn):
         self._entries.append((out, backward_fn))
-        self._outputs.add(id(out))
 
     def backward(self, loss):
         if loss.size != 1:
             raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
-        if id(loss) not in self._outputs:
+        # a loss is normally the last entry, so the scan stops at once
+        if not any(out is loss for out, _ in reversed(self._entries)):
             raise ContractError("loss was not produced by operations recorded on this tape")
 
-        grads = {}
-        tensors = {}
+        grads = {}  # id -> (tensor, its gradient so far)
 
         def accum(tensor, g):
             if not tensor.requires_grad:
                 return
             key = id(tensor)
             g = np.asarray(g, dtype=tensor.data.dtype)
-            if key in grads:
-                grads[key] = grads[key] + g
-            else:
-                grads[key] = g
-                tensors[key] = tensor
+            held = grads.get(key)
+            grads[key] = (tensor, g if held is None else held[1] + g)
 
         accum(loss, np.ones_like(loss.data))
         for out, backward_fn in reversed(self._entries):
-            g = grads.pop(id(out), None)
-            if g is None:
-                continue
-            del tensors[id(out)]
-            backward_fn(g, accum)
+            held = grads.pop(id(out), None)
+            if held is not None:
+                backward_fn(held[1], accum)
 
-        for key, tensor in tensors.items():
-            if tensor.grad is None:
-                tensor.grad = grads[key]
-            else:
-                tensor.grad = tensor.grad + grads[key]
+        for tensor, g in grads.values():
+            tensor.grad = g if tensor.grad is None else tensor.grad + g
 
 
 def active_tape():

@@ -13,6 +13,7 @@ from crmn.gradcheck import (
     DEFAULT_EPS, GradEntry, GradReport, check_full, check_lstm, check_ops,
     check_tensors, micro_config, numeric_gradient, relative_error, run_scope,
 )
+from crmn.model import build_crmn
 from crmn.resnet import ResidualBlock
 from crmn.tensor import (Tensor, active_tape, count_ops, matmul, mul, rows_from_vector,
                          softmax_cross_entropy, sum_all)
@@ -213,12 +214,16 @@ def test_stacked_losses_equal_whole_model_losses(monkeypatch):
                 flat[idx] = saved
 
 
-@pytest.mark.parametrize("switches", [
+# every architecture switch the micro model leaves at its default
+SWITCHES = [
     {"variant": "preactivation", "shortcut": "projection"},
     {"variant": "original", "shortcut": "projection"},
     {"output_gate": "sigmoid", "learn_c0": False},
     {"variant": "preactivation"},
-])
+]
+
+
+@pytest.mark.parametrize("switches", SWITCHES)
 def test_stacked_trunk_losses_equal_their_loop_on_every_switch(monkeypatch, switches):
     """Each architecture switch: stacked trunk losses equal the one-at-a-time suffix losses."""
     cfg = micro_config()
@@ -243,6 +248,26 @@ def test_stacked_trunk_losses_equal_their_loop_on_every_switch(monkeypatch, swit
                 flat[idx] = saved
         probed.append(trunk[id(tensor)])
     assert sorted(probed) == sorted(trunk.values())
+
+
+@pytest.mark.parametrize("switches", [{}] + SWITCHES)
+def test_check_full_stacks_probes_by_the_maps_they_add(monkeypatch, switches):
+    """K per stacked call: 4 for the stem, block 0 and a final norm (each replays stage 1),
+    8 for stage 2, 16 for stage 3, and 32 for the LSTM and head."""
+    cfg = replace(micro_config(), **switches)
+    per_call = []
+
+    def record(stacked, tensor, eps, k):
+        per_call.append(k)
+        return iter(())  # nothing evaluated: only the sizing is under test
+
+    monkeypatch.setattr(crmn.gradcheck, "micro_config", lambda: cfg)
+    monkeypatch.setattr(crmn.gradcheck, "_stacked_probes", record)
+    check_full(seed=0)
+    names = [n for n, _, _ in build_crmn(cfg, seed=0, dtype=np.float64).named_params()]
+    want = {"trunk.stage2": 8, "trunk.stage3": 16, "lstm": 32, "head": 32}
+    assert per_call == [next((k for p, k in want.items() if n.startswith(p + ".")), 4)
+                        for n in names]
 
 
 def test_numeric_gradient_stacked_equals_its_loop(monkeypatch):

@@ -251,6 +251,9 @@ def test_backward_rejects_non_scalar_and_off_tape_losses():
     with Tape() as tape:
         with pytest.raises(ContractError):
             tape.backward(stray)
+        constant = sum_all(Tensor(np.ones(2)))  # on a tape, but needs no gradient
+        with pytest.raises(ContractError):
+            tape.backward(constant)
 
 
 def test_module_backward_uses_active_tape():
