@@ -220,7 +220,11 @@ def cost_report(kind, cfg: NetworkConfig, batch=1) -> CostReport:
 
 
 def tape_bytes(kind, cfg: NetworkConfig, batch=1):
-    """Bytes of float32 array data a taped training forward retains, by part and per block."""
+    """Bytes of float32 array data a taped training forward retains, by part and per block.
+
+    A training step peaks at about this plus its parameter gradients, since
+    backward frees each entry once its closure has run.
+    """
     if kind not in KINDS:
         raise InputError(f"kind must be one of {KINDS}, got {kind!r}")
     cfg.validate()

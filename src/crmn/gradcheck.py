@@ -300,7 +300,7 @@ def check_full(seed=0, eps=DEFAULT_EPS) -> GradReport:
     x = Tensor(rng.uniform(0.0, 1.0, (_BATCH, 3, cfg.input_extent, cfg.input_extent)))
     labels = rng.integers(0, cfg.classes, _BATCH)
 
-    with Tape():  # unnamed, so its entries are freed once backward has run
+    with Tape():  # backward frees every activation but the parts kept here
         logits, parts = model.forward(x, training=True, return_parts=True)
         backward(softmax_cross_entropy(logits, labels))
 

@@ -1,11 +1,14 @@
 """Dense tensors with tape-based reverse-mode differentiation.
 
 Values are numpy arrays. While a :class:`Tape` is active, every operation
-records a backward closure; ``Tape.backward`` replays the entries in reverse
-order, frees each intermediate gradient once its closure has read it, and
-accumulates gradients into each leaf tensor that requires them. Without
-an active tape, operations just compute forward values, so inference costs
-nothing extra.
+records a backward closure; ``Tape.backward`` pops the entries in reverse
+order, frees each intermediate gradient once its closure has read it and
+each entry once its closure has run, and accumulates gradients into each
+leaf tensor that requires them. A tape is therefore single-use: an
+activation is freed as soon as the last closure that reads it has run, so a
+training step peaks at about its tape plus its gradients. Without an active
+tape, operations just compute forward values, so inference costs nothing
+extra.
 
 One rule decides what is taped: an op's output requires a gradient, and its
 closure is recorded, exactly when one of its inputs requires a gradient.
@@ -151,12 +154,13 @@ class Tape:
     """Ordered record of operations for one forward pass.
 
     Entries are appended in execution order, which is automatically a
-    topological order of the data flow. ``backward`` walks them once, in
+    topological order of the data flow. ``backward`` pops them once, in
     reverse. A recorded output's gradient has every contribution once its
     own entry is reached, so it is handed to that entry's closure and then
-    freed: only leaves (inputs and parameters, which no entry produced) get
-    this pass's gradient added into ``.grad``, and repeated backward calls
-    accumulate there. Entries stay on the tape, so it can run backward again.
+    freed, and so are the entry's output and closure: only leaves (inputs
+    and parameters, which no entry produced) get this pass's gradient added
+    into ``.grad``, and backward calls on later tapes accumulate there. A
+    spent tape holds no entries, so a second ``backward`` on it raises.
     """
 
     def __init__(self):
@@ -178,7 +182,9 @@ class Tape:
             raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
         # a loss is normally the last entry, so the scan stops at once
         if not any(out is loss for out, _ in reversed(self._entries)):
-            raise ContractError("loss was not produced by operations recorded on this tape")
+            raise ContractError("loss was not produced by operations recorded on this tape, or "
+                                "the tape is spent: backward frees each entry it runs")
+        entries, self._entries = self._entries, []
 
         grads = {}  # id -> (tensor, its gradient so far)
 
@@ -191,10 +197,13 @@ class Tape:
             grads[key] = (tensor, g if held is None else held[1] + g)
 
         accum(loss, np.ones_like(loss.data))
-        for out, backward_fn in reversed(self._entries):
+        while entries:
+            out, backward_fn = entries.pop()
             held = grads.pop(id(out), None)
             if held is not None:
                 backward_fn(held[1], accum)
+            # the entry's output, closure and inputs go unless an earlier entry still holds them
+            del out, backward_fn, held
 
         for tensor, g in grads.values():
             tensor.grad = g if tensor.grad is None else tensor.grad + g
@@ -205,7 +214,7 @@ def active_tape():
 
 
 def backward(loss):
-    """Run the backward pass for ``loss`` on the currently active tape."""
+    """Run the backward pass for ``loss`` on the currently active tape, spending it."""
     tape = active_tape()
     if tape is None:
         raise ContractError("backward called with no active tape")

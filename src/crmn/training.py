@@ -255,7 +255,7 @@ def train(model, train_ds: ImageDataset, cfg: TrainConfig, val_ds=None, replay=N
             x = _batch_tensor(images)
             labels = train_ds.labels[idx]
             optimizer.zero_grads()
-            # the tape, and every activation it holds, is freed as the block exits
+            # backward frees each tape entry once run: the step peaks at its tape plus gradients
             with Tape():
                 loss = softmax_cross_entropy(model.forward(x, training=True), labels)
                 if not np.isfinite(loss.item()):

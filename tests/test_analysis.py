@@ -14,7 +14,8 @@ from crmn.analysis import (
 from crmn.errors import InputError
 from crmn.model import build_crmn, build_resnet
 from crmn.resnet import NetworkConfig
-from crmn.tensor import Tape, Tensor, count_ops, relu
+from crmn.tensor import Tape, Tensor, backward, count_ops, relu, softmax_cross_entropy
+from crmn.training import GROUPS, SgdOptimizer
 
 # published parameter totals, in millions, at 100 classes
 TABLE_CELLS = [
@@ -195,6 +196,40 @@ def test_tape_bytes_match_traced_growth_of_a_training_forward(kind, cfg):
         grown = _taped_growth(lambda: block.forward(y, training=True))
         assert 0 <= grown - row["bytes"] < 0.05 * row["bytes"]
         y = block.forward(y, training=True)
+
+
+def test_a_training_step_peaks_at_its_tape_plus_its_gradients():
+    # backward frees each tape entry once its closure has run, so its
+    # temporaries sit on a shrinking tape: measured 2.6 stage-1 maps above
+    # tape + gradients, and 6.8 when the tape was held whole until the block exits
+    batch, margin_maps = 10, 4.5
+    cfg = config_for(32, 1)
+    model = build_crmn(cfg, seed=0)
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.random((batch, 3, 32, 32), dtype=np.float32))
+    labels = rng.integers(0, cfg.classes, batch)
+    optimizer = SgdOptimizer(model.named_params())
+    lrs = dict.fromkeys(GROUPS, 0.1)
+
+    def step():
+        optimizer.zero_grads()
+        with Tape():
+            backward(softmax_cross_entropy(model.forward(x, training=True), labels))
+        optimizer.step(lrs)
+
+    step()  # first calls allocate one-off state
+    optimizer.zero_grads()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        step()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    gradients = sum(t.data.nbytes for _, t, _ in model.named_params())
+    stage1_map = batch * cfg.stage_maps[0] * cfg.input_extent ** 2 * 4  # float32
+    assert peak <= tape_bytes("crmn", cfg, batch)["total"] + gradients + margin_maps * stage1_map
 
 
 def test_lstm_step_cost_is_linear_in_input_width():

@@ -3,6 +3,7 @@
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -232,13 +233,18 @@ def test_cross_entropy_rejects_bad_labels():
 
 def test_gradients_accumulate_across_backward_calls():
     x = t64([[1.0, 2.0]])
-    with Tape() as tape:
-        loss = sum_all(mul(x, x))
-        tape.backward(loss)
-        tape.backward(loss)
+    for _ in range(2):
+        with Tape() as tape:
+            tape.backward(sum_all(mul(x, x)))
     assert np.array_equal(x.grad, [[4.0, 8.0]])
     x.zero_grad()
     assert x.grad is None
+    with Tape() as tape:
+        loss = sum_all(mul(x, x))
+        tape.backward(loss)
+        with pytest.raises(ContractError, match="spent"):
+            tape.backward(loss)  # a tape runs backward once
+    assert np.array_equal(x.grad, [[2.0, 4.0]])
 
 
 def test_backward_rejects_non_scalar_and_off_tape_losses():
@@ -352,6 +358,26 @@ def test_backward_frees_each_gradient_once_its_closure_has_read_it():
             tracemalloc.stop()
     assert x.grad is not None
     assert peak < 6 * one_array
+
+
+def test_backward_frees_each_activation_once_it_has_passed_its_op():
+    x = t64(np.random.default_rng(4).standard_normal(1000))
+    with Tape() as tape:
+        h = tanh(x)
+        y = tanh(h)
+        refs = [weakref.ref(h.data), weakref.ref(y.data)]
+        loss = sum_all(mul(y, y))
+        del h, y
+        # when h's op runs its closure, y's op and every reader of y are done
+        out, fn = tape._entries[0]
+        seen = []
+        tape._entries[0] = (out, lambda g, accum, fn=fn: (
+            seen.append([r() is None for r in refs]), fn(g, accum)))
+        del out, fn
+        tape.backward(loss)
+        assert seen == [[False, True]]  # h is still read by the closure running
+        assert [r() is None for r in refs] == [True, True]  # the block is still open
+    assert x.grad is not None
 
 
 def test_only_leaves_keep_gradients_after_backward():
