@@ -2,8 +2,9 @@
 
 Layout: an 8-byte magic, a little-endian uint64 manifest length, a JSON
 manifest, then each tensor's raw little-endian bytes concatenated in
-manifest order. The manifest records the model kind and full config
-(including flatten order and the output-gate choice), so a file is
+manifest order. The manifest records the model kind, full config (including
+flatten order and the output-gate choice) and input normalization, with
+``mean_pixel``'s mean image as one more tensor, so a file is
 self-describing; round trips are bit-exact. The writer checks every
 tensor's dtype, writes the header, then writes each array straight from its
 own memory, so saving holds no second copy of the model.
@@ -31,6 +32,7 @@ import numpy as np
 
 from .analysis import KINDS, cost_report
 from .atomic import atomic_open
+from .data import NORMALIZE_MODES
 from .errors import FormatError, InputError
 from .model import TAP_FLATTEN_ORDER, build_crmn, build_resnet
 from .resnet import NetworkConfig
@@ -40,6 +42,7 @@ FORMAT_NAME = "crmn-tensors-1"
 
 _DTYPE_TAGS = {np.dtype(np.float32): "<f4", np.dtype(np.float64): "<f8"}
 _TAG_DTYPES = {"<f4": np.dtype("<f4"), "<f8": np.dtype("<f8")}
+MEAN_IMAGE = "input.mean_image"
 
 
 def save_tensors(path, extra, tensors):
@@ -144,8 +147,12 @@ def save_model(model, path):
         "kind": model.kind,
         "config": model.cfg.as_dict(),
         "flatten_order": TAP_FLATTEN_ORDER,
+        "normalize": model.normalize,
     }
-    save_tensors(path, extra, model.named_arrays())
+    tensors = model.named_arrays()
+    if model.normalize == "mean_pixel":
+        tensors.append((MEAN_IMAGE, model.mean_image))
+    save_tensors(path, extra, tensors)
 
 
 def load_model(path):
@@ -153,9 +160,10 @@ def load_model(path):
 
     Nothing is drawn: the model is built with ``seed=None`` and every array
     is then overwritten from the file (``lstm.c0`` of a cell without a
-    learned c0 is not in the file and stays zeros). Raises ``FormatError``
-    for a bad config or kind, or for a tensor whose name, shape or dtype does
-    not match the model the config describes.
+    learned c0 is not in the file and stays zeros). The model's ``normalize``
+    and ``mean_image`` come from the file too. Raises ``FormatError`` for a
+    bad config, kind, flatten order or normalization, or for a tensor whose
+    name, shape or dtype does not match the model the manifest describes.
     """
     with open(path, "rb") as fh:
         manifest, layouts = _read_header(path, fh)
@@ -166,6 +174,13 @@ def load_model(path):
         kind = manifest.get("kind")
         if kind not in KINDS:
             raise FormatError(f"{path}: unknown model kind {kind!r}")
+        order = manifest.get("flatten_order", TAP_FLATTEN_ORDER)
+        if order != TAP_FLATTEN_ORDER:
+            raise FormatError(f"{path}: tap flatten order {order!r}, "
+                              f"expected {TAP_FLATTEN_ORDER!r}")
+        normalize = manifest.get("normalize", "none")
+        if normalize not in NORMALIZE_MODES:
+            raise FormatError(f"{path}: unknown input normalization {normalize!r}")
         # no real model has fewer values than n, maps, hidden units or classes; ruling
         # those out first keeps cost_report's walk over 3n blocks short and its ratio finite
         count = sum(math.prod(shape) for _, _, shape in layouts)
@@ -177,6 +192,10 @@ def load_model(path):
         model = (build_crmn if kind == "crmn" else build_resnet)(cfg, seed=None,
                                                                   dtype=layouts[0][1])
         arrays = dict(model.named_arrays())
+        model.normalize = normalize
+        if normalize == "mean_pixel":
+            e = cfg.input_extent
+            model.mean_image = arrays[MEAN_IMAGE] = np.empty((3, e, e), np.float32)
         names = {name for name, _, _ in layouts}
         if arrays.keys() != names:
             missing = sorted(arrays.keys() - names)[:3]

@@ -20,8 +20,8 @@ from . import __version__
 from .analysis import KINDS, config_for, cost_report, default_grid, render_table
 from .atomic import atomic_open
 from .checkpoint import load_model, save_model
-from .data import (NORMALIZE_MODES, AugmentPolicy, load_cifar_binary, load_mean_image,
-                   load_raw_dataset, normalize, split_train_val, synth_dataset)
+from .data import (NORMALIZE_MODES, AugmentPolicy, load_cifar_binary, load_raw_dataset,
+                   normalize, split_train_val, synth_dataset)
 from .errors import CrmnError, InputError, TrainingError
 from .gradcheck import DEFAULT_EPS, SCOPES, run_scope
 from .model import TAP_FLATTEN_ORDER, build_crmn, build_resnet
@@ -134,10 +134,8 @@ def cmd_train(args, parser):
         raise InputError(f"dataset images are {c}*{h}*{w}; the model "
                          f"expects b*3*{e}*{e} input (input_extent {e})")
     train_ds, val_ds = split_train_val(raw_ds, args.val_fraction, seed=args.seed)
-    norm_stats = None
-    if args.normalize != "none":
-        train_ds, norm_stats = normalize(train_ds, args.normalize)
-        val_ds, _ = normalize(val_ds, args.normalize, stats=norm_stats)
+    train_ds, mean_image = normalize(train_ds, args.normalize)
+    val_ds, _ = normalize(val_ds, args.normalize, stats=mean_image)
 
     replay = read_schedule(args.schedule_replay) if args.schedule_replay else None
     policy = AugmentPolicy(flip=args.flip) if args.augment else None
@@ -150,6 +148,7 @@ def cmd_train(args, parser):
 
     builder = build_crmn if args.kind == "crmn" else build_resnet
     model = builder(cfg, seed=args.seed)
+    model.normalize, model.mean_image = args.normalize, mean_image
     result = train(model, train_ds, tcfg, val_ds=val_ds, replay=replay)
 
     os.makedirs(args.out_dir, exist_ok=True)
@@ -160,12 +159,6 @@ def cmd_train(args, parser):
     save_model(model, ckpt)
     write_history(hist, result.history)
     write_schedule(sched, result.schedule)
-    artifacts = [ckpt, hist, sched, man]
-    if norm_stats is not None:
-        stats_path = os.path.join(args.out_dir, "norm_stats.npy")
-        with atomic_open(stats_path, "wb") as fh:
-            np.save(fh, norm_stats)
-        artifacts.insert(3, stats_path)
     manifest = {
         "tool": f"crmn {__version__}",
         "kind": args.kind,
@@ -187,7 +180,7 @@ def cmd_train(args, parser):
         "best_epoch": result.best_epoch, "stopped": result.stopped,
         "train_loss": last["train_loss"], "val_error": last["val_error"],
         "val_acc": last["val_acc"],
-        "artifacts": [os.path.basename(p) for p in artifacts],
+        "artifacts": [os.path.basename(p) for p in (ckpt, hist, sched, man)],
     }, indent=2))
     return 0
 
@@ -195,12 +188,7 @@ def cmd_train(args, parser):
 def cmd_evaluate(args, parser):
     model = load_model(args.checkpoint)
     ds = _load_dataset(args, parser)
-    if args.normalize == "gcn":
-        ds, _ = normalize(ds, "gcn")
-    elif args.normalize == "mean_pixel":
-        if not args.norm_stats:
-            parser.error("--normalize mean_pixel needs --norm-stats from training")
-        ds, _ = normalize(ds, "mean_pixel", stats=load_mean_image(args.norm_stats))
+    ds, _ = normalize(ds, model.normalize, stats=model.mean_image)  # as training did
     loss, acc = evaluate_model(model, ds, args.batch_size)
     print(json.dumps({"loss": loss, "accuracy": acc, "count": len(ds)}, indent=2))
     return 0
@@ -245,7 +233,7 @@ def build_parser():
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--val-fraction", type=float, default=0.1)
-    p.add_argument("--normalize", choices=("none",) + NORMALIZE_MODES, default="none")
+    p.add_argument("--normalize", choices=NORMALIZE_MODES, default="none")
     p.add_argument("--augment", action="store_true", help="pad-4 random crop")
     p.add_argument("--flip", action="store_true", help="also flip horizontally")
     p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
@@ -268,8 +256,6 @@ def build_parser():
     _add_data_flags(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--batch-size", type=int, default=100)
-    p.add_argument("--normalize", choices=("none",) + NORMALIZE_MODES, default="none")
-    p.add_argument("--norm-stats", help="mean image saved by training")
     p.set_defaults(func=cmd_evaluate)
 
     p = subs.add_parser("gradcheck", help="finite-difference gradient verification")

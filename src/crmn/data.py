@@ -15,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-import tokenize
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,7 @@ from .errors import DimensionError, FormatError, InputError
 RAW_MAGIC = b"CRTD"
 RAW_VERSION = 1
 _RAW_HEADER = struct.Struct("<4sIIIIIII")  # magic, version, label_width, N, C, H, W, classes
-NORMALIZE_MODES = ("mean_pixel", "gcn")
+NORMALIZE_MODES = ("none", "mean_pixel", "gcn")
 
 
 @dataclass
@@ -140,37 +139,17 @@ def _loaded(path, images, labels, classes):
     return ImageDataset(images, labels, classes).validate()
 
 
-def load_mean_image(path):
-    """The mean image that mean_pixel normalization saved as a ``.npy`` array.
-
-    The header's shape is checked against the file's size before an array is
-    built, so a header cannot ask for more memory than the file holds.
-    """
-    fmt = np.lib.format
-    with open(path, "rb") as fh:
-        try:
-            if fmt.read_magic(fh) != (1, 0):  # the version np.save writes for a mean image
-                raise ValueError("not a version 1.0 .npy file")
-            shape, fortran_order, dtype = fmt.read_array_header_1_0(fh)
-        except (ValueError, SyntaxError, tokenize.TokenError) as exc:
-            raise FormatError(f"{path}: not a .npy array: {exc}") from None
-        data = fh.read()
-    if (dtype.kind not in "fiu" or min(shape, default=1) < 1
-            or len(data) != math.prod(shape) * dtype.itemsize):
-        raise FormatError(f"{path}: {len(data)} bytes do not hold a numeric mean image "
-                          f"of shape {shape} and dtype {dtype}")
-    return np.frombuffer(data, dtype).reshape(shape, order="F" if fortran_order else "C")
-
-
 def normalize(ds: ImageDataset, mode="mean_pixel", stats=None):
     """Returns (normalized dataset, stats). Stats come from the train split.
 
-    mean_pixel subtracts a per-position mean image (computed here when
-    ``stats`` is None, which is only correct on the training split). gcn
-    centers and scales each image by its own statistics.
+    none returns ``ds`` itself. mean_pixel subtracts a per-position mean
+    image (computed here when ``stats`` is None, which is only correct on the
+    training split). gcn centers and scales each image by its own statistics.
     """
     if mode not in NORMALIZE_MODES:
         raise InputError(f"normalize mode must be one of {NORMALIZE_MODES}, got {mode!r}")
+    if mode == "none":
+        return ds, None
     if mode == "mean_pixel":
         if stats is None:
             stats = ds.images.mean(axis=0)

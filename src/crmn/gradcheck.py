@@ -60,11 +60,12 @@ import numpy as np
 from .errors import ContractError, InputError
 from .layers import BatchNorm, Dense, batch_norm, conv2d, global_avg_pool, meanpool2x2
 from .lstm import LstmState, init_lstm, run_sequence
-# adapt_tap and trunk_forward are unused here: bench/tracer.py wraps them in this module
 from .model import Taped, Values, adapt_tap, build_crmn
+# trunk_forward is unused here: bench/tracer.py wraps it in this module
 from .resnet import NetworkConfig, trunk_forward
 from .tensor import (Tape, Tensor, _softmax_xent, add, backward, concat_cols, matmul, mul,
-                     pad_cols, relu, sigmoid, softmax_cross_entropy, sum_all, tanh)
+                     pad_cols, pad_maps, relu, rows_from_vector, sigmoid,
+                     softmax_cross_entropy, space_subsample, sum_all, tanh)
 
 DEFAULT_EPS = 1e-5
 ERROR_FLOOR = 1e-3
@@ -235,6 +236,8 @@ def check_ops(seed=0, eps=DEFAULT_EPS) -> GradReport:
         return shortcut
 
     fa_train, fa_eval = off_kink(True), off_kink(False)
+    # a tap whose 8 pooled values pad to 12, and the ResNet's pad shortcut
+    tx, mx, rv = _t(rng, 2, 2, 4, 4), _t(rng, 2, 3, 2, 2), _t(rng, 4)
     # (name, seed of the fixed random weighting of the op's output, op, inputs);
     # the cross-entropy is a loss already and takes no weighting
     checks = [
@@ -261,6 +264,10 @@ def check_ops(seed=0, eps=DEFAULT_EPS) -> GradReport:
          [fx, bn.scale, bn.shift, fa_train]),
         ("batch_norm_add_relu_eval", 25, lambda: fused(False, fa_eval),
          [fx, bn.scale, bn.shift, fa_eval]),
+        ("adapt_tap", 26, lambda: adapt_tap(tx, 12), [tx]),
+        ("pad_maps", 27, lambda: pad_maps(mx, 5), [mx]),
+        ("space_subsample", 28, lambda: space_subsample(tx), [tx]),
+        ("rows_from_vector", 29, lambda: rows_from_vector(rv, 3), [rv]),
     ]
     report = GradReport("ops")
     for name, weighting, op, inputs in checks:

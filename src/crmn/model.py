@@ -153,6 +153,10 @@ class CrmnModel:
         self.lstm = lstm
         self.kind = "resnet" if lstm is None else "crmn"
         self.max_width = max_lstm_width(cfg)
+        # the input normalization the model was trained on (one of
+        # data.NORMALIZE_MODES) and mean_pixel's mean image; checkpoints record both
+        self.normalize = "none"
+        self.mean_image = None
 
     def forward(self, x, training=False, return_parts=False):
         """Logits of x; with ``return_parts`` also the pool features, the taps and

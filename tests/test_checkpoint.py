@@ -368,3 +368,72 @@ def test_saving_writes_each_tensor_from_the_model(tmp_path):
     _, back = load_tensors(tmp_path / "crmn32.crmn")
     for name, want in model.named_arrays():
         assert back[name].tobytes() == want.tobytes(), name
+
+
+def test_checkpoint_rejects_another_flatten_order(tmp_path):
+    model = build_crmn(micro_cfg(), seed=18)
+    path = tmp_path / "order.crmn"
+    extra = {"kind": "crmn", "config": model.cfg.as_dict(), "flatten_order": "row,col,map"}
+    save_tensors(path, extra, model.named_arrays())
+    with pytest.raises(FormatError, match="flatten order 'row,col,map'"):
+        load_model(path)
+
+
+def normalized_model(mode, seed=19):
+    """A micro CRMN recording ``mode``; mean_pixel's mean image is random."""
+    model = build_crmn(micro_cfg(), seed=seed)
+    model.normalize = mode
+    if mode == "mean_pixel":
+        model.mean_image = np.random.default_rng(seed).random((3, 32, 32), dtype=np.float32)
+    return model
+
+
+@pytest.mark.parametrize("mode", ["none", "gcn", "mean_pixel"])
+def test_checkpoint_records_the_input_normalization(tmp_path, mode):
+    path = tmp_path / "model.crmn"
+    save_model(normalized_model(mode), path)
+    back = load_model(path)
+    assert back.normalize == mode
+    manifest, tensors = load_tensors(path)
+    assert manifest["normalize"] == mode
+    if mode == "mean_pixel":
+        assert back.mean_image.tobytes() == tensors["input.mean_image"].tobytes()
+    else:
+        assert back.mean_image is None and "input.mean_image" not in tensors
+    again = tmp_path / "again.crmn"
+    save_model(back, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_a_manifest_without_a_normalization_reads_as_none(tmp_path):
+    model = build_crmn(micro_cfg(), seed=20)
+    path = tmp_path / "old.crmn"
+    save_tensors(path, {"kind": "crmn", "config": model.cfg.as_dict(),
+                        "flatten_order": "map,row,col"}, model.named_arrays())
+    back = load_model(path)
+    assert back.normalize == "none" and back.mean_image is None
+
+
+def saved_with(path, mode, mean_image):
+    """A micro CRMN's arrays saved with normalization ``mode`` and, if given, a mean image."""
+    model = build_crmn(micro_cfg(), seed=21)
+    arrays = model.named_arrays()
+    if mean_image is not None:
+        arrays.append(("input.mean_image", mean_image))
+    save_tensors(path, {"kind": "crmn", "config": model.cfg.as_dict(), "normalize": mode},
+                 arrays)
+    return path
+
+
+@pytest.mark.parametrize("mode, mean_image, message", [
+    ("whitening", None, "unknown input normalization 'whitening'"),
+    (None, None, "unknown input normalization None"),
+    ("mean_pixel", None, r"missing \['input.mean_image'\]"),
+    ("mean_pixel", np.zeros((3, 16, 16), np.float32), r"input.mean_image has shape"),
+    ("mean_pixel", np.zeros((3, 32, 32)), r"input.mean_image has dtype float64"),
+    ("gcn", np.zeros((3, 32, 32), np.float32), r"surplus \['input.mean_image'\]"),
+], ids=["unknown", "null", "no-mean-image", "wrong-shape", "wrong-dtype", "gcn-mean-image"])
+def test_checkpoint_rejects_a_bad_normalization(tmp_path, mode, mean_image, message):
+    path = saved_with(tmp_path / "norm.crmn", mode, mean_image)
+    with pytest.raises(FormatError, match=message):
+        load_model(path)

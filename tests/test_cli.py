@@ -1,6 +1,5 @@
 """Command-line interface: subcommands, artifacts, exit codes."""
 
-import io
 import json
 import os
 
@@ -10,12 +9,14 @@ import pytest
 import crmn.checkpoint
 import crmn.cli
 import crmn.lstm
-from crmn.checkpoint import save_model, save_tensors
+from crmn.checkpoint import load_model, save_model, save_tensors
 from crmn.cli import main
-from crmn.data import ImageDataset, save_raw_dataset, synth_dataset
+from crmn.data import (ImageDataset, normalize, save_raw_dataset, split_train_val,
+                       synth_dataset)
 from crmn.model import build_crmn
 from crmn.resnet import NetworkConfig
 from crmn.tensor import active_tape
+from crmn.training import evaluate_model
 
 
 TRAIN_FLAGS = ["--layers", "8", "--fm-mult", "0.25", "--hidden", "5",
@@ -82,8 +83,7 @@ def test_train_writes_all_artifacts(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert summary["epochs"] == 2
     assert set(summary["artifacts"]) == {"checkpoint.crmn", "history.csv",
-                                         "schedule.json", "norm_stats.npy",
-                                         "manifest.json"}
+                                         "schedule.json", "manifest.json"}
     for name in summary["artifacts"]:
         assert (out_dir / name).exists()
     manifest = json.loads((out_dir / "manifest.json").read_text())
@@ -245,42 +245,6 @@ def test_evaluate_rejects_batch_sizes_below_one(micro_checkpoint, capsys, size):
     assert captured.out == ""
 
 
-def _npy(array):
-    buf = io.BytesIO()
-    np.save(buf, array)
-    return buf.getvalue()
-
-
-def _npz():
-    buf = io.BytesIO()
-    np.savez(buf, mean=np.zeros((3, 32, 32), np.float32))
-    return buf.getvalue()
-
-
-MEAN_IMAGE = _npy(np.zeros((3, 32, 32), np.float32))
-UNREADABLE_MEAN_IMAGES = {
-    "empty": b"",
-    "random-bytes": bytes(range(256)) * 2,
-    "truncated": MEAN_IMAGE[:-4],
-    "corrupted-header": MEAN_IMAGE[:20] + b"(((" + MEAN_IMAGE[23:],
-    "npz": _npz(),
-    "object-array": _npy(np.array([1, "a", None], dtype=object)),
-    "string-array": _npy(np.full((3, 32, 32), "a")),
-}
-
-
-@pytest.mark.parametrize("blob", UNREADABLE_MEAN_IMAGES.values(), ids=UNREADABLE_MEAN_IMAGES)
-def test_unreadable_mean_images_exit_three(tmp_path, micro_checkpoint, capsys, blob):
-    stats = tmp_path / "norm_stats.npy"
-    stats.write_bytes(blob)
-    argv = ["evaluate", "--checkpoint", micro_checkpoint, "--synth", "3,4",
-            "--normalize", "mean_pixel", "--norm-stats", str(stats)]
-    assert main(argv) == 3
-    assert capsys.readouterr().out == ""
-    stats.write_bytes(MEAN_IMAGE)  # the same command reads a well-formed mean image
-    assert main(argv) == 0
-
-
 def test_evaluate_scores_a_checkpoint(tmp_path, capsys):
     out_dir = tmp_path / "run"
     assert run_train(out_dir) == 0
@@ -304,13 +268,56 @@ def test_evaluate_on_a_raw_container(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["count"] == 12
 
 
-def test_evaluate_requires_stats_for_mean_pixel(tmp_path):
+def evaluation(model, ds):
+    """The JSON ``crmn evaluate`` prints for ``model`` on ``ds`` at its default batch."""
+    loss, acc = evaluate_model(model, ds, 100)
+    return json.dumps({"loss": loss, "accuracy": acc, "count": len(ds)}, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("mode", ["mean_pixel", "gcn"])
+def test_evaluate_repeats_the_training_normalization(tmp_path, capsys, mode):
+    """From the checkpoint alone: the training split's mean image for mean_pixel, each
+    image's own statistics for gcn."""
     out_dir = tmp_path / "run"
-    assert run_train(out_dir) == 0
-    with pytest.raises(SystemExit) as exc:
-        main(["evaluate", "--checkpoint", str(out_dir / "checkpoint.crmn"),
-              "--synth", "3,4", "--normalize", "mean_pixel"])
-    assert exc.value.code == 2
+    assert run_train(out_dir, "--normalize", mode) == 0
+    capsys.readouterr()
+    ckpt = str(out_dir / "checkpoint.crmn")
+    assert main(["evaluate", "--checkpoint", ckpt, "--synth", "3,8", "--synth-seed", "9"]) == 0
+    train_ds, _ = split_train_val(synth_dataset(3, 24, seed=7), 0.25, seed=3)
+    _, mean_image = normalize(train_ds, mode)
+    ds, _ = normalize(synth_dataset(3, 8, seed=9), mode, stats=mean_image)
+    assert capsys.readouterr().out == evaluation(load_model(ckpt), ds)
+
+
+def micro_arrays():
+    """Manifest fields and arrays of an untrained micro CRMN, with no normalization field."""
+    model = build_crmn(NetworkConfig(n=1, base_maps=4, classes=3, hidden_size=5), seed=1)
+    return {"kind": "crmn", "config": model.cfg.as_dict()}, model.named_arrays()
+
+
+def test_evaluate_reads_a_checkpoint_without_a_normalization_as_none(tmp_path, capsys):
+    path = tmp_path / "old.crmn"
+    save_tensors(path, *micro_arrays())
+    assert main(["evaluate", "--checkpoint", str(path), "--synth", "3,4"]) == 0
+    assert capsys.readouterr().out == evaluation(load_model(path), synth_dataset(3, 4))
+
+
+@pytest.mark.parametrize("mode, mean_image", [
+    ("whitening", None),
+    ("mean_pixel", None),
+    ("mean_pixel", np.zeros((3, 16, 16), np.float32)),
+    ("mean_pixel", np.zeros((3, 32, 32))),
+], ids=["unknown", "no-mean-image", "wrong-shape", "wrong-dtype"])
+def test_evaluate_rejects_a_bad_normalization(tmp_path, capsys, mode, mean_image):
+    extra, arrays = micro_arrays()
+    if mean_image is not None:
+        arrays.append(("input.mean_image", mean_image))
+    path = tmp_path / "norm.crmn"
+    save_tensors(path, {**extra, "normalize": mode}, arrays)
+    assert main(["evaluate", "--checkpoint", str(path), "--synth", "3,4"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_missing_and_malformed_files_exit_three(tmp_path, capsys):

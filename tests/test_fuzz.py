@@ -1,8 +1,8 @@
 """File loaders under arbitrary and mutated input: each returns or raises FormatError.
 
 The schedule and history parsers return or raise another ``CrmnError``
-(``InputError``); the mean-image reader returns an array or raises one. The
-examples are derandomized, so every run checks the same inputs.
+(``InputError``). The examples are derandomized, so every run checks the
+same inputs.
 """
 
 import copy
@@ -15,8 +15,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from crmn.checkpoint import MAGIC, load_model, load_tensors, save_model
-from crmn.data import (_RAW_HEADER, load_cifar_binary, load_mean_image, load_raw_dataset,
-                       save_raw_dataset, synth_dataset)
+from crmn.data import (_RAW_HEADER, load_cifar_binary, load_raw_dataset, save_raw_dataset,
+                       synth_dataset)
 from crmn.errors import CrmnError, FormatError
 from crmn.model import build_crmn, build_resnet
 from crmn.resnet import NetworkConfig
@@ -96,10 +96,13 @@ def test_cifar_records_with_arbitrary_labels(tmp_path, variant, label_bytes, lab
 
 @pytest.fixture(scope="module", params=["crmn", "resnet"])
 def checkpoint(request, tmp_path_factory):
-    """(manifest, payload) of a micro checkpoint."""
+    """(manifest, payload) of a micro checkpoint that records a mean_pixel mean image."""
     cfg = NetworkConfig(n=1, base_maps=2, classes=3, hidden_size=3, input_extent=8)
     path = tmp_path_factory.mktemp("fuzz") / "model.crmn"
-    save_model((build_crmn if request.param == "crmn" else build_resnet)(cfg), path)
+    model = (build_crmn if request.param == "crmn" else build_resnet)(cfg)
+    model.normalize = "mean_pixel"
+    model.mean_image = np.random.default_rng(0).random((3, 8, 8), dtype=np.float32)
+    save_model(model, path)
     blob = path.read_bytes()
     start = len(MAGIC) + 8
     (size,) = struct.unpack_from("<Q", blob, len(MAGIC))
@@ -120,7 +123,7 @@ def mutation_sites(node, path=()):
 
 SIZES = st.integers(-3, 2**31) | st.integers(-10**400, 10**400)
 WORDS = st.sampled_from(["crmn", "resnet", "auto", "original", "preactivation", "pad",
-                         "projection", "sigmoid", "<f4", "<f8"])
+                         "projection", "sigmoid", "<f4", "<f8", "none", "mean_pixel", "gcn"])
 
 
 def values_like(old):
@@ -130,12 +133,13 @@ def values_like(old):
 
 
 @FUZZ
-@given(data=st.data(), part=st.sampled_from(["config", "tensors", None]),
+@given(data=st.data(), part=st.sampled_from(["config", "tensors", "normalize", None]),
        cut=st.just(0) | st.integers(-8, 8))
 def test_checkpoints_with_mutated_fields(tmp_path, checkpoint, data, part, cut):
     manifest, payload = copy.deepcopy(checkpoint[0]), checkpoint[1]
     for _ in range(data.draw(st.integers(1, 2))):
-        # two thirds of the mutations go to the config or the tensor list
+        # three quarters of the mutations go to the config, the tensor list or the
+        # normalization
         sites = mutation_sites(manifest)
         *parents, last = data.draw(st.sampled_from(
             [site for site in sites if site[0] == part] or sites))
@@ -188,30 +192,3 @@ def test_histories_with_arbitrary_rows(tmp_path, rows):
     lines = [",".join(HISTORY_COLUMNS)] + [",".join(row) for row in rows]
     returns_or_crmn_error(read_history, tmp_path / "history.csv",
                           "\n".join(lines).encode("utf-8"))
-
-
-NPY_MAGIC = b"\x93NUMPY\x01\x00"
-DESCRS = st.sampled_from(["<f4", "<f8", "|u1", "<i8", "|b1", "<U2", "|V0", "|O", "<M8[s]"])
-SHAPES = st.lists(st.integers(-2, 4) | st.integers(-2**70, 2**70), max_size=3).map(tuple)
-
-
-def npy_file(header, body):
-    """A version-1 ``.npy`` file: magic, header length, header text, data."""
-    text = header.encode("latin-1", "replace")
-    return NPY_MAGIC + struct.pack("<H", len(text)) + text + body
-
-
-@FUZZ
-@given(blob=st.binary(max_size=300) | st.binary(max_size=40).map(lambda b: NPY_MAGIC + b)
-       | st.builds(npy_file,
-                   st.builds("{{'descr': {!r}, 'fortran_order': {!r}, 'shape': {!r}, }}\n".format,
-                             DESCRS | JSON, st.booleans() | JSON, SHAPES | JSON)
-                   | st.text(max_size=40),
-                   st.binary(max_size=40)))
-def test_mean_images_from_arbitrary_bytes(tmp_path, blob):
-    path = tmp_path / "norm_stats.npy"
-    path.write_bytes(blob)
-    try:
-        assert isinstance(load_mean_image(path), np.ndarray)
-    except CrmnError:
-        pass

@@ -13,10 +13,10 @@ from crmn.gradcheck import (
     DEFAULT_EPS, GradEntry, GradReport, check_full, check_lstm, check_ops,
     check_tensors, micro_config, numeric_gradient, relative_error, run_scope,
 )
-from crmn.model import build_crmn
-from crmn.resnet import ResidualBlock
-from crmn.tensor import (Tensor, active_tape, count_ops, matmul, mul, rows_from_vector,
-                         softmax_cross_entropy, sum_all)
+from crmn.model import build_crmn, build_resnet
+from crmn.resnet import SHORTCUTS, VARIANTS, NetworkConfig, ResidualBlock
+from crmn.tensor import (Tape, Tensor, active_tape, backward, count_ops, matmul, mul,
+                         rows_from_vector, softmax_cross_entropy, sum_all)
 
 
 def test_relative_error_uses_a_floor_near_zero():
@@ -64,6 +64,35 @@ def test_ops_scope_passes_tightly():
     assert payload["scope"] == "ops"
     assert payload["passed"] is True
     assert all(e["checked"] > 0 for e in payload["entries"])
+
+
+def test_ops_scope_covers_every_op_a_training_step_records(monkeypatch):
+    """Every closure a float64 training step records, over both kinds, variants and
+    shortcuts, belongs to an op with a check_ops entry; the LSTM step's two closures
+    are check_lstm's."""
+    owners = set()
+    record = Tape.record
+
+    def spy(tape, out, backward_fn):
+        owners.add(backward_fn.__qualname__.split(".<locals>")[0])
+        record(tape, out, backward_fn)
+
+    monkeypatch.setattr(Tape, "record", spy)
+    x = Tensor(np.random.default_rng(0).random((2, 3, 8, 8)))
+    for build in (build_crmn, build_resnet):
+        for variant in VARIANTS:
+            for shortcut in SHORTCUTS:
+                cfg = NetworkConfig(n=1, base_maps=2, classes=3, hidden_size=3, input_extent=8,
+                                    variant=variant, shortcut=shortcut).validate()
+                model = build(cfg, seed=0, dtype=np.float64)
+                with Tape():
+                    backward(softmax_cross_entropy(model.forward(x, training=True), [0, 2]))
+    monkeypatch.undo()
+    assert "lstm_step" in owners
+    checked = {e.name for e in check_ops(seed=0).entries}
+    unchecked = {op for op in owners - {"lstm_step"}
+                 if not any(name == op or name.startswith(op + "_") for name in checked)}
+    assert not unchecked
 
 
 def test_lstm_scope_covers_every_parameter():
