@@ -241,8 +241,8 @@ def tape_bytes(kind, cfg: NetworkConfig, batch=1):
     parts = {"trunk": trunk}
     head = 2 * size * batch * cfg.classes  # product and bias add
     if kind == "crmn":
-        # each adapter keeps its zero-padded row and not the pooled tap
-        parts["adapter"] = 3 * cfg.n * size * batch * max_lstm_width(cfg)
+        # each adapter keeps its pooled row; the LSTM step pads it only for its forward
+        parts["adapter"] = size * batch * sum(row.pooled_width for row in adapter_trace(cfg))
         # per step: the four gates, tanh(c), and the new c and h
         parts["lstm"] = 3 * cfg.n * 7 * size * batch * cfg.hidden_size
         head += size * batch * (cfg.stage_maps[-1] + cfg.hidden_size)  # concatenated features

@@ -33,7 +33,7 @@ import numpy as np
 from .analysis import KINDS, cost_report
 from .atomic import atomic_open
 from .data import NORMALIZE_MODES
-from .errors import FormatError, InputError
+from .errors import ContractError, FormatError, InputError
 from .model import TAP_FLATTEN_ORDER, build_crmn, build_resnet
 from .resnet import NetworkConfig
 
@@ -143,6 +143,12 @@ def load_tensors(path):
 
 
 def save_model(model, path):
+    """Write ``model``'s arrays, config and input normalization to ``path``.
+
+    A ``mean_pixel`` model's mean image must be 3 x E x E at the model's
+    input extent E, or ``ContractError`` is raised before the file is opened;
+    it is written as float32, the dtype ``load_model`` reads.
+    """
     extra = {
         "kind": model.kind,
         "config": model.cfg.as_dict(),
@@ -151,7 +157,13 @@ def save_model(model, path):
     }
     tensors = model.named_arrays()
     if model.normalize == "mean_pixel":
-        tensors.append((MEAN_IMAGE, model.mean_image))
+        e = model.cfg.input_extent
+        image = model.mean_image
+        if image is None or np.shape(image) != (3, e, e):
+            got = None if image is None else np.shape(image)
+            raise ContractError(f"save_model: a mean_pixel model needs a (3, {e}, {e}) "
+                                f"mean image, got {got}")
+        tensors.append((MEAN_IMAGE, np.asarray(image, dtype=np.float32)))
     save_tensors(path, extra, tensors)
 
 

@@ -8,7 +8,8 @@ on either side scores inf, so it fails every tolerance.
 Three scopes:
   ops   - each primitive op on small random shapes
   lstm  - a full 3-step cell (width 8, hidden 5, batch 2) through every
-          parameter
+          parameter, its steps' inputs 8, 6 and 4 wide as the model's taps
+          narrow by stage, so the zero padding is checked too
   full  - an end-to-end micro model (n=1, base 4, hidden 5, 3 classes,
           batch 2, training mode)
 
@@ -77,8 +78,9 @@ DEFAULT_TOLERANCE = 1e-4
 # K = 32 (x86_64, NumPy 2.4, one BLAS thread)
 _PROBES = 32
 _STACK_BYTES = 2**18
-# the LSTM check's sequence and the batch of both model checks
-_STEPS, _WIDTH, _HIDDEN, _BATCH = 3, 8, 5, 2
+# the LSTM check's input width per step, its hidden size, and the batch of both
+# model checks
+_WIDTHS, _HIDDEN, _BATCH = (8, 6, 4), 5, 2
 
 
 def relative_error(analytic, numeric, floor=ERROR_FLOOR):
@@ -236,7 +238,7 @@ def check_ops(seed=0, eps=DEFAULT_EPS) -> GradReport:
         return shortcut
 
     fa_train, fa_eval = off_kink(True), off_kink(False)
-    # a tap whose 8 pooled values pad to 12, and the ResNet's pad shortcut
+    # a tap, and the ResNet's pad shortcut
     tx, mx, rv = _t(rng, 2, 2, 4, 4), _t(rng, 2, 3, 2, 2), _t(rng, 4)
     # (name, seed of the fixed random weighting of the op's output, op, inputs);
     # the cross-entropy is a loss already and takes no weighting
@@ -264,7 +266,7 @@ def check_ops(seed=0, eps=DEFAULT_EPS) -> GradReport:
          [fx, bn.scale, bn.shift, fa_train]),
         ("batch_norm_add_relu_eval", 25, lambda: fused(False, fa_eval),
          [fx, bn.scale, bn.shift, fa_eval]),
-        ("adapt_tap", 26, lambda: adapt_tap(tx, 12), [tx]),
+        ("adapt_tap", 26, lambda: adapt_tap(tx), [tx]),
         ("pad_maps", 27, lambda: pad_maps(mx, 5), [mx]),
         ("space_subsample", 28, lambda: space_subsample(tx), [tx]),
         ("rows_from_vector", 29, lambda: rows_from_vector(rv, 3), [rv]),
@@ -280,12 +282,12 @@ def check_ops(seed=0, eps=DEFAULT_EPS) -> GradReport:
 def check_lstm(seed=0, eps=DEFAULT_EPS) -> GradReport:
     report = GradReport("lstm")
     rng = np.random.default_rng(seed)
-    params = init_lstm(_WIDTH, _HIDDEN, rng, dtype=np.float64)
+    params = init_lstm(_WIDTHS[0], _HIDDEN, rng, dtype=np.float64)
     # move off the all-zero init so peephole/initial-state gradients are exercised
     for name in ("p_i", "p_f", "p_o", "h0", "c0"):
         getattr(params, name).data += rng.standard_normal(_HIDDEN) * 0.3
-    xs = [Tensor(rng.standard_normal((_BATCH, _WIDTH)), requires_grad=True)
-          for _ in range(_STEPS)]
+    xs = [Tensor(rng.standard_normal((_BATCH, width)), requires_grad=True)
+          for width in _WIDTHS]
 
     def loss_fn():
         return _weighted_sum(run_sequence(params, xs), np.random.default_rng(40))
@@ -317,7 +319,7 @@ def check_full(seed=0, eps=DEFAULT_EPS) -> GradReport:
     inputs = [x.data] + [t.data for t in parts["taps"]]
     pool_out = parts["pool_out"].data
     plain = Values(lambda t: t.data)
-    adapted = [plain.adapt(t, model.max_width) for t in inputs[1:]]
+    adapted = [plain.adapt(t) for t in inputs[1:]]
     states = [plain.start(model.lstm, _BATCH)]
     for a in adapted:
         states.append(plain.step(model.lstm, a, states[-1]))

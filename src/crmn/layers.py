@@ -38,10 +38,18 @@ a zero-dilated g, four times the work, and measured 2.7x slower.
 
 A backward closure keeps no array the tape already holds in another form:
 the convolution backward rebuilds its columns from its input or from g,
-and the batch-norm backward recomputes xhat from the input, the mean and
-the inverse std with the forward's expression. Each activation is therefore
-retained once, as some op's output, and the recomputation changes no
-gradient.
+and the batch-norm backward recomputes d = x - mean from the input and the
+kept per-map mean with the forward's expression. Each activation is
+therefore retained once, as some op's output, and the recomputation changes
+no gradient.
+
+A batch norm makes few passes over its maps. The training forward takes the
+mean (one sum), writes d = x - mean once into its output buffer, takes the
+biased variance from d (one pass) and finishes in place: the per-map
+``inv_std * scale``, the shift, the add and the ReLU. The backward
+recomputes d once, takes each map's sum(g) and sum(g * d), and builds x's
+gradient in place on d. Every statistic and gradient sum is centered, so
+none cancels when a map's mean is far larger than its spread.
 
 A batch norm can also add a shortcut and apply the ReLU after it, as one op
 (In-Place Activated BatchNorm, Rota Bulo et al. 2018, arXiv:1712.02616): its
@@ -53,10 +61,10 @@ ReLU) each keep one map on the tape, not two or three. Forward values, every
 gradient and every count equal those of the three separate ops bit for bit.
 
 Each op's forward arithmetic is a NumPy value function (``conv_values``,
-``batch_stats`` with ``norm_values``, ``pool2x2_values``,
-``global_pool_values``) that takes leading axes (``conv_values`` on one
-operand only, images or kernels, not both); the taped op checks
-shapes, charges its count, records its closure and calls it. The trunk
+``norm_values``, ``pool2x2_values``, ``global_pool_values``) that takes
+leading axes (``conv_values`` on one operand only, images or kernels, not
+both); the taped op checks shapes, charges its count, records its closure
+and calls it. The trunk
 runs over an op table, ``Taped`` or ``Values``: ``conv``, ``norm`` (with
 its optional add and ReLU), ``pad_maps`` and ``block``. ``Values`` takes
 the value functions on a stand-in for any parameter, such as the gradient
@@ -294,9 +302,8 @@ class Conv2d:
         return [("weight", self.weight)]
 
 
-def batch_stats(x):
-    """Per-map mean and biased variance of x (..., b, c, h, w) over b, h and w."""
-    return x.mean(axis=(-4, -2, -1)), x.var(axis=(-4, -2, -1))
+# the axes a per-map statistic reduces: batch, rows and columns of (..., b, c, h, w)
+_MAP_AXES = (-4, -2, -1)
 
 
 def _per_map(v):
@@ -304,35 +311,43 @@ def _per_map(v):
     return v[..., None, :, None, None]
 
 
-def _normalized(x, mean, inv_std):
-    out = x - _per_map(mean)
-    out *= _per_map(inv_std)
-    return out
+def _map_dot(a, b):
+    """The per-map sum of a * b over the batch and spatial axes, in one pass and no temporary."""
+    # einsum reads each slice of a stack (K, b, c, h, w) as it reads one unstacked
+    # array, so every slice of the result equals the unstacked sum bit for bit
+    return np.einsum("...bchw,...bchw->...c", a, b)
 
 
-def norm_values(x, scale, shift, mean, var, add=None, relu=False):
-    """The per-map affine normalization of x in NumPy, then ``+ add`` and the ReLU
-    if asked for, and its inverse std.
+def norm_values(x, scale, shift, running=None, add=None, relu=False):
+    """The per-map normalization of x in NumPy, then ``+ add`` and the ReLU if asked
+    for: (out, mean, var, inv_std).
 
+    Without ``running`` the statistics are x's own over the batch and spatial
+    axes (training); with ``running = (mean, var)`` they are those (eval).
     Per-map vectors are (..., c); their leading axes, and add's, broadcast with
-    x's. One output buffer takes x - mean and then every later step in place,
-    each the IEEE operation of the unfused form: ``*= inv_std``, ``*= scale``,
-    ``+= shift``, ``+= add``, ``max(., 0)``.
+    x's. One output buffer takes d = x - mean, and every later step runs on it
+    in place: ``*= inv_std * scale``, ``+= shift``, ``+= add``, ``max(., 0)``.
+    In training the mean is one sum and the biased variance is taken from d,
+    so it stays the centered two-pass form. The eval norm is not folded into
+    ``x * a + (shift - mean * a)``, which cancels when |mean| is much larger
+    than the std.
     """
-    inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    terms = [_per_map(v) for v in (mean, inv_std, scale, shift)]
+    mean, var = (x.mean(axis=_MAP_AXES), None) if running is None else running
+    terms = [_per_map(v) for v in (mean, scale, shift)]
     if add is not None:
         terms.append(add)
     out = np.empty(np.broadcast(x, *terms).shape, dtype=np.result_type(x, *terms))
     np.subtract(x, terms[0], out=out)
-    out *= terms[1]
-    out *= terms[2]
-    out += terms[3]
+    if var is None:
+        var = _map_dot(out, out) / (x.shape[-4] * x.shape[-2] * x.shape[-1])
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
+    out *= _per_map(inv_std * scale)
+    out += terms[2]
     if add is not None:
         out += add
     if relu:
         np.maximum(out, 0, out=out)
-    return out, inv_std
+    return out, mean, var, inv_std
 
 
 def batch_norm(x, scale, shift, running_mean, running_var,
@@ -342,16 +357,22 @@ def batch_norm(x, scale, shift, running_mean, running_var,
 
     Training mode uses batch statistics (biased variance) and folds them
     into the running estimates in place. Eval mode applies the running
-    estimates as a fixed per-map affine. Counted cost is two operations
-    per element in either mode, since the normalization constants fold
-    into a single scale-and-shift, plus the add's one add and the ReLU's one
-    activation per element, as the unfused ops charge them.
+    estimates. Counted cost is two operations per element in either mode,
+    since the normalization constants fold into a single scale-and-shift,
+    plus the add's one add and the ReLU's one activation per element, as the
+    unfused ops charge them.
 
     One op keeps one output: the sum before the ReLU and the norm's own
     output are never kept. The backward takes the ReLU's mask from the
     output (out > 0 exactly where the sum is, NaN included), passes the
-    masked gradient to ``add`` and then through the norm, so every gradient
+    masked gradient g to ``add`` and then through the norm, so every gradient
     equals the one of the norm, the add and the ReLU as three ops, bit for bit.
+    The norm's backward recomputes d = x - mean once and takes each map's
+    sum(g) and sum(g * d): the shift's gradient is sum(g), the scale's
+    inv_std * sum(g * d), and in training x's is
+    a * (g - sum(g) / m - d * inv_std^2 * sum(g * d) / m), a = inv_std * scale,
+    built in place on d (m values per map); in eval it is a * g. Every sum is
+    centered, as in the forward (Ioffe & Szegedy 2015, arXiv:1502.03167).
     """
     x, scale, shift = _tensor(x), _tensor(scale), _tensor(shift)
     if x.ndim != 4:
@@ -365,21 +386,18 @@ def batch_norm(x, scale, shift, running_mean, running_var,
         if add.shape != x.shape:
             raise DimensionError(f"batch_norm: add {add.shape} does not fit input {x.shape}")
 
+    if training and b < 2:
+        raise ContractError(f"batch_norm: training mode needs batch >= 2, got {b}")
+    # eval's mean is a copy: at float64 the backward must not see a later in-place update
+    running = None if training else (running_mean.astype(x.data.dtype),
+                                     running_var.astype(x.data.dtype, copy=False))
+    out_data, mean, var, inv_std = norm_values(
+        x.data, scale.data, shift.data, running, None if add is None else add.data, relu)
     if training:
-        if b < 2:
-            raise ContractError(f"batch_norm: training mode needs batch >= 2, got {b}")
-        mean, var = batch_stats(x.data)
         running_mean *= 1.0 - momentum
         running_mean += momentum * mean
         running_var *= 1.0 - momentum
         running_var += momentum * var
-    else:
-        # a copy: at float64 the backward must not see a later in-place update
-        mean = running_mean.astype(x.data.dtype)
-        var = running_var.astype(x.data.dtype, copy=False)
-
-    out_data, inv_std = norm_values(x.data, scale.data, shift.data, mean, var,
-                                    None if add is None else add.data, relu)
     n = out_data.size
     _bump(mults=n, adds=2 * n if add is not None else n, activations=n if relu else 0)
 
@@ -388,26 +406,24 @@ def batch_norm(x, scale, shift, running_mean, running_var,
             g = g * (out_data > 0)
         if add is not None:
             accum(add, g)
-        xhat = _normalized(x.data, mean, inv_std)
-        accum(scale, np.einsum("bchw,bchw->c", g, xhat))
-        accum(shift, g.sum(axis=(0, 2, 3)))
+        d = x.data - _per_map(mean)
+        sum_g = np.einsum("bchw->c", g)
+        sum_gd = _map_dot(g, d)
+        accum(scale, inv_std * sum_gd)
+        accum(shift, sum_g)
         if not x.requires_grad:
             return
-        g_xhat = g * scale.data[:, None, None]
+        a = _per_map(inv_std * scale.data)
         if training:
-            sum_g = g_xhat.sum(axis=(0, 2, 3))
-            sum_gx = np.einsum("bchw,bchw->c", g_xhat, xhat)
-            # g_xhat - (sum_g + xhat * sum_gx) / m, in place: the same IEEE
-            # operations without four temporaries the size of x
-            xhat *= sum_gx[:, None, None]
-            xhat += sum_g[:, None, None]
-            xhat /= g.size // g.shape[1]  # the count each map's statistics average over
-            gx = np.subtract(g_xhat, xhat, out=g_xhat)
-            gx *= inv_std[:, None, None]
+            m = b * h * w
+            # g - sum(g) / m - d * inv_std^2 * sum(g * d) / m, on d
+            d *= _per_map(inv_std * inv_std * sum_gd / m)
+            d += _per_map(sum_g / m)
+            gx = np.subtract(g, d, out=d)
+            gx *= a
             accum(x, gx)
         else:
-            g_xhat *= inv_std[:, None, None]
-            accum(x, g_xhat)
+            accum(x, g * a)
 
     if add is None:
         return _taped(out_data, backward_fn, x, scale, shift)
@@ -531,7 +547,7 @@ class Values:
 
     def norm(self, layer, x, add=None, relu=False):
         scale, shift = self.value_of(layer.scale), self.value_of(layer.shift)
-        return norm_values(x, scale, shift, *batch_stats(x), add, relu)[0]
+        return norm_values(x, scale, shift, None, add, relu)[0]
 
     def block(self, block, x):
         return block.run(x, self)

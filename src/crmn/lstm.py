@@ -34,6 +34,15 @@ Stacking would not pay for the 3-step micro model that the gradient checks
 run either: concatenating the per-gate weights once per sequence took 42 us
 there, against 11 us per step saved by two GEMMs instead of eight (1 BLAS
 thread, 2-core VM).
+
+The zero padding of a narrow input lives in the step. The model's deeper
+taps pool to fewer values than the input weights have rows, and a step takes
+such an x as it is: ``gate_values`` pads it at the tail for the forward's x
+GEMMs, so forward values are those of the padded row, bit for bit, while the
+tape keeps the narrow row. The backward's x-side GEMMs skip the padding, which
+is 42% of a CRMN's input rows: x's gradient is g @ W_x[:k]^T and W_x's is
+x^T @ g in its first k rows, each equal to the matching slice of the
+full-width product bit for bit, and exact zeros below.
 """
 
 from __future__ import annotations
@@ -115,8 +124,15 @@ def gate_values(x, h, c, w, output_gate):
     ``w`` maps each step parameter name to its array. Every operand may carry
     leading axes that broadcast, so a stack of perturbed parameter copies
     (matrices (K, rows, cols), vectors (K, 1, hidden)) yields a stack of
-    states whose every slice equals the unstacked step bit for bit.
+    states whose every slice equals the unstacked step bit for bit. An x
+    narrower than the input weights is zero-padded at the tail first, so the
+    x GEMMs keep their full-width shape and values.
     """
+    width = w["w_xi"].shape[-2]
+    if x.shape[-1] < width:
+        padded = np.zeros(x.shape[:-1] + (width,), dtype=x.dtype)
+        padded[..., :x.shape[-1]] = x
+        x = padded
     # the parenthesization is the composed graph's: ((x W_x + h W_h) + c * p) + b
     i = _stable_sigmoid(((x @ w["w_xi"] + h @ w["w_hi"]) + c * w["p_i"]) + w["b_i"])
     f = _stable_sigmoid(((x @ w["w_xf"] + h @ w["w_hf"]) + c * w["p_f"]) + w["b_f"])
@@ -128,9 +144,13 @@ def gate_values(x, h, c, w, output_gate):
 
 
 def lstm_step(p: LstmParams, x, state: LstmState) -> LstmState:
-    """One gate update: consume x, return the next (h, c)."""
-    if x.ndim != 2 or x.shape[1] != p.input_width:
-        raise DimensionError(f"lstm_step: input {x.shape} does not match width {p.input_width}")
+    """One gate update: consume x, return the next (h, c).
+
+    x may be narrower than ``p.input_width``: it counts as zero-padded at the
+    tail, and the step's count charges the padded width.
+    """
+    if x.ndim != 2 or x.shape[1] > p.input_width:
+        raise DimensionError(f"lstm_step: input {x.shape} is wider than {p.input_width}")
     if state.h.shape != (x.shape[0], p.hidden) or state.c.shape != state.h.shape:
         raise DimensionError(
             f"lstm_step: state {state.h.shape}/{state.c.shape} for batch {x.shape[0]}, "
@@ -145,16 +165,19 @@ def lstm_step(p: LstmParams, x, state: LstmState) -> LstmState:
                   or any(getattr(p, n).requires_grad for n in _STEP_PARAMS))
     c_new = Tensor(c, requires_grad=needs_grad)
     h_new = Tensor(o * tc, requires_grad=needs_grad)
-    b, hid = x.shape[0], p.hidden
+    (b, k), hid = x.shape, p.hidden
     gemm = 4 * b * hid * (p.input_width + hid)
     _bump(mults=gemm + 6 * b * hid, adds=gemm + 12 * b * hid, activations=5 * b * hid)
 
     def linear_backward(accum, g, w_x, w_h):
-        # z = x @ w_x + h @ w_h: the h GEMM was taped after the x GEMM
+        # z = x @ w_x + h @ w_h: the h GEMM was taped after the x GEMM. x's
+        # zero padding meets only w_x's rows from k on, whose gradient is zero
         accum(h_prev, g @ w_h.data.T)
         accum(w_h, hd.T @ g)
-        accum(x, g @ w_x.data.T)
-        accum(w_x, xd.T @ g)
+        accum(x, g @ w_x.data[:k].T)
+        gw = np.zeros(w_x.shape, dtype=np.result_type(xd, g))
+        np.matmul(xd.T, g, out=gw[:k])
+        accum(w_x, gw)
 
     def c_backward(g, accum):
         # c = f * c_prev + i * cand

@@ -1,12 +1,14 @@
 """Full model assembly: trunk + tap adapters + LSTM + classifier head.
 
-Each tap is mean-pooled 2x2, flattened in (map, row, col) order, and
-zero-padded at the tail to the widest pooled tap, which is always the
-stage-1 width: base_maps * (input_extent/2)^2. ``adapt_values`` is that
-arithmetic in NumPy, and ``adapt_tap`` runs it as one taped op, so the tape
-keeps the padded row and not the pooled map. The LSTM reads the adapted
-taps shallowest-first; the final hidden state is concatenated after the
-trunk's global-pool features and fed to a single dense layer.
+Each tap is mean-pooled 2x2 and flattened in (map, row, col) order.
+``adapt_values`` is that arithmetic in NumPy, and ``adapt_tap`` runs it as
+one taped op, so the tape keeps the pooled row. The LSTM's input width is
+the widest pooled tap, which is always the stage-1 width: base_maps *
+(input_extent/2)^2. A narrower row counts as zero-padded at its tail: the
+LSTM step pads it for its forward GEMMs and skips the padding in its
+backward (see ``lstm``). The LSTM reads the adapted taps shallowest-first;
+the final hidden state is concatenated after the trunk's global-pool
+features and fed to a single dense layer.
 
 The model runs as one depth-wise loop, ``CrmnModel.run``, over an op table
 that adds the adapter, LSTM step, pool and head to the trunk's: ``Taped``
@@ -29,7 +31,7 @@ from collections import namedtuple
 import numpy as np
 
 from . import layers, lstm
-from .errors import ContractError, DimensionError
+from .errors import DimensionError
 from .layers import (Dense, global_avg_pool, global_pool_values, he_dense_weight, pool2x2_grad,
                      pool2x2_values)
 # run_sequence and trunk_forward are unused here: bench/tracer.py wraps them in this module
@@ -46,35 +48,27 @@ def max_lstm_width(cfg: NetworkConfig):
     return cfg.base_maps * (cfg.input_extent // 2) ** 2
 
 
-def adapt_values(tap, width):
-    """Meanpool 2x2, flatten (map, row, col), zero-pad the tail to ``width``, in NumPy.
+def adapt_values(tap):
+    """Meanpool 2x2 and flatten (map, row, col), in NumPy.
 
-    ``tap`` is (..., maps, rows, cols); leading axes stay. A tap already as
-    wide as ``width`` (stage 1) is its pooled array, not a second copy.
+    ``tap`` is (..., maps, rows, cols); leading axes stay.
     """
-    flat = pool2x2_values(tap).reshape(tap.shape[:-3] + (-1,))
-    if flat.shape[-1] == width:
-        return flat
-    out = np.zeros(flat.shape[:-1] + (width,), dtype=flat.dtype)
-    out[..., :flat.shape[-1]] = flat
-    return out
+    return pool2x2_values(tap).reshape(tap.shape[:-3] + (-1,))
 
 
-def adapt_tap(tap, max_width):
-    """The tap's ``adapt_values`` as one taped op, which keeps only its padded row."""
+def adapt_tap(tap):
+    """The tap's ``adapt_values`` as one taped op, which keeps only its pooled row."""
     tap = _tensor(tap)
     if tap.ndim != 4 or tap.shape[2] % 2 or tap.shape[3] % 2:
         raise DimensionError(f"adapt_tap: expected a rank-4 tap of even extents, got {tap.shape}")
     b, maps, h, w = tap.shape
     pooled = maps * (h // 2) * (w // 2)
-    if pooled > max_width:
-        raise ContractError(f"adapt_tap: pooled width {pooled} exceeds target {max_width}")
     _bump(mults=b * pooled, adds=4 * b * pooled)  # meanpool2x2's count
 
     def backward_fn(g, accum):
-        accum(tap, pool2x2_grad(g[:, :pooled].reshape(b, maps, h // 2, w // 2)))
+        accum(tap, pool2x2_grad(g.reshape(b, maps, h // 2, w // 2)))
 
-    return _taped(adapt_values(tap.data, max_width), backward_fn, tap)
+    return _taped(adapt_values(tap.data), backward_fn, tap)
 
 
 TapTrace = namedtuple("TapTrace", "stage index maps extent pooled_width pad")
@@ -98,8 +92,8 @@ class Taped(layers.Taped):
     start = staticmethod(initial_state)
     pool = staticmethod(global_avg_pool)
 
-    def adapt(self, tap, width):
-        return adapt_tap(tap, width)
+    def adapt(self, tap):
+        return adapt_tap(tap)
 
     def step(self, p, x, state):
         return lstm.lstm_step(p, x, state)
@@ -152,7 +146,7 @@ class CrmnModel:
         self.head = head
         self.lstm = lstm
         self.kind = "resnet" if lstm is None else "crmn"
-        self.max_width = max_lstm_width(cfg)
+        self.max_width = max_lstm_width(cfg)  # the LSTM's input width
         # the input normalization the model was trained on (one of
         # data.NORMALIZE_MODES) and mean_pixel's mean image; checkpoints record both
         self.normalize = "none"
@@ -184,7 +178,7 @@ class CrmnModel:
             if taps is not None:
                 taps.append(tap)
             if self.lstm is not None:
-                state = ops.step(self.lstm, ops.adapt(tap, self.max_width), state)
+                state = ops.step(self.lstm, ops.adapt(tap), state)
 
         features, unread = self.trunk.run(x, ops, start, read)
         pool = ops.pool(features)

@@ -9,7 +9,7 @@ import pytest
 
 import crmn.checkpoint
 from crmn.checkpoint import MAGIC, load_model, load_tensors, save_model, save_tensors
-from crmn.errors import FormatError
+from crmn.errors import ContractError, FormatError
 from crmn.model import build_crmn, build_resnet
 from crmn.resnet import NetworkConfig
 from crmn.tensor import Tensor
@@ -437,3 +437,26 @@ def test_checkpoint_rejects_a_bad_normalization(tmp_path, mode, mean_image, mess
     path = saved_with(tmp_path / "norm.crmn", mode, mean_image)
     with pytest.raises(FormatError, match=message):
         load_model(path)
+
+
+@pytest.mark.parametrize("mean_image", [None, np.zeros((3, 16, 16), np.float32),
+                                        np.zeros((32, 32, 3), np.float32)],
+                         ids=["missing", "wrong-extent", "channels-last"])
+def test_save_model_refuses_a_mean_pixel_model_without_its_mean_image(tmp_path, mean_image):
+    model = normalized_model("mean_pixel")
+    model.mean_image = mean_image
+    path = tmp_path / "model.crmn"
+    with pytest.raises(ContractError, match=r"needs a \(3, 32, 32\) mean image"):
+        save_model(model, path)
+    assert not path.exists()
+
+
+def test_save_model_writes_a_float64_mean_image_as_float32(tmp_path):
+    model = normalized_model("mean_pixel")
+    image = np.random.default_rng(22).random((3, 32, 32))
+    model.mean_image = image
+    path = tmp_path / "model.crmn"
+    save_model(model, path)
+    back = load_model(path)
+    assert back.mean_image.dtype == np.float32
+    assert back.mean_image.tobytes() == image.astype(np.float32).tobytes()

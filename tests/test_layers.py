@@ -632,6 +632,65 @@ def test_eval_backward_ignores_a_later_update_of_the_running_statistics():
         assert np.array_equal(got, want)
 
 
+def _norm_in(dtype, arrays, training, stats):
+    """One batch norm with a shortcut add and no ReLU, in ``dtype``, and its backward:
+    (output, x's, scale's, shift's and the shortcut's gradients)."""
+    x, scale, shift, shortcut, weights = (Tensor(a.astype(dtype), requires_grad=True)
+                                          for a in arrays)
+    weights.requires_grad = False
+    with Tape() as tape:
+        out = batch_norm(x, scale, shift, stats[0].copy(), stats[1].copy(), training,
+                         add=shortcut)
+        tape.backward(sum_all(mul(out, weights)))
+    return [out.data, x.grad, scale.grad, shift.grad, shortcut.grad]
+
+
+# normwise float32 error bounds of (output, x, scale, shift, shortcut gradient), by mode
+# and by the ratio of the maps' mean to their std: about three times the larger reading
+# of the two-pass norm and of the form before it. Training read at most 6.4e-8, 5.5e-8,
+# 2.9e-7 and 4.4e-7 at 1x; 2.3e-6, 5.7e-8, 1.5e-6 and 4.4e-7 at 100x; 2.9e-5, 5.7e-7,
+# 2.3e-5 and 4.4e-7 at 1000x. Eval read 5.8e-8, 4.8e-8, 2.7e-7 and 4.4e-7 at 1x; 4.1e-7,
+# 4.8e-8, 5.6e-7 and 4.4e-7 at 100x; 1.2e-5, 4.8e-8, 9.1e-6 and 4.4e-7 at 1000x. The
+# shortcut's gradient is the loss weighting itself, exactly. Cancelling forms fail: the
+# uncentered sum(g * x) - mean * sum(g) reads 3.3e-5 (train) and 3.1e-5 (eval) for the
+# scale at 100x, and the folded eval norm x * a + (shift - mean * a) 1.8e-6 for the
+# output at 100x.
+_NORM_PRECISION = {
+    (True, 1): (2e-7, 2e-7, 1e-6, 1.5e-6, 0.0),
+    (True, 100): (7e-6, 2e-7, 5e-6, 1.5e-6, 0.0),
+    (True, 1000): (9e-5, 2e-6, 7e-5, 1.5e-6, 0.0),
+    (False, 1): (2e-7, 1.5e-7, 1e-6, 1.5e-6, 0.0),
+    (False, 100): (1.3e-6, 1.5e-7, 2e-6, 1.5e-6, 0.0),
+    (False, 1000): (3.6e-5, 1.5e-7, 3e-5, 1.5e-6, 0.0),
+}
+
+
+@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+@pytest.mark.parametrize("ratio", [1, 100, 1000])
+def test_float32_batch_norm_stays_near_float64_for_maps_far_from_zero(training, ratio):
+    """Float32 against float64 on the same float32 values, for maps whose mean is
+    ``ratio`` times their std: a statistic or gradient sum that cancels the mean
+    (x * a + (shift - mean * a), or sum(g * x) - mean * sum(g)) loses digits in
+    proportion to the ratio. No ReLU, so there is no kink to flip."""
+    rng = np.random.default_rng(0)
+    shape = (16, 3, 16, 16)
+    std = np.array([0.5, 2.0, 1.0])
+    mean = ratio * std * np.array([1.0, -1.0, 1.0])
+    x = rng.standard_normal(shape) * std[:, None, None] + mean[:, None, None]
+    arrays = [x, 1 + 0.2 * rng.standard_normal(3), 0.2 * rng.standard_normal(3),
+              rng.standard_normal(shape), rng.standard_normal(shape)]
+    arrays = [a.astype(np.float32).astype(np.float64) for a in arrays]
+    # the eval norm's running estimates: the batch's own, held in float64 as BatchNorm holds them
+    stats = arrays[0].mean(axis=(0, 2, 3)), arrays[0].var(axis=(0, 2, 3))
+    got = _norm_in(np.float32, arrays, training, stats)
+    want = _norm_in(np.float64, arrays, training, stats)
+    names = ("out", "x", "scale", "shift", "shortcut")
+    for name, g, w, bound in zip(names, got, want, _NORM_PRECISION[training, ratio]):
+        assert g.dtype == np.float32
+        err = np.linalg.norm(g.astype(np.float64) - w) / np.linalg.norm(w)
+        assert err <= bound, (name, err)
+
+
 def _norm_add_relu(fused, training, dtype, shortcut, relu, nan=False):
     """One batch norm, with a shortcut add and a ReLU after it, and its backward.
 

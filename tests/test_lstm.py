@@ -251,3 +251,46 @@ def test_fused_step_matches_the_composed_ops_bit_for_bit(
         assert np.array_equal(g, ref), name
     assert total == ref_total
     assert max(entries) <= 2
+
+
+
+def _narrow_taps_run(dtype, width, taps, hidden, batch, pad):
+    """A cell of input ``width`` over taps of the widths in ``taps``, under a tape; with
+    ``pad`` each tap enters the step zero-padded to ``width``. Returns the final
+    state, the gradient of each tensor a step read, and the cell."""
+    rng = np.random.default_rng(23)
+    p = init_lstm(width, hidden, np.random.default_rng(24), dtype=dtype)
+    for name in ("p_i", "p_f", "p_o", "h0", "c0"):
+        getattr(p, name).data += (rng.standard_normal(hidden) * 0.3).astype(dtype)
+    xs = [rng.standard_normal((batch, k)).astype(dtype) for k in taps]
+    if pad:
+        xs = [np.concatenate([x, np.zeros((batch, width - x.shape[1]), dtype)], axis=1)
+              for x in xs]
+    xs = [Tensor(x, requires_grad=True) for x in xs]
+    weights = [Tensor(rng.standard_normal((batch, hidden)), dtype=dtype) for _ in range(2)]
+    with Tape() as tape:
+        state = initial_state(p, batch)
+        for x in xs:
+            state = lstm_step(p, x, state)
+        tape.backward(add(sum_all(mul(state.h, weights[0])), sum_all(mul(state.c, weights[1]))))
+    return state, [x.grad for x in xs], p
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("width,taps,hidden,batch", [
+    (12, (12, 7, 3), 5, 3), (12, (7, 3), 5, 3), (4096, (4096, 2048, 1024), 100, 50)])
+def test_a_narrow_tap_equals_its_zero_padded_row_bit_for_bit(dtype, width, taps, hidden, batch):
+    """h, c and every parameter gradient equal those of the taps padded by hand, each
+    tap's gradient is the prefix of its padded row's, and the input weights' rows past
+    every tap's width get exact zeros."""
+    state, grads, p = _narrow_taps_run(dtype, width, taps, hidden, batch, pad=False)
+    want_state, want_grads, want_p = _narrow_taps_run(dtype, width, taps, hidden, batch,
+                                                      pad=True)
+    assert state.h.data.tobytes() == want_state.h.data.tobytes()
+    assert state.c.data.tobytes() == want_state.c.data.tobytes()
+    for (name, t), (_, want) in zip(p.named_params(), want_p.named_params()):
+        assert t.grad.dtype == dtype and t.grad.tobytes() == want.grad.tobytes(), name
+        if name.startswith("w_x"):
+            assert not t.grad[max(taps):].any(), name
+    for g, want, k in zip(grads, want_grads, taps):
+        assert g.shape == (batch, k) and g.tobytes() == want[:, :k].tobytes()

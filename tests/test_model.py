@@ -8,7 +8,7 @@ import pytest
 import crmn.layers
 import crmn.lstm
 import crmn.model
-from crmn.errors import ContractError, DimensionError
+from crmn.errors import DimensionError
 from crmn.layers import batch_norm, conv2d, global_avg_pool, meanpool2x2
 from crmn.lstm import initial_state, lstm_step, run_sequence
 from crmn.model import (
@@ -47,14 +47,15 @@ def test_adapter_trace_widths_and_pads():
     assert len(trace) == 6
 
 
-def test_adapt_tap_flattens_map_major_then_pads():
-    # two maps, 2x2 each: pooled means land in (map, row, col) order
+def test_adapt_tap_flattens_map_major_without_padding():
+    # two maps, 2x2 each: pooled means land in (map, row, col) order; the LSTM
+    # step, not the adapter, pads a row narrower than its input width
     tap = Tensor(np.zeros((1, 2, 2, 2)), dtype=np.float64)
     tap.data[0, 0] = [[1.0, 2.0], [3.0, 4.0]]   # mean 2.5
     tap.data[0, 1] = [[-4.0, 0.0], [0.0, 0.0]]  # mean -1.0
-    out = adapt_tap(tap, 5)
+    out = adapt_tap(tap)
     assert TAP_FLATTEN_ORDER == "map,row,col"
-    assert np.array_equal(out.data, [[2.5, -1.0, 0.0, 0.0, 0.0]])
+    assert np.array_equal(out.data, [[2.5, -1.0]])
 
 
 def test_adapt_tap_spatial_order_is_row_then_col():
@@ -63,17 +64,19 @@ def test_adapt_tap_spatial_order_is_row_then_col():
     for r in range(2):
         for c in range(2):
             tap.data[0, 0, 2 * r:2 * r + 2, 2 * c:2 * c + 2] = 10 * r + c
-    out = adapt_tap(tap, 4)
+    out = adapt_tap(tap)
     assert np.array_equal(out.data, [[0.0, 1.0, 10.0, 11.0]])
 
 
-def test_adapt_tap_refuses_what_the_pool_and_pad_refused():
+def test_adapt_tap_refuses_what_the_pool_refused():
     with pytest.raises(DimensionError):
-        adapt_tap(Tensor(np.zeros((1, 2, 3, 4))), 8)  # odd extent
+        adapt_tap(Tensor(np.zeros((1, 2, 3, 4))))  # odd extent
     with pytest.raises(DimensionError):
-        adapt_tap(Tensor(np.zeros((2, 4, 4))), 8)
-    with pytest.raises(ContractError):
-        adapt_tap(Tensor(np.zeros((1, 3, 4, 4))), 11)  # 12 pooled values
+        adapt_tap(Tensor(np.zeros((2, 4, 4))))
+    # a pooled row wider than the LSTM's input width is the step's to refuse
+    p = crmn.lstm.init_lstm(11, 2, None)
+    with pytest.raises(DimensionError):
+        lstm_step(p, adapt_tap(Tensor(np.zeros((1, 3, 4, 4)))), initial_state(p, 1))
 
 
 def test_pad_weight_rows_are_inert_exactly_on_padded_steps():
@@ -84,7 +87,7 @@ def test_pad_weight_rows_are_inert_exactly_on_padded_steps():
     x = Tensor(np.random.default_rng(3).random((2, 3, 32, 32), dtype=np.float32))
     _, parts = model.forward(x, return_parts=True)
     width = max_lstm_width(cfg)
-    vecs = [adapt_tap(t, width) for t in parts["taps"]]  # one tap per stage
+    vecs = [adapt_tap(t) for t in parts["taps"]]  # one tap per stage
     state = initial_state(model.lstm, batch=2)
 
     def step_h(vec):
@@ -277,7 +280,7 @@ def _composed_logits(model, x, training):
     pool_out, taps = trunk_forward(model.trunk, x, training)
     if model.lstm is None:
         return model.head.forward(pool_out)
-    hidden = run_sequence(model.lstm, [adapt_tap(t, model.max_width) for t in taps])
+    hidden = run_sequence(model.lstm, [adapt_tap(t) for t in taps])
     return model.head.forward(concat_cols(pool_out, hidden))
 
 

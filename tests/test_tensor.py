@@ -442,7 +442,7 @@ TAPED_OPS = {
                                                          add=a, relu=True),
                             [(3, 2, 4, 4), (2,), (2,), (3, 2, 4, 4)]),
     "meanpool2x2": (meanpool2x2, [(2, 2, 4, 4)]),
-    "adapt_tap": (lambda t: adapt_tap(t, 12), [(2, 2, 4, 4)]),
+    "adapt_tap": (adapt_tap, [(2, 2, 4, 4)]),
     "global_avg_pool": (global_avg_pool, [(2, 2, 4, 4)]),
     "lstm_step": (_lstm_step, [(2, 3), (2, 2), (2, 2)] + [(3, 2), (2, 2)] * 4 + [(2,)] * 7),
 }
