@@ -538,6 +538,39 @@ def test_streamed_conv_backward_memory_stays_near_its_input():
     assert peak < 3 * x.nbytes + 2 * layers._COLUMN_BYTES
 
 
+# normwise float32 error bounds of (output, x's gradient, weight's gradient) by shape
+# (ci, co, extent), about three times the column-matrix forward's readings at seeds 0-4:
+# the stem read at most 9.6e-8, 2.2e-7 and 1.7e-7; 16 maps at 32x32 2.2e-7, 2.2e-7 and
+# 3.4e-7; 32 maps at 16x16 3.0e-7, 3.0e-7 and 2.9e-7; 64 maps at 8x8 2.9e-7, 2.9e-7
+# and 1.5e-7
+_CONV_PRECISION = {
+    (3, 16, 32): (3e-7, 6.5e-7, 5e-7),
+    (16, 16, 32): (6.5e-7, 6.5e-7, 1e-6),
+    (32, 32, 16): (9e-7, 9e-7, 9e-7),
+    (64, 64, 8): (9e-7, 9e-7, 4.5e-7),
+}
+
+
+@pytest.mark.parametrize("shape", list(_CONV_PRECISION),
+                         ids=["stem", "stage1", "stage2", "stage3"])
+def test_float32_conv_stays_near_float64(shape):
+    """Float32 against float64 on the same float32 values, for the forward and both
+    gradients of a stride-1 3x3 convolution at each shape of the trunk, batch 8."""
+    ci, co, extent = shape
+    x, w, g = (a.astype(np.float64) for a in
+               _conv_operands(np.random.default_rng(0), 8, ci, co, extent, 3, 1, np.float32))
+
+    def run(dtype):
+        out = layers.conv_values(x.astype(dtype), w.astype(dtype), 1)
+        return (out,) + _conv_gradients(x.astype(dtype), w.astype(dtype), g.astype(dtype))
+
+    got, want = run(np.float32), run(np.float64)
+    for name, a, b, bound in zip(("out", "x", "weight"), got, want, _CONV_PRECISION[shape]):
+        assert a.dtype == np.float32
+        err = np.linalg.norm(a.astype(np.float64) - b) / np.linalg.norm(b)
+        assert err <= bound, (name, err)
+
+
 def test_batch_norm_standardizes_per_map_in_training():
     rng = np.random.default_rng(1)
     x = Tensor(rng.standard_normal((8, 3, 4, 4)) * 3.0 + 5.0, dtype=np.float64)
