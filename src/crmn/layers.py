@@ -7,34 +7,58 @@ extent and stride-2 halves it (ceiling division). Convolutions carry no
 bias term; every convolution in the network is followed by a batch norm
 whose shift plays that role.
 
-Both convolution passes are im2col GEMMs over a window view of the padded
-input (as_strided, no copy until the column matrix is formed). The view is
-laid out b*ci*k*k*ho*wo, so every copied run of the column matrix is a
-whole output row. The forward streams the batch in chunks of images whose
-column matrices fit ``_COLUMN_BYTES``: each chunk is copied into the interior
-of one zero-bordered padded buffer (a 1x1 kernel has no border and takes the
-view on the images themselves), its columns are copied from the buffer's
-window view into one column buffer (both buffers are kept between calls),
-and W @ cols writes straight into the chunk's slice of the b*co*(ho*wo)
-output. Each image's GEMM has the shape, and the (ci, i, j) order along K,
-of a whole-batch product, so the result is the same bit for bit.
+A convolution's forward streams the batch in chunks of images. Each chunk
+is copied into the interior of one zero-bordered padded buffer (a 1x1 kernel
+has no border and takes the images as they stand), which is kept between
+calls, and the chunk's output is written straight into its slice of the
+b*co*(ho*wo) output. The path is chosen by shape alone:
+
+- A stride-1 k x k convolution (k > 1) with at least as many input maps as
+  output maps, at most ``_TAP_MAPS`` (128) of those, and per image at least
+  ``_TAP_MIN_MACS`` (2**16) multiply-adds in each tap's GEMM builds no
+  column matrix: every convolution inside a residual block of the paper's
+  models does so, but those of the x4 model's stage 3. Each map lies flattened in the buffer with k - 1
+  zeros of tail slack, and the output is computed over the padded width wp
+  as k*k GEMMs: W[..., i, j] (co x ci) times the buffer's view from offset
+  i*wp + j, which BLAS reads as it stands. The products are added in (i, j)
+  order into a kept buffer, whose 2 * pad junk columns per row are cropped
+  into the output. The column matrix is k*k times the input, and at the
+  stage-1 shape copying it cost 63 us per image against the GEMM's 74 us.
+  Each output is a sum of k*k partial dot products of ci terms, not one of
+  ci*k*k terms, so it differs from the column form in the last bits; its
+  float32 error against float64 is about half the column form's.
+- Every other convolution (the 3-map stem, the stride-2 convolutions, the
+  1x1 projections, those with more than 128 output maps and the small ones
+  of the gradient check's micro model) is an im2col GEMM, W @ cols. Its columns are copied from a window view of the padded
+  buffer (as_strided), laid out b*ci*k*k*ho*wo so every copied run is a
+  whole output row, into one kept column buffer. Per-tap GEMMs, each with
+  K = ci = 3, ran the stem at half speed; the two paths cross over near
+  ci = co / 2 (8 -> 16 maps at 32x32 took the same time either way at
+  batch 100).
+
+A chunk holds as many images as their column matrices, or their padded
+inputs, sums and products, fit in ``_COLUMN_BYTES``. Each image's
+GEMMs have the shape and summation order of a whole-batch call, so an
+image's output is the same bit for bit in any batch and at any place in it.
 
 The backward of a stride-1 convolution whose input needs a gradient is one
-streamed pass over g. Each chunk's columns of g are built once, by the same
-loop as the forward's (``_column_chunks``), and meet two GEMMs while they are
+streamed pass over g. Each chunk's columns of g are built once, by the
+column path's loop (``_column_chunks``), and meet two GEMMs while they are
 in cache. W_flip @ cols is the input gradient: the forward of g with the
 kernel flipped in both spatial axes and its co and ci axes swapped (Dumoulin
-& Visin 2016, arXiv:1603.07285, section 4), bit for bit what
-``conv_values`` returns for it. cols @ x^T, added image by image, is the
-flipped kernel's gradient, which read back flipped is the weight gradient;
-it sums the images in another order than a whole-batch GEMM, so it is not
-bit-identical to one. Every other convolution takes its weight gradient as
-one GEMM, g^T @ cols, over the whole batch's columns of x: the stem, whose
-input needs no gradient (its 27 rows of x's columns are fewer than g's 144),
-and the stride-2 convolutions. Their input gradient is one batched GEMM per
-kernel tap, W[:, :, i, j]^T @ g, scatter-added into the strided slice of the
-padded input it came from (col2im): the flipped-kernel form would convolve
-a zero-dilated g, four times the work, and measured 2.7x slower.
+& Visin 2016, arXiv:1603.07285, section 4), bit for bit what the column path
+(``_column_values``) returns for it. ``conv_values`` would take the per-tap
+path for a flipped block kernel, which agrees only to rounding. cols @ x^T,
+added image by image, is the flipped kernel's gradient, which read back
+flipped is the weight gradient; it sums the images in another order than a
+whole-batch GEMM, so it is not bit-identical to one. Every other
+convolution takes its weight gradient as one GEMM, g^T @ cols, over the
+whole batch's columns of x: the stem, whose input needs no gradient (its 27
+rows of x's columns are fewer than g's 144), and the stride-2 convolutions.
+Their input gradient is one batched GEMM per kernel tap, W[:, :, i, j]^T @ g,
+scatter-added into the strided slice of the padded input it came from
+(col2im): the flipped-kernel form would convolve a zero-dilated g, four
+times the work, and measured 2.7x slower.
 
 A backward closure keeps no array the tape already holds in another form:
 the convolution backward rebuilds its columns from its input or from g,
@@ -104,15 +128,40 @@ def he_dense_weight(rng, fan_in, fan_out, dtype=np.float32):
     return _he_normal(rng, (fan_in, fan_out), fan_in, dtype)
 
 
-# Bytes of column matrix that one streamed chunk builds (at least one image). A
+# Bytes of column matrix that one streamed chunk builds (at least one image),
+# or, on the per-tap path, of its padded inputs, sums and products. A
 # batch-100 stage-1 convolution's whole-batch column matrix is 56 MiB, nine
 # times its input, against a 2 MiB per-core L2, so forming it cost more than
 # the GEMM. Swept over 0.5, 1, 2 and 4 MiB at every stage shape at batch 100
 # (float32, 1 BLAS thread, 2-core x86_64 VM with 2 MiB L2 per core), 1 MiB was
 # best or within noise of best at each. At 2 MiB a stage-1 chunk holds three
 # images, whose columns (1.7 MiB), padded inputs and outputs overflow L2
-# together, and the call slowed from 16.8 to 19.2 ms.
+# together, and the call slowed from 16.8 to 19.2 ms. The per-tap path, swept
+# over 0.25-8 MiB of its own buffers at batch 50 and 100 on that machine, was
+# also best at or near 1 MiB (4 stage-1 images, 9 at stage 2, 15 at stage 3).
+# Sized by the columns it does not build, it would take 1, 3 and 7 images and
+# pay the Python cost of nine GEMMs and eight adds per chunk more often: stage 1
+# read 11.6 ms against 9.8 at batch 100 (5.0 against 4.2 at batch 50), and
+# stages 2 and 3 were within noise.
 _COLUMN_BYTES = 2**20
+
+# The most output maps a per-tap convolution takes. What it saves, the column
+# copy, shrinks against the GEMM as the output maps grow, and what it adds does
+# not: (k - 1) / w more products, over the padded width, and k*k - 1 adds of
+# its output. Column/per-tap time of a batch-50 call (float32, 1 BLAS thread,
+# the 2-core VM above, 20 alternating pairs, best of 3 each) read 1.14 at 64
+# maps of 32x32, 1.04-1.08 at 128 of 16x16 and 128 of 8x8, 0.99 at 192 of 8x8,
+# 0.96 at 256 of 16x16 and 0.94-0.96 at 256 of 8x8 (the x4 model's stage 3).
+_TAP_MAPS = 128
+
+# The fewest multiply-adds (ci * co * ho * wo) one image's tap GEMM may make
+# for a convolution to take the per-tap path, whose k*k GEMMs and k*k - 1 adds
+# per chunk cost more calls than the column path's copy and GEMM. Per-tap over
+# column time at batch 2 (float64, 1 BLAS thread): 1.4-1.5 at 2**14 (4 maps of
+# 32x32, 8 of 16x16, 16 of 8x8: the gradient check's micro model, which made
+# gradcheck-full 11% slower), 1.7-2.3 for its kernel stacks of 4-16, 1.1-1.2 at
+# 2**16 and 0.8-1.0 at 2**18 (every x1 stage). At batch 50 2**16 read 0.8-1.0.
+_TAP_MIN_MACS = 2**16
 
 # The streamed passes' padded, column and product buffers, kept between calls
 # by each thread (and grown to the largest chunk yet) rather than allocated
@@ -174,14 +223,73 @@ def _column_chunks(images, k, stride, ho, wo):
         yield s, cols[:m]
 
 
+def _column_values(images, weight, stride, ho, wo, out):
+    """Any convolution of images (n, ci, h, w) as one GEMM per chunk's columns, into
+    out (..., n, co, ho*wo)."""
+    co, ci, k, _ = weight.shape[-4:]
+    wmat = weight.reshape(weight.shape[:-4] + (1, co, ci * k * k))
+    for s, cols in _column_chunks(images, k, stride, ho, wo):
+        np.matmul(wmat, cols, out=out[..., s:s + len(cols), :, :])
+
+
+def _tap_sums(images, weight, ho, wo, out):
+    """A stride-1 k x k convolution of images (n, ci, h, w) as k*k GEMMs per chunk,
+    into out (..., n, co, ho*wo).
+
+    Each chunk is copied into the interior of the kept zero-bordered padded
+    buffer, each map flattened with k - 1 zeros of tail slack, so that tap
+    (i, j) reads the ho*wp positions from i*wp + j on as one offset view, a
+    BLAS operand with no copy. Over the padded width wp the output is the sum
+    of W[..., i, j] @ view(i, j), the taps added in (i, j) order into a kept
+    buffer; the wp - wo junk columns of each row are cropped on the way out.
+    Chunks hold as many images as their padded inputs, sums and products
+    fit in ``_COLUMN_BYTES``.
+    """
+    n, ci, h, w = images.shape
+    co, _, k, _ = weight.shape[-4:]
+    lead = weight.shape[:-4]
+    pad = (k - 1) // 2
+    wp = w + 2 * pad
+    span = ho * wp
+    flat = (h + 2 * pad) * wp + k - 1
+    # (..., k, k, 1, co, ci): each tap's matrix contiguous, against a chunk's image axis
+    taps = np.ascontiguousarray(np.moveaxis(weight, (-2, -1), (-4, -3)))[..., None, :, :]
+    per_image = (ci * flat + 2 * int(np.prod(lead)) * co * span) * images.itemsize
+    chunk = max(1, min(n, _COLUMN_BYTES // per_image))
+    xp = _scratch_array("padded", (chunk, ci, flat), images.dtype)
+    xp.fill(0)
+    interior = xp[:, :, :flat - (k - 1)].reshape(chunk, ci, h + 2 * pad, wp)
+    interior = interior[:, :, pad:pad + h, pad:pad + w]
+    # the column buffer, which this path does not fill, holds the sums and the products
+    sums, product = _scratch_array("columns", (2,) + lead + (chunk, co, span), out.dtype)
+    grid = out.reshape(out.shape[:-1] + (ho, wo))
+    for s in range(0, n, chunk):
+        m = min(chunk, n - s)
+        interior[:m] = images[s:s + m]
+        acc, part = sums[..., :m, :, :], product[..., :m, :, :]
+        for i in range(k):
+            for j in range(k):
+                view = xp[:m, :, i * wp + j:i * wp + j + span]
+                if i == j == 0:
+                    np.matmul(taps[..., i, j, :, :, :], view, out=acc)
+                else:
+                    acc += np.matmul(taps[..., i, j, :, :, :], view, out=part)
+        grid[..., s:s + m, :, :, :] = acc.reshape(lead + (m, co, ho, wp))[..., :wo]
+
+
 def conv_values(x, weight, stride):
     """The convolution in NumPy: x (..., b, ci, h, w) with weight (..., co, ci, k, k).
 
     Either side may carry leading axes, not both (``DimensionError``). The
     images of a stack (K, b, ci, h, w) are convolved as one image axis of K*b
-    images; a kernel stack (K, co, ci, k, k) meets each chunk's columns as
-    (K, 1, co, ci*k*k). Every GEMM slice has the unstacked shape and equals
-    the unstacked product bit for bit.
+    images; a kernel stack (K, co, ci, k, k) meets each chunk's columns, or
+    each tap's view, as (K, 1, co, ...). Every GEMM slice has the unstacked
+    shape and equals the unstacked product bit for bit.
+
+    A stride-1 k x k convolution (k > 1) with at least as many input maps as
+    output maps, at most ``_TAP_MAPS`` of those and at least
+    ``_TAP_MIN_MACS`` multiply-adds in each tap's GEMM takes ``_tap_sums``;
+    every other takes ``_column_values``.
     """
     if x.ndim > 4 and weight.ndim > 4:
         raise DimensionError(
@@ -192,11 +300,13 @@ def conv_values(x, weight, stride):
     ho = (h + 2 * pad - k) // stride + 1
     wo = (w + 2 * pad - k) // stride + 1
     images = x.reshape((-1,) + x.shape[-3:])
-    wmat = weight.reshape(weight.shape[:-4] + (1, co, ci * k * k))
     out = np.empty(weight.shape[:-4] + (len(images), co, ho * wo),
                    dtype=np.result_type(x, weight))
-    for s, cols in _column_chunks(images, k, stride, ho, wo):
-        np.matmul(wmat, cols, out=out[..., s:s + len(cols), :, :])
+    if (stride == 1 and k > 1 and co <= min(ci, _TAP_MAPS)
+            and ci * co * ho * wo >= _TAP_MIN_MACS):
+        _tap_sums(images, weight, ho, wo, out)
+    else:
+        _column_values(images, weight, stride, ho, wo, out)
     return out.reshape(weight.shape[:-4] + x.shape[:-3] + (co, ho, wo))
 
 
@@ -205,7 +315,7 @@ def _stride1_backward(x, weight, g):
 
     Both come from one streamed pass over g's columns. The input gradient is
     the forward of g with the kernel flipped in both spatial axes and its co
-    and ci axes swapped, computed as conv_values computes it. The flipped
+    and ci axes swapped, computed as _column_values computes it. The flipped
     kernel's gradient sums cols @ x^T over the images; flipped back, it is
     the weight gradient.
     """

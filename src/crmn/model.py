@@ -146,7 +146,6 @@ class CrmnModel:
         self.head = head
         self.lstm = lstm
         self.kind = "resnet" if lstm is None else "crmn"
-        self.max_width = max_lstm_width(cfg)  # the LSTM's input width
         # the input normalization the model was trained on (one of
         # data.NORMALIZE_MODES) and mean_pixel's mean image; checkpoints record both
         self.normalize = "none"

@@ -126,9 +126,23 @@ def _rows_first_conv_forward(x, weight, stride):
     return np.ascontiguousarray(flat.reshape(b, ho, wo, co).transpose(0, 3, 1, 2))
 
 
+# normwise float32 error bounds of (output, x's gradient, weight's gradient) by shape
+# (ci, co, extent), about three times the column-matrix forward's readings at seeds 0-4:
+# the stem read at most 9.6e-8, 2.2e-7 and 1.7e-7; 16 maps at 32x32 2.2e-7, 2.2e-7 and
+# 3.4e-7; 32 maps at 16x16 3.0e-7, 3.0e-7 and 2.9e-7; 64 maps at 8x8 2.9e-7, 2.9e-7
+# and 1.5e-7. The per-tap forward of the three trunk shapes reads 9.5e-8, 1.2e-7 and
+# 1.6e-7: each output is a sum of k*k partial dot products of ci terms, not one of ci*k*k.
+_CONV_PRECISION = {
+    (3, 16, 32): (3e-7, 6.5e-7, 5e-7),
+    (16, 16, 32): (6.5e-7, 6.5e-7, 1e-6),
+    (32, 32, 16): (9e-7, 9e-7, 9e-7),
+    (64, 64, 8): (9e-7, 9e-7, 4.5e-7),
+}
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("b, ci, co, extent, k, stride, exact", [
-    (4, 16, 16, 32, 3, 1, True),   # stage 1
+    (4, 16, 16, 32, 3, 1, False),  # stage 1: per-tap sums, another summation order
     (4, 3, 16, 32, 3, 1, True),    # stem
     (4, 16, 32, 32, 3, 2, True),   # stage transition, ci != co
     (4, 16, 32, 32, 1, 2, True),   # 1x1 projection shortcut
@@ -149,7 +163,8 @@ def test_conv_forward_matches_the_rows_first_oracle(b, ci, co, extent, k, stride
     if exact:
         assert np.array_equal(got, want)
     else:
-        assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
+        bound = _CONV_PRECISION.get((ci, co, extent), (1e-6,))[0]
+        assert np.linalg.norm(got - want) <= bound * np.linalg.norm(want)
 
 
 def test_conv_forward_of_a_sliced_view_matches_its_copy():
@@ -160,12 +175,23 @@ def test_conv_forward_of_a_sliced_view_matches_its_copy():
     w = rng.standard_normal((16, 16, 3, 3)).astype(np.float32)
     got = conv2d(Tensor(view), Tensor(w)).data
     assert np.array_equal(got, conv2d(Tensor(view.copy()), Tensor(w)).data)
-    assert np.array_equal(got, _rows_first_conv_forward(view, w, 1))
+    want = _rows_first_conv_forward(view, w, 1)
+    assert np.linalg.norm(got - want) <= _CONV_PRECISION[16, 16, 32][0] * np.linalg.norm(want)
 
 
 def _images_per_chunk(monkeypatch, images, ci, k, out_extent, dtype):
     # the column budget that makes conv_values stream `images` images per chunk
     per_image = ci * k * k * out_extent * out_extent * np.dtype(dtype).itemsize
+    monkeypatch.setattr(layers, "_COLUMN_BYTES", images * per_image)
+
+
+def _tap_images_per_chunk(monkeypatch, images, ci, co, k, extent, dtype):
+    # the budget that makes a stride-1 per-tap convolution stream `images` images per chunk:
+    # each image's padded input with its tail slack, and its sums and products over the
+    # padded width
+    padded = extent + k - 1
+    per_image = ci * (padded * padded + k - 1) + 2 * co * extent * padded
+    per_image *= np.dtype(dtype).itemsize
     monkeypatch.setattr(layers, "_COLUMN_BYTES", images * per_image)
 
 
@@ -179,10 +205,78 @@ def test_conv_forward_chunks_match_the_rows_first_oracle(monkeypatch, images, k,
     base = rng.standard_normal((7, 32, 18, 18)).astype(dtype)
     x = base[:, ::2, 1:-1, 1:-1]  # 7 images, 16 maps of 16x16, not contiguous
     w = rng.standard_normal((16, 16, k, k)).astype(dtype)
-    _images_per_chunk(monkeypatch, images, 16, k, 16 // stride, dtype)
-    got = conv2d(Tensor(x), Tensor(w), stride=stride).data
+
+    def run(images):
+        if (k, stride) == (3, 1):
+            _tap_images_per_chunk(monkeypatch, images, 16, 16, k, 16, dtype)
+        else:
+            _images_per_chunk(monkeypatch, images, 16, k, 16 // stride, dtype)
+        return conv2d(Tensor(x), Tensor(w), stride=stride).data
+
+    got = run(images)
     assert got.dtype == dtype and got.flags.c_contiguous
-    assert np.array_equal(got, _rows_first_conv_forward(x, w, stride))
+    want = _rows_first_conv_forward(x, w, stride)
+    if (k, stride) == (3, 1):
+        # per-tap sums: the same for any chunking, in another summation order than the oracle
+        assert np.array_equal(got, run(1))
+        bound = _CONV_PRECISION[16, 16, 32][0]
+        assert np.linalg.norm(got - want) <= bound * np.linalg.norm(want)
+    else:
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("ci, co, extent, k, stride, taps", [
+    (16, 16, 32, 3, 1, True),    # a x1 stage-1 block convolution
+    (128, 128, 8, 3, 1, True),   # the most output maps that take the taps
+    (16, 8, 32, 3, 1, True),     # fewer output maps than input maps
+    (16, 16, 16, 3, 1, True),    # the fewest multiply-adds per tap that take them
+    (16, 16, 33, 2, 1, True),    # an even kernel: one row and one column fewer out
+    (3, 16, 32, 3, 1, False),    # the stem
+    (256, 256, 8, 3, 1, False),  # the x4 model's stage 3
+    (4, 4, 32, 3, 1, False),     # the gradient check's micro model
+    (16, 16, 15, 3, 1, False),   # too few multiply-adds per tap
+    (16, 32, 32, 3, 2, False),   # a stage transition
+    (16, 16, 32, 1, 1, False),   # 1x1
+])
+def test_conv_values_takes_the_per_tap_path_by_shape(monkeypatch, ci, co, extent, k, stride,
+                                                     taps):
+    calls = []
+    tap_sums = layers._tap_sums
+    monkeypatch.setattr(layers, "_tap_sums", lambda *args: calls.append(args) or tap_sums(*args))
+    x = np.ones((1, ci, extent, extent), dtype=np.float32)
+    w = np.ones((co, ci, k, k), dtype=np.float32)
+    want = _rows_first_conv_forward(x, w, stride)
+    assert np.array_equal(layers.conv_values(x, w, stride), want)  # small integers: exact
+    assert bool(calls) == taps
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("ci, extent", [(16, 32), (64, 8)], ids=["stage1", "stage3"])
+def test_per_tap_conv_of_an_image_is_independent_of_its_batch(ci, extent, dtype):
+    # an image's output is the same bit for bit alone, at any position of a batch of 7
+    # and in a batch of 100, whatever chunk it falls in
+    rng = np.random.default_rng(28)
+    x = rng.standard_normal((100, ci, extent, extent)).astype(dtype)
+    w = rng.standard_normal((ci, ci, 3, 3)).astype(dtype)
+    whole = layers.conv_values(x, w, 1)
+    for picks in ([0, 99, 50, 1, 98, 3, 4], [97, 5, 96, 6, 95, 7, 94]):
+        assert np.array_equal(layers.conv_values(x[picks], w, 1), whole[picks])
+    for i in (0, 37, 99):
+        assert np.array_equal(layers.conv_values(x[i:i + 1], w, 1), whole[i:i + 1])
+
+
+@pytest.mark.parametrize("budget", [1, None], ids=["one-per-chunk", "default-chunks"])
+def test_per_tap_conv_values_of_a_stack_equal_each_slice(monkeypatch, budget):
+    # images stacked (K, b, ...) and kernels stacked (K, co, ...) on the per-tap path
+    rng = np.random.default_rng(29)
+    xs = rng.standard_normal((3, 5, 16, 16, 16))
+    ws = rng.standard_normal((3, 16, 16, 3, 3))
+    if budget:
+        monkeypatch.setattr(layers, "_COLUMN_BYTES", budget)
+    for stacked, x in zip(layers.conv_values(xs, ws[0], 1), xs):
+        assert np.array_equal(stacked, conv2d(Tensor(x), Tensor(ws[0])).data)
+    for stacked, w in zip(layers.conv_values(xs[0], ws, 1), ws):
+        assert np.array_equal(stacked, conv2d(Tensor(xs[0]), Tensor(w)).data)
 
 
 @pytest.mark.parametrize("images", [2, None], ids=["straddling-chunks", "default-chunks"])
@@ -455,7 +549,12 @@ def test_conv_of_an_empty_batch(k, stride):
 
 
 def _flipped_input_gradient(w, g):
-    return layers.conv_values(g, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), 1)
+    # the column forward of g with the flipped kernel, which the stride-1 backward
+    # takes whatever the map counts
+    b, co, h, wd = g.shape
+    out = np.empty((b, w.shape[1], h * wd), dtype=g.dtype)
+    layers._column_values(g, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), 1, h, wd, out)
+    return out.reshape(b, -1, h, wd)
 
 
 def _conv_gradients(x, w, g, stride=1):
@@ -536,19 +635,6 @@ def test_streamed_conv_backward_memory_stays_near_its_input():
             tracemalloc.stop()
     assert xt.grad.shape == x.shape and wt.grad.shape == w.shape
     assert peak < 3 * x.nbytes + 2 * layers._COLUMN_BYTES
-
-
-# normwise float32 error bounds of (output, x's gradient, weight's gradient) by shape
-# (ci, co, extent), about three times the column-matrix forward's readings at seeds 0-4:
-# the stem read at most 9.6e-8, 2.2e-7 and 1.7e-7; 16 maps at 32x32 2.2e-7, 2.2e-7 and
-# 3.4e-7; 32 maps at 16x16 3.0e-7, 3.0e-7 and 2.9e-7; 64 maps at 8x8 2.9e-7, 2.9e-7
-# and 1.5e-7
-_CONV_PRECISION = {
-    (3, 16, 32): (3e-7, 6.5e-7, 5e-7),
-    (16, 16, 32): (6.5e-7, 6.5e-7, 1e-6),
-    (32, 32, 16): (9e-7, 9e-7, 9e-7),
-    (64, 64, 8): (9e-7, 9e-7, 4.5e-7),
-}
 
 
 @pytest.mark.parametrize("shape", list(_CONV_PRECISION),

@@ -384,7 +384,7 @@ def _unfused_logits(model, x, training):
     pool = global_avg_pool(y)
     if model.lstm is None:
         return model.head.forward(pool)
-    adapted = [pad_cols(reshape(meanpool2x2(t), (t.shape[0], -1)), model.max_width)
+    adapted = [pad_cols(reshape(meanpool2x2(t), (t.shape[0], -1)), model.lstm.input_width)
                for t in taps]
     return model.head.forward(concat_cols(pool, run_sequence(model.lstm, adapted)))
 
