@@ -104,8 +104,6 @@ def _load_dataset(args, parser):
 
 def cmd_analyze(args, parser):
     if args.table:
-        if args.table != "default-grid":
-            parser.error(f"unknown table {args.table!r}")
         print(render_table(default_grid()))
         return 0
     cfg = _network_config(args, parser, args.classes)
@@ -221,7 +219,7 @@ def build_parser():
     p = subs.add_parser("analyze", help="parameter and operation accounting")
     _add_network_flags(p)
     p.add_argument("--classes", type=int, default=100)
-    p.add_argument("--table", nargs="?", const="default-grid",
+    p.add_argument("--table", action="store_true",
                    help="render the reference 12-row grid")
     p.add_argument("--pretty", action="store_true",
                    help="also print a human table to stderr")

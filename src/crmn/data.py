@@ -18,6 +18,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .atomic import atomic_open
 from .errors import DimensionError, FormatError, InputError
@@ -170,15 +171,14 @@ def normalize(ds: ImageDataset, mode="mean_pixel", stats=None):
 def augment(images, policy: AugmentPolicy, rng):
     """Pad with zeros, take per-image random crops, optionally flip."""
     policy.validate(images.shape[2])
-    n, c, h, w = images.shape
+    n, _, h, _ = images.shape
     pad = policy.pad
     span = 2 * pad + h - policy.crop  # offsets range over [0, span]
     padded = np.pad(images, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     offsets = rng.integers(0, span + 1, size=(n, 2))
-    out = np.empty((n, c, policy.crop, policy.crop), dtype=images.dtype)
-    for idx in range(n):
-        r, col = offsets[idx]
-        out[idx] = padded[idx, :, r:r + policy.crop, col:col + policy.crop]
+    # (n, c, span + 1, span + 1, crop, crop); one gather takes every image's crop
+    windows = sliding_window_view(padded, (policy.crop, policy.crop), axis=(2, 3))
+    out = windows[np.arange(n), :, offsets[:, 0], offsets[:, 1]]
     if policy.flip:
         flips = rng.integers(0, 2, size=n).astype(bool)
         out[flips] = out[flips, :, :, ::-1]

@@ -16,10 +16,11 @@ b*co*(ho*wo) output. The path is chosen by shape alone:
 - A stride-1 k x k convolution (k > 1) with at least as many input maps as
   output maps, at most ``_TAP_MAPS`` (128) of those, and per image at least
   ``_TAP_MIN_MACS`` (2**16) multiply-adds in each tap's GEMM builds no
-  column matrix: every convolution inside a residual block of the paper's
-  models does so, but those of the x4 model's stage 3. Each map lies flattened in the buffer with k - 1
-  zeros of tail slack, and the output is computed over the padded width wp
-  as k*k GEMMs: W[..., i, j] (co x ci) times the buffer's view from offset
+  column matrix: in the paper's models, every stride-1 convolution inside a
+  residual block of at most 128 maps, so not those of the x4 model's stage 3
+  (256 maps) or of any stage of the x12 model (192 to 768). Each map lies
+  flattened in the buffer with k - 1 zeros of tail slack, and the output is
+  computed over the padded width wp as k*k GEMMs: W[..., i, j] (co x ci) times the buffer's view from offset
   i*wp + j, which BLAS reads as it stands. The products are added in (i, j)
   order into a kept buffer, whose 2 * pad junk columns per row are cropped
   into the output. The column matrix is k*k times the input, and at the
@@ -27,9 +28,10 @@ b*co*(ho*wo) output. The path is chosen by shape alone:
   Each output is a sum of k*k partial dot products of ci terms, not one of
   ci*k*k terms, so it differs from the column form in the last bits; its
   float32 error against float64 is about half the column form's.
-- Every other convolution (the 3-map stem, the stride-2 convolutions, the
-  1x1 projections, those with more than 128 output maps and the small ones
-  of the gradient check's micro model) is an im2col GEMM, W @ cols. Its columns are copied from a window view of the padded
+- Every other convolution (the 3-map stem, the stride-2 first convolutions
+  of stages 2 and 3, the 1x1 projections, those with more than 128 output
+  maps and the small ones of the gradient check's micro model) is an im2col
+  GEMM, W @ cols. Its columns are copied from a window view of the padded
   buffer (as_strided), laid out b*ci*k*k*ho*wo so every copied run is a
   whole output row, into one kept column buffer. Per-tap GEMMs, each with
   K = ci = 3, ran the stem at half speed; the two paths cross over near
@@ -41,24 +43,27 @@ inputs, sums and products, fit in ``_COLUMN_BYTES``. Each image's
 GEMMs have the shape and summation order of a whole-batch call, so an
 image's output is the same bit for bit in any batch and at any place in it.
 
-The backward of a stride-1 convolution whose input needs a gradient is one
-streamed pass over g. Each chunk's columns of g are built once, by the
-column path's loop (``_column_chunks``), and meet two GEMMs while they are
-in cache. W_flip @ cols is the input gradient: the forward of g with the
-kernel flipped in both spatial axes and its co and ci axes swapped (Dumoulin
-& Visin 2016, arXiv:1603.07285, section 4), bit for bit what the column path
+No convolution's backward builds a whole-batch column matrix either. Its
+weight gradient is one streamed pass of ``_column_chunks``, one GEMM per
+image added in image order into one kept product buffer; the images are
+summed in another order than by one whole-batch GEMM, so the two differ in
+the last bits. When a stride-1 convolution's input needs a gradient, the
+columns are g's, and each chunk's columns meet two GEMMs while they are in
+cache. W_flip @ cols is the input gradient: the forward of g with the kernel
+flipped in both spatial axes and its co and ci axes swapped (Dumoulin &
+Visin 2016, arXiv:1603.07285, section 4), bit for bit what the column path
 (``_column_values``) returns for it. ``conv_values`` would take the per-tap
 path for a flipped block kernel, which agrees only to rounding. cols @ x^T,
-added image by image, is the flipped kernel's gradient, which read back
-flipped is the weight gradient; it sums the images in another order than a
-whole-batch GEMM, so it is not bit-identical to one. Every other
-convolution takes its weight gradient as one GEMM, g^T @ cols, over the
-whole batch's columns of x: the stem, whose input needs no gradient (its 27
-rows of x's columns are fewer than g's 144), and the stride-2 convolutions.
-Their input gradient is one batched GEMM per kernel tap, W[:, :, i, j]^T @ g,
-scatter-added into the strided slice of the padded input it came from
-(col2im): the flipped-kernel form would convolve a zero-dilated g, four
-times the work, and measured 2.7x slower.
+summed over the images, is the flipped kernel's gradient, which read back
+flipped is the weight gradient. Every other convolution (the stem, whose
+input needs no gradient, the stride-2 convolutions and the 1x1 projections)
+sums cols @ g^T over x's columns: against one GEMM over the whole batch's
+columns (batch 50, float32, 1 BLAS thread), 2.1 ms not 3.0 at the stem, 5.2
+and 4.0 not 6.3 and 3.9 at the stage transitions, 0.8 not 1.5 at a
+projection, and 20-70% less float32 error. A strided input gradient is one
+batched GEMM per kernel tap, W[:, :, i, j]^T @ g, scatter-added into the
+strided slice of the padded input it came from (col2im): the flipped kernel
+would convolve a zero-dilated g, four times the work, 2.7x slower.
 
 A backward closure keeps no array the tape already holds in another form:
 the convolution backward rebuilds its columns from its input or from g,
@@ -192,13 +197,6 @@ def _window_view(xp, k, stride):
                       strides=(*lead, s2, s3, s2 * stride, s3 * stride))
 
 
-def _weight_columns(x, k, stride):
-    """x (b, ci, h, w) as the weight gradient's columns: (ci*k*k, b*ho*wo)."""
-    pad = (k - 1) // 2
-    windows = _window_view(np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))), k, stride)
-    return windows.transpose(1, 2, 3, 0, 4, 5).reshape(x.shape[1] * k * k, -1)
-
-
 def _column_chunks(images, k, stride, ho, wo):
     """Yield (s, cols) per chunk of images (n, ci, h, w): the columns of images[s:s + m].
 
@@ -310,59 +308,56 @@ def conv_values(x, weight, stride):
     return out.reshape(weight.shape[:-4] + x.shape[:-3] + (co, ho, wo))
 
 
-def _stride1_backward(x, weight, g):
-    """A stride-1 convolution's input and weight gradients, from g (b, co, h, w).
+def _conv_backward(x, weight, stride, g, x_grad):
+    """A convolution's input gradient (None unless x_grad) and weight gradient from
+    g (b, co, ho, wo), the latter the sum of cols[n] @ other[n] over the images.
 
-    Both come from one streamed pass over g's columns. The input gradient is
-    the forward of g with the kernel flipped in both spatial axes and its co
-    and ci axes swapped, computed as _column_values computes it. The flipped
-    kernel's gradient sums cols @ x^T over the images; flipped back, it is
-    the weight gradient.
+    At stride 1 with x_grad, cols are g's, other is x^T and each chunk's cols
+    also give the input gradient, flipped @ cols; otherwise cols are x's,
+    other is g^T and a strided input gradient is ``_col2im``'s.
     """
-    co, ci, k, _ = weight.shape
-    b, _, h, w = x.shape
+    _, ci, k, _ = weight.shape
+    b, co, ho, wo = g.shape  # ho, wo = h, w at stride 1
     dtype = np.result_type(g, weight)
-    flipped = weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(1, ci, co * k * k)
-    gx = np.empty((b, ci, h * w), dtype=dtype)
-    gw = np.zeros((co * k * k, ci), dtype=dtype)
+    flipped = None
+    if x_grad and stride == 1:
+        flipped = weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(1, ci, co * k * k)
+        gx = np.empty((b, ci, ho * wo), dtype=dtype)
+        images, other = g, x.reshape(b, ci, ho * wo).transpose(0, 2, 1)
+    else:
+        images, other = x, g.reshape(b, co, ho * wo).transpose(0, 2, 1)
+    gw = np.zeros((images.shape[1] * k * k, other.shape[2]), dtype=dtype)
     product = _scratch_array("product", gw.shape, dtype)
-    xt = x.reshape(b, ci, h * w).transpose(0, 2, 1)
-    for s, cols in _column_chunks(g, k, 1, h, w):
-        np.matmul(flipped, cols, out=gx[s:s + len(cols)])
-        # one GEMM per image, added in image order: a batched product summed
-        # over its first axis needs a buffer as large as cols (stage 3) and
-        # measured slower at all three stage shapes
+    for s, cols in _column_chunks(images, k, stride, ho, wo):
+        if flipped is not None:
+            np.matmul(flipped, cols, out=gx[s:s + len(cols)])
+        # a batched product summed over its first axis needs a buffer as large
+        # as cols (stage 3) and measured slower at all three stage shapes
         for n, image_cols in enumerate(cols, s):
-            gw += np.matmul(image_cols, xt[n], out=product)
-    # gw[(o, i, j), c] is the gradient of weight[o, c, k - 1 - i, k - 1 - j]
-    return gx.reshape(x.shape), gw.reshape(co, k, k, ci)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
+            gw += np.matmul(image_cols, other[n], out=product)
+    if flipped is not None:
+        # gw[(o, i, j), c] is the gradient of weight[o, c, k - 1 - i, k - 1 - j]
+        return gx.reshape(x.shape), gw.reshape(co, k, k, ci)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
+    gx = _col2im(x, weight, g, stride) if x_grad else None
+    return gx, gw.reshape(ci, k, k, co).transpose(3, 0, 1, 2)
 
 
-def _direct_backward(x, weight, stride, g, accum):
-    """Both gradients of a convolution from g (b, co, ho, wo): one GEMM and col2im."""
+def _col2im(x, weight, g, stride):
+    """A strided convolution's input gradient from g (b, co, ho, wo): per kernel tap one
+    batched GEMM, W[:, :, i, j]^T @ g, scatter-added into the strided slice of the
+    padded input it came from."""
     b, ci, h, w = x.shape
     co, _, k, _ = weight.shape
     ho, wo = g.shape[2:]
     pad = (k - 1) // 2
-    if weight.requires_grad:
-        # cols is rebuilt as one (ci*k*k) x (b*ho*wo) matrix, so the weight
-        # gradient is a single GEMM instead of a batched one summed over b;
-        # taken as (cols @ g^T)^T it equals g @ cols^T bit for bit (OpenBLAS)
-        # and runs faster at every 3x3 stage shape
-        gflat = g.transpose(1, 0, 2, 3).reshape(co, b * ho * wo)
-        cols = _weight_columns(x.data, k, stride)
-        accum(weight, (cols @ gflat.T).T.reshape(co, ci, k, k))
-    if x.requires_grad:
-        # col2im: the flipped kernel would need a zero-dilated g, which
-        # measured 2.7x slower at both stride-2 shapes
-        gxp = np.zeros((b, ci, h + 2 * pad, w + 2 * pad), dtype=x.data.dtype)
-        gmaps = g.reshape(b, co, ho * wo)
-        for i in range(k):
-            for j in range(k):
-                spread = np.matmul(weight.data[:, :, i, j].T, gmaps)
-                gxp[:, :, i:i + ho * stride:stride, j:j + wo * stride:stride] += (
-                    spread.reshape(b, ci, ho, wo))
-        accum(x, gxp[:, :, pad:pad + h, pad:pad + w])
+    gmaps = g.reshape(b, co, ho * wo)
+    gxp = np.zeros((b, ci, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+    for i in range(k):
+        for j in range(k):
+            spread = np.matmul(weight[:, :, i, j].T, gmaps)
+            gxp[:, :, i:i + ho * stride:stride, j:j + wo * stride:stride] += (
+                spread.reshape(b, ci, ho, wo))
+    return gxp[:, :, pad:pad + h, pad:pad + w]
 
 
 def conv2d(x, weight, stride=1):
@@ -388,12 +383,9 @@ def conv2d(x, weight, stride=1):
     # the closure keeps only its three inputs: every local it read would be
     # kept on the tape with it, until the backward
     def backward_fn(g, accum):
-        if x.requires_grad and stride == 1:
-            gx, gw = _stride1_backward(x.data, weight.data, g)
-            accum(x, gx)
-            accum(weight, gw)
-        else:
-            _direct_backward(x, weight, stride, g, accum)
+        gx, gw = _conv_backward(x.data, weight.data, stride, g, x.requires_grad)
+        accum(x, gx)  # None exactly when x needs no gradient, which accum skips
+        accum(weight, gw)
 
     return _taped(out_data, backward_fn, x, weight)
 

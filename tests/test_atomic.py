@@ -25,6 +25,30 @@ def test_atomic_open_replaces_the_target_on_success(tmp_path):
     assert os.listdir(tmp_path) == ["out.bin"]
 
 
+def test_atomic_open_syncs_the_data_before_the_rename_and_the_directory_after(tmp_path,
+                                                                             monkeypatch):
+    target = tmp_path / "out.bin"
+    calls = []
+    fsync, replace = os.fsync, os.replace
+
+    def recorded_fsync(fd):
+        st = os.fstat(fd)
+        calls.append(("fsync", "directory" if stat.S_ISDIR(st.st_mode) else st.st_size))
+        fsync(fd)
+
+    def recorded_replace(src, dst):
+        calls.append(("replace", os.path.basename(dst)))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", recorded_fsync)
+    monkeypatch.setattr(os, "replace", recorded_replace)
+    with atomic_open(target, "wb") as fh:
+        fh.write(b"ten bytes!")  # held in the file object's buffer until the flush
+    # the file's fsync sees all ten bytes
+    assert calls == [("fsync", 10), ("replace", "out.bin"), ("fsync", "directory")]
+    assert target.read_bytes() == b"ten bytes!"
+
+
 def test_a_write_that_raises_leaves_the_target_and_no_temp_file(tmp_path):
     target = tmp_path / "out.txt"
     target.write_text("old contents\n")

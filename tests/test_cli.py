@@ -50,6 +50,14 @@ def test_analyze_table_prints_twelve_rows(capsys):
     assert out[-1].split()[0] == "CRMN"
 
 
+@pytest.mark.parametrize("argv", [["--table", "default-grid"], ["--table=default-grid"],
+                                  ["--table", "other"]])
+def test_analyze_table_takes_no_value(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", *argv])
+    assert exc.value.code == 2
+
+
 def test_analyze_pretty_sends_table_to_stderr(capsys):
     assert main(["analyze", "--kind", "resnet", "--layers", "32",
                  "--fm-mult", "1", "--pretty"]) == 0

@@ -177,6 +177,22 @@ def test_augment_is_seed_deterministic():
     assert not np.array_equal(a, offsets_seen)
 
 
+@pytest.mark.parametrize("pad, crop", [(4, 32), (2, 30)])
+def test_augment_matches_per_image_crops_and_flips(pad, crop):
+    images = np.random.default_rng(8).random((50, 3, 32, 32), dtype=np.float32)
+    out = augment(images, AugmentPolicy(pad=pad, crop=crop, flip=True),
+                  np.random.default_rng(9))
+    draws = np.random.default_rng(9)  # the same draws, in the same order
+    offsets = draws.integers(0, 2 * pad + 32 - crop + 1, size=(50, 2))
+    flips = draws.integers(0, 2, size=50).astype(bool)
+    assert flips.any() and not flips.all()
+    padded = np.pad(images, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    assert out.shape == (50, 3, crop, crop) and out.flags.c_contiguous
+    for image, (r, c), flip, got in zip(padded, offsets, flips, out):
+        want = image[:, r:r + crop, c:c + crop]
+        assert np.array_equal(got, want[:, :, ::-1] if flip else want)
+
+
 def test_augment_rejects_oversized_crop():
     images = np.ones((1, 3, 8, 8), dtype=np.float32)
     with pytest.raises(InputError):
