@@ -47,9 +47,9 @@ No convolution's backward builds a whole-batch column matrix either. Its
 weight gradient is one streamed pass of ``_column_chunks``, one GEMM per
 image added in image order into one kept product buffer; the images are
 summed in another order than by one whole-batch GEMM, so the two differ in
-the last bits. When a stride-1 convolution's input needs a gradient, the
-columns are g's, and each chunk's columns meet two GEMMs while they are in
-cache. W_flip @ cols is the input gradient: the forward of g with the kernel
+the last bits. When a stride-1 convolution's input needs a gradient and its
+kernel is odd, as every model's is, the columns are g's, and each chunk's
+columns meet two GEMMs while they are in cache. W_flip @ cols is the input gradient: the forward of g with the kernel
 flipped in both spatial axes and its co and ci axes swapped (Dumoulin &
 Visin 2016, arXiv:1603.07285, section 4), bit for bit what the column path
 (``_column_values``) returns for it. ``conv_values`` would take the per-tap
@@ -60,10 +60,11 @@ input needs no gradient, the stride-2 convolutions and the 1x1 projections)
 sums cols @ g^T over x's columns: against one GEMM over the whole batch's
 columns (batch 50, float32, 1 BLAS thread), 2.1 ms not 3.0 at the stem, 5.2
 and 4.0 not 6.3 and 3.9 at the stage transitions, 0.8 not 1.5 at a
-projection, and 20-70% less float32 error. A strided input gradient is one
+projection, and 20-70% less float32 error. Any other input gradient is one
 batched GEMM per kernel tap, W[:, :, i, j]^T @ g, scatter-added into the
-strided slice of the padded input it came from (col2im): the flipped kernel
-would convolve a zero-dilated g, four times the work, 2.7x slower.
+(strided) slice of the padded input it came from (col2im): at stride 2 the
+flipped kernel would convolve a zero-dilated g, four times the work, 2.7x
+slower.
 
 A backward closure keeps no array the tape already holds in another form:
 the convolution backward rebuilds its columns from its input or from g,
@@ -312,15 +313,15 @@ def _conv_backward(x, weight, stride, g, x_grad):
     """A convolution's input gradient (None unless x_grad) and weight gradient from
     g (b, co, ho, wo), the latter the sum of cols[n] @ other[n] over the images.
 
-    At stride 1 with x_grad, cols are g's, other is x^T and each chunk's cols
-    also give the input gradient, flipped @ cols; otherwise cols are x's,
-    other is g^T and a strided input gradient is ``_col2im``'s.
+    At stride 1 with an odd kernel and x_grad, cols are g's, other is x^T and
+    each chunk's cols also give the input gradient, flipped @ cols; otherwise
+    cols are x's, other is g^T and the input gradient is ``_col2im``'s.
     """
     _, ci, k, _ = weight.shape
-    b, co, ho, wo = g.shape  # ho, wo = h, w at stride 1
+    b, co, ho, wo = g.shape  # ho, wo = h, w at stride 1 with an odd k
     dtype = np.result_type(g, weight)
     flipped = None
-    if x_grad and stride == 1:
+    if x_grad and stride == 1 and k % 2:
         flipped = weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(1, ci, co * k * k)
         gx = np.empty((b, ci, ho * wo), dtype=dtype)
         images, other = g, x.reshape(b, ci, ho * wo).transpose(0, 2, 1)

@@ -430,6 +430,24 @@ def test_conv_backward_matches_the_einsum_oracle(ci, co, stride):
         assert np.abs(got - want).max() / np.abs(want).max() <= 1e-5
 
 
+@pytest.mark.parametrize("x_shape, w_shape", [((2, 4, 9, 9), (4, 4, 2, 2)),
+                                              ((2, 3, 8, 8), (5, 3, 4, 4))])
+def test_even_kernel_conv_backward_matches_the_einsum_oracle(x_shape, w_shape):
+    # an even kernel gives one row and one column fewer out than in, so the input
+    # gradient cannot be the flipped kernel's forward of g; float64
+    rng = np.random.default_rng(29)
+    x = Tensor(rng.standard_normal(x_shape), requires_grad=True, dtype=np.float64)
+    w = Tensor(rng.standard_normal(w_shape), requires_grad=True, dtype=np.float64)
+    with Tape() as tape:
+        out = conv2d(x, w)
+        weights = rng.standard_normal(out.shape)
+        tape.backward(sum_all(out * Tensor(weights, dtype=np.float64)))
+    gx, gw = _einsum_conv_backward(x.data, w.data, weights, 1)
+    for got, want in ((x.grad, gx), (w.grad, gw)):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() / np.abs(want).max() <= 1e-13
+
+
 def _per_tap_input_gradient(x_shape, weight, g, stride):
     """The per-tap col2im input gradient the stride-1 flipped kernel replaced, kept as an oracle."""
     b, ci, h, w = x_shape
