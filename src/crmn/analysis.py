@@ -177,7 +177,9 @@ def _adapter_flops(cfg: NetworkConfig, batch):
 
 
 def lstm_step_ops(i, h, batch=1):
-    """Exact per-step operation counts of one cell update."""
+    """Exact per-step operation counts of one cell update at input width i. A
+    model charges every step this full width, as if each narrower tap were
+    zero-padded, although the step multiplies only that tap's rows of W_x."""
     ops = OpCounter()
     ops.mults = batch * (4 * (h * i + h * h) + 6 * h)
     ops.adds = batch * (4 * (h * i + h * h) + 12 * h)
@@ -241,7 +243,7 @@ def tape_bytes(kind, cfg: NetworkConfig, batch=1):
     parts = {"trunk": trunk}
     head = 2 * size * batch * cfg.classes  # product and bias add
     if kind == "crmn":
-        # each adapter keeps its pooled row; the LSTM step pads it only for its forward
+        # each adapter keeps its pooled row, which the LSTM step reads as it is
         parts["adapter"] = size * batch * sum(row.pooled_width for row in adapter_trace(cfg))
         # per step: the four gates, tanh(c), and the new c and h
         parts["lstm"] = 3 * cfg.n * 7 * size * batch * cfg.hidden_size

@@ -9,7 +9,7 @@ Three scopes:
   ops   - each primitive op on small random shapes
   lstm  - a full 3-step cell (width 8, hidden 5, batch 2) through every
           parameter, its steps' inputs 8, 6 and 4 wide as the model's taps
-          narrow by stage, so the zero padding is checked too
+          narrow by stage, so the narrow taps' rows are checked too
   full  - an end-to-end micro model (n=1, base 4, hidden 5, 3 classes,
           batch 2, training mode)
 

@@ -35,14 +35,14 @@ run either: concatenating the per-gate weights once per sequence took 42 us
 there, against 11 us per step saved by two GEMMs instead of eight (1 BLAS
 thread, 2-core VM).
 
-The zero padding of a narrow input lives in the step. The model's deeper
-taps pool to fewer values than the input weights have rows, and a step takes
-such an x as it is: ``gate_values`` pads it at the tail for the forward's x
-GEMMs, so forward values are those of the padded row, bit for bit, while the
-tape keeps the narrow row. The backward's x-side GEMMs skip the padding, which
-is 42% of a CRMN's input rows: x's gradient is g @ W_x[:k]^T and W_x's is
-x^T @ g in its first k rows, each equal to the matching slice of the
-full-width product bit for bit, and exact zeros below.
+A narrow input counts as zero-padded at its tail, and no padded copy is
+built. The model's deeper taps pool to fewer values than the input weights
+have rows, and a step takes such an x, k wide, as it is: every x-side GEMM
+multiplies only W_x[:k], which skips the padding, 42% of a CRMN's input
+rows. The forward's x term is x @ W_x[:k], equal to the padded row's product
+up to the rounding of a shorter sum; x's gradient is g @ W_x[:k]^T and W_x's
+is x^T @ g in its first k rows and exact zeros below. The step's count still
+charges the full input width.
 """
 
 from __future__ import annotations
@@ -124,21 +124,16 @@ def gate_values(x, h, c, w, output_gate):
     ``w`` maps each step parameter name to its array. Every operand may carry
     leading axes that broadcast, so a stack of perturbed parameter copies
     (matrices (K, rows, cols), vectors (K, 1, hidden)) yields a stack of
-    states whose every slice equals the unstacked step bit for bit. An x
-    narrower than the input weights is zero-padded at the tail first, so the
-    x GEMMs keep their full-width shape and values.
+    states whose every slice equals the unstacked step bit for bit. An x of
+    width k multiplies the input weights' first k rows.
     """
-    width = w["w_xi"].shape[-2]
-    if x.shape[-1] < width:
-        padded = np.zeros(x.shape[:-1] + (width,), dtype=x.dtype)
-        padded[..., :x.shape[-1]] = x
-        x = padded
+    k = x.shape[-1]
     # the parenthesization is the composed graph's: ((x W_x + h W_h) + c * p) + b
-    i = _stable_sigmoid(((x @ w["w_xi"] + h @ w["w_hi"]) + c * w["p_i"]) + w["b_i"])
-    f = _stable_sigmoid(((x @ w["w_xf"] + h @ w["w_hf"]) + c * w["p_f"]) + w["b_f"])
-    cand = np.tanh((x @ w["w_xc"] + h @ w["w_hc"]) + w["b_c"])
+    i = _stable_sigmoid(((x @ w["w_xi"][..., :k, :] + h @ w["w_hi"]) + c * w["p_i"]) + w["b_i"])
+    f = _stable_sigmoid(((x @ w["w_xf"][..., :k, :] + h @ w["w_hf"]) + c * w["p_f"]) + w["b_f"])
+    cand = np.tanh((x @ w["w_xc"][..., :k, :] + h @ w["w_hc"]) + w["b_c"])
     c_new = f * c + i * cand
-    z_o = ((x @ w["w_xo"] + h @ w["w_ho"]) + c_new * w["p_o"]) + w["b_o"]
+    z_o = ((x @ w["w_xo"][..., :k, :] + h @ w["w_ho"]) + c_new * w["p_o"]) + w["b_o"]
     o = np.tanh(z_o) if output_gate == "tanh" else _stable_sigmoid(z_o)
     return i, f, cand, c_new, o, np.tanh(c_new)
 
@@ -146,11 +141,12 @@ def gate_values(x, h, c, w, output_gate):
 def lstm_step(p: LstmParams, x, state: LstmState) -> LstmState:
     """One gate update: consume x, return the next (h, c).
 
-    x may be narrower than ``p.input_width``: it counts as zero-padded at the
-    tail, and the step's count charges the padded width.
+    x is (batch, k) with k at most ``p.input_width``; a narrower x meets the
+    input weights' first k rows, and the step's count charges the full width.
     """
     if x.ndim != 2 or x.shape[1] > p.input_width:
-        raise DimensionError(f"lstm_step: input {x.shape} is wider than {p.input_width}")
+        raise DimensionError(
+            f"lstm_step: input {x.shape} must be rank 2 and at most {p.input_width} wide")
     if state.h.shape != (x.shape[0], p.hidden) or state.c.shape != state.h.shape:
         raise DimensionError(
             f"lstm_step: state {state.h.shape}/{state.c.shape} for batch {x.shape[0]}, "
@@ -170,8 +166,8 @@ def lstm_step(p: LstmParams, x, state: LstmState) -> LstmState:
     _bump(mults=gemm + 6 * b * hid, adds=gemm + 12 * b * hid, activations=5 * b * hid)
 
     def linear_backward(accum, g, w_x, w_h):
-        # z = x @ w_x + h @ w_h: the h GEMM was taped after the x GEMM. x's
-        # zero padding meets only w_x's rows from k on, whose gradient is zero
+        # z = x @ w_x[:k] + h @ w_h: the h GEMM was taped after the x GEMM, and
+        # w_x's rows from k on, which x's zero padding would meet, get zeros
         accum(h_prev, g @ w_h.data.T)
         accum(w_h, hd.T @ g)
         accum(x, g @ w_x.data[:k].T)
