@@ -47,24 +47,24 @@ No convolution's backward builds a whole-batch column matrix either. Its
 weight gradient is one streamed pass of ``_column_chunks``, one GEMM per
 image added in image order into one kept product buffer; the images are
 summed in another order than by one whole-batch GEMM, so the two differ in
-the last bits. When a stride-1 convolution's input needs a gradient and its
-kernel is odd, as every model's is, the columns are g's, and each chunk's
-columns meet two GEMMs while they are in cache. W_flip @ cols is the input gradient: the forward of g with the kernel
-flipped in both spatial axes and its co and ci axes swapped (Dumoulin &
-Visin 2016, arXiv:1603.07285, section 4), bit for bit what the column path
-(``_column_values``) returns for it. ``conv_values`` would take the per-tap
-path for a flipped block kernel, which agrees only to rounding. cols @ x^T,
-summed over the images, is the flipped kernel's gradient, which read back
-flipped is the weight gradient. Every other convolution (the stem, whose
-input needs no gradient, the stride-2 convolutions and the 1x1 projections)
-sums cols @ g^T over x's columns: against one GEMM over the whole batch's
-columns (batch 50, float32, 1 BLAS thread), 2.1 ms not 3.0 at the stem, 5.2
-and 4.0 not 6.3 and 3.9 at the stage transitions, 0.8 not 1.5 at a
-projection, and 20-70% less float32 error. Any other input gradient is one
-batched GEMM per kernel tap, W[:, :, i, j]^T @ g, scatter-added into the
-(strided) slice of the padded input it came from (col2im): at stride 2 the
-flipped kernel would convolve a zero-dilated g, four times the work, 2.7x
-slower.
+the last bits. When a stride-1 odd-kernel convolution's input needs a
+gradient, the columns are g's, and each chunk's columns meet two GEMMs while
+they are in cache. W_flip @ cols is the input gradient: the forward of g
+with the kernel flipped in both spatial axes and its co and ci axes swapped
+(Dumoulin & Visin 2016, arXiv:1603.07285, section 4), bit for bit what the
+column path (``_column_values``) returns for it. ``conv_values`` would take
+the per-tap path for a flipped block kernel, which agrees only to rounding.
+cols @ x^T, summed over the images, is the flipped kernel's gradient, which
+read back flipped is the weight gradient. Every other convolution (the stem,
+whose input needs no gradient, the stride-2 convolutions and the 1x1
+projections) sums cols @ g^T over x's columns: against one GEMM over the
+whole batch's columns (batch 50, float32, 1 BLAS thread), 2.1 ms not 3.0 at
+the stem, 5.2 and 4.0 not 6.3 and 3.9 at the stage transitions, 0.8 not 1.5
+at a projection, and 20-70% less float32 error. Any other input gradient
+(a strided or an even kernel's) is one batched GEMM per kernel tap,
+W[:, :, i, j]^T @ g, scatter-added into the slice of the padded input it
+came from (col2im): at stride 2 the flipped kernel would convolve a
+zero-dilated g, four times the work, 2.7x slower.
 
 A backward closure keeps no array the tape already holds in another form:
 the convolution backward rebuilds its columns from its input or from g,

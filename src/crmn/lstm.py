@@ -41,8 +41,8 @@ have rows, and a step takes such an x, k wide, as it is: every x-side GEMM
 multiplies only W_x[:k], which skips the padding, 42% of a CRMN's input
 rows. The forward's x term is x @ W_x[:k], equal to the padded row's product
 up to the rounding of a shorter sum; x's gradient is g @ W_x[:k]^T and W_x's
-is x^T @ g in its first k rows and exact zeros below. The step's count still
-charges the full input width.
+is x^T @ g in its first k rows and exact zeros below. The step's count
+charges the full input width, the paper's convention.
 """
 
 from __future__ import annotations

@@ -5,10 +5,10 @@ Each tap is mean-pooled 2x2 and flattened in (map, row, col) order.
 one taped op, so the tape keeps the pooled row. The LSTM's input width is
 the widest pooled tap, which is always the stage-1 width: base_maps *
 (input_extent/2)^2. A narrower row counts as zero-padded at its tail: the
-LSTM step multiplies only the input weights' first rows, forward and
-backward, and charges the full width (see ``lstm``). The LSTM reads the adapted taps shallowest-first;
-the final hidden state is concatenated after the trunk's global-pool
-features and fed to a single dense layer.
+LSTM step multiplies only its rows of the input weights, forward and
+backward, and charges the full width (see ``lstm``). The LSTM reads the
+adapted taps shallowest-first; the final hidden state is concatenated after
+the trunk's global-pool features and fed to a single dense layer.
 
 The model runs as one depth-wise loop, ``CrmnModel.run``, over an op table
 that adds the adapter, LSTM step, pool and head to the trunk's: ``Taped``
