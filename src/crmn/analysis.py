@@ -6,19 +6,22 @@ is one operation; data movement (padding, subsampling, reshapes, concat,
 broadcast) is free; batch-norm costs two operations per element in either
 mode since the normalization constants fold into one scale-and-shift.
 
-One list, ``_trunk_layers``, states the trunk's ops once, in forward order,
-from the same block plan the builder uses. The parameter count, the
-operation count and ``tape_bytes`` are each a sum over that list. Operations
-are charged per op as the instrumented tensor ops charge them and totalled
-in the same ``OpCounter`` that ``count_ops()`` yields, so an instrumented
-forward pass must agree exactly.
+One list, ``_model_ops``, states every op of the model once, part by part
+(trunk, tap adapters, LSTM steps, head), from the same block plan the
+builder uses. One walk over that list gives each part's parameter count,
+operation count and ``tape_bytes``; only the LSTM's weights, shared by every
+step, are counted once per cell by ``lstm_param_count``. Operations are
+charged per op as the instrumented tensor ops charge them and totalled in
+the same ``OpCounter`` that ``count_ops()`` yields, so an instrumented
+forward pass must agree exactly, part by part.
 
 ``tape_bytes`` counts the bytes of array data a taped training forward keeps
-alive until its backward, per block. Every recorded op keeps its output and
-nothing else of size; a batch norm also keeps its per-map mean and inverse
-std. A ReLU or shortcut add fused into its norm keeps nothing: the fused op
-has one output. Views (subsampling, broadcast initial states) and pads that
-leave their input as it is keep nothing new. Python object headers are not
+alive until its backward, per part and per block. Every recorded op keeps
+its output and nothing else of size; a batch norm also keeps its per-map
+mean and inverse std, and an LSTM step its seven hidden-width arrays. A ReLU
+or shortcut add fused into its norm keeps nothing: the fused op has one
+output. Views (subsampling, broadcast initial states) and pads that leave
+their input as it is keep nothing new. Python object headers are not
 counted, so traced growth exceeds the count by a few hundred bytes per op.
 """
 
@@ -31,17 +34,17 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import InputError
-from .model import adapter_trace, max_lstm_width
+from .model import max_lstm_width
 from .resnet import NetworkConfig, block_plan
 from .tensor import OpCounter
 
 KINDS = ("crmn", "resnet")
 
 
-def _add_into(ops, part, times=1):
-    ops.mults += times * part.mults
-    ops.adds += times * part.adds
-    ops.activations += times * part.activations
+def _add_into(ops, part):
+    ops.mults += part.mults
+    ops.adds += part.adds
+    ops.activations += part.activations
 
 
 @dataclass
@@ -82,25 +85,34 @@ class CostReport:
         }
 
 
-def _trunk_layers(cfg: NetworkConfig):
-    """Every recorded trunk op in forward order, as (block, op, maps, extent, fan_in).
+def _model_ops(kind, cfg: NetworkConfig):
+    """Every recorded op of a ``kind`` model, as (part, block, op, maps, extent, fan_in).
 
-    ``block`` is the op's ``BlockSpec``, or None for the stem, the final norm
-    and the pool. ``op`` names the op, or the parts of a fused one joined by
-    "+": a norm with the ReLU after it ("norm+relu"), and the original
-    variant's block tail ("norm+add+relu"). ``maps`` and ``extent`` describe
-    the op's output; ``fan_in`` is the number of inputs summed into each
-    output value (a conv's in_maps * k * k, the pool's window) and 1 for every
-    other op. The stride-2 subsample is a view and is not listed; the map pad
-    copies and is. A block's rows are consecutive, so grouping by ``block``
-    gives the stem, each block and the tail in turn.
+    ``part`` is "trunk", "adapter", "lstm" or "head". Each part's rows are
+    consecutive and in forward order, and so are each block's: grouping by
+    part and block gives the stem, each block, the trunk's tail and then
+    each other part in turn. ``block`` is a trunk op's ``BlockSpec``, or
+    None for the stem, the final norm, the pool and every op outside the
+    trunk. ``op`` names the op, or the parts of a fused one joined by "+": a
+    norm with the ReLU after it ("norm+relu"), and the original variant's
+    block tail ("norm+add+relu"). ``maps`` and ``extent`` describe the op's
+    output, an LSTM step's hidden state; ``fan_in`` is the number of inputs
+    summed into each output value (a conv's in_maps * k * k, a pool's
+    window, the dense product's features, a step's input width) and 1 for
+    every other op. The stride-2 subsample is a view and is not listed; the
+    map pad copies and is. Each tap's adapter is a 2x2 pool; every step is
+    charged the widest tap's width.
     """
+    if kind not in KINDS:
+        raise InputError(f"kind must be one of {KINDS}, got {kind!r}")
+    cfg.validate()
     original = cfg.resolved_variant == "original"
     base, e = cfg.base_maps, cfg.input_extent
-    rows = [(None, "conv", base, e, 27)]
+    rows = [("trunk", None, "conv", base, e, 27)]
     if original:
-        rows.append((None, "norm+relu", base, e, 1))
-    for spec in block_plan(cfg):
+        rows.append(("trunk", None, "norm+relu", base, e, 1))
+    plan = block_plan(cfg)
+    for spec in plan:
         m_in, m, e_in, e = spec.in_maps, spec.out_maps, spec.in_extent, spec.out_extent
         conv1, conv2 = ("conv", m, e, 9 * m_in), ("conv", m, e, 9 * m)
         norm_relu = ("norm+relu", m, e, 1)
@@ -113,17 +125,33 @@ def _trunk_layers(cfg: NetworkConfig):
         elif m_in < m:
             ops.append(("pad", m, e, 1))
         ops.append(("norm+add+relu", m, e, 1) if original else ("add", m, e, 1))
-        rows += [(spec, *op) for op in ops]
-    m = cfg.stage_maps[-1]  # and e is the last block's output extent
+        rows += [("trunk", spec, *op) for op in ops]
+    features = cfg.stage_maps[-1]  # and e is the last block's output extent
     if not original:
-        rows.append((None, "norm+relu", m, e, 1))
-    rows.append((None, "pool", m, 1, e * e))
+        rows.append(("trunk", None, "norm+relu", features, e, 1))
+    rows.append(("trunk", None, "pool", features, 1, e * e))
+    if kind == "crmn":
+        rows += [("adapter", None, "pool", s.out_maps, s.out_extent // 2, 4) for s in plan]
+        rows += [("lstm", None, "step", cfg.hidden_size, 1, max_lstm_width(cfg))] * len(plan)
+        features += cfg.hidden_size
+        rows.append(("head", None, "concat", features, 1, 1))
+    rows += [("head", None, "dense", cfg.classes, 1, features),
+             ("head", None, "bias", cfg.classes, 1, 1)]
     return rows
 
 
+def _params(op, maps, fan_in):
+    """Learned scalars of one trunk or head op; the LSTM's are counted once per cell."""
+    if op in ("conv", "dense"):
+        return maps * fan_in
+    if op.startswith("norm"):
+        return 2 * maps
+    return maps if op == "bias" else 0
+
+
 def trunk_param_count(cfg: NetworkConfig):
-    return sum(maps * fan_in if op == "conv" else 2 * maps if op.startswith("norm") else 0
-               for _, op, maps, _, fan_in in _trunk_layers(cfg))
+    return sum(_params(op, maps, fan_in)
+               for part, _, op, maps, _, fan_in in _model_ops("resnet", cfg) if part == "trunk")
 
 
 def lstm_param_count(i, h, learn_c0=True):
@@ -132,48 +160,6 @@ def lstm_param_count(i, h, learn_c0=True):
     if learn_c0:
         total += h
     return total
-
-
-def _charge(op, values, fan_in):
-    """Operations of one op with ``values`` output values, as tensor and layers charge them.
-
-    A fused op charges the sum of its parts.
-    """
-    ops = OpCounter()
-    for part in op.split("+"):
-        if part in ("conv", "norm"):  # a norm's fan_in is 1: one scale and one shift per value
-            ops.mults += values * fan_in
-            ops.adds += values * fan_in
-        elif part == "pool":
-            ops.mults += values
-            ops.adds += values * fan_in
-        elif part == "add":
-            ops.adds += values
-        elif part == "relu":
-            ops.activations += values
-    return ops
-
-
-def _trunk_flops(cfg: NetworkConfig, batch, breakdown):
-    ops = OpCounter()
-    for block, rows in groupby(_trunk_layers(cfg), key=itemgetter(0)):
-        part = OpCounter()
-        for _, op, maps, extent, fan_in in rows:
-            _add_into(part, _charge(op, batch * maps * extent * extent, fan_in))
-        if block is not None:
-            breakdown.append({"stage": block.stage, "index": block.index,
-                              "maps": block.out_maps, "extent": block.out_extent,
-                              "kernel": 3, "cost": part.total})
-        _add_into(ops, part)
-    return ops
-
-
-def _adapter_flops(cfg: NetworkConfig, batch):
-    ops = OpCounter()
-    out = batch * sum(tap.pooled_width for tap in adapter_trace(cfg))
-    ops.mults += out
-    ops.adds += 4 * out
-    return ops
 
 
 def lstm_step_ops(i, h, batch=1):
@@ -187,37 +173,59 @@ def lstm_step_ops(i, h, batch=1):
     return ops
 
 
-def _head_flops(d, classes, batch):
-    ops = OpCounter()
-    ops.mults = batch * d * classes
-    ops.adds = batch * d * classes + batch * classes  # the product, then the bias
-    return ops
+def _charge(ops, op, values, fan_in):
+    """Add the operations of one op with ``values`` output values to ``ops``, as
+    tensor and layers charge them. A fused op charges the sum of its parts."""
+    for part in op.split("+"):
+        if part in ("conv", "dense", "norm"):  # a norm's fan_in is 1: one scale and one shift
+            ops.mults += values * fan_in
+            ops.adds += values * fan_in
+        elif part == "pool":
+            ops.mults += values
+            ops.adds += values * fan_in
+        elif part in ("add", "bias"):
+            ops.adds += values
+        elif part == "relu":
+            ops.activations += values
+
+
+def _walk(kind, cfg: NetworkConfig, batch):
+    """(part, block, ops, params, bytes kept) of each run of ``_model_ops`` rows
+    that share a part and a block, in forward order."""
+    size = np.dtype(np.float32).itemsize  # training runs in float32
+    for (part, block), rows in groupby(_model_ops(kind, cfg), key=itemgetter(0, 1)):
+        ops, params, kept = OpCounter(), 0, 0
+        for *_, op, maps, extent, fan_in in rows:
+            values = batch * maps * extent * extent
+            if op == "step":
+                _add_into(ops, lstm_step_ops(fan_in, maps, batch))
+                values *= 7  # the four gates, tanh(c), and the new c and h
+            else:
+                _charge(ops, op, values, fan_in)
+            params += _params(op, maps, fan_in)
+            # each op keeps its output; a norm also its per-map mean and inverse std
+            kept += size * (values + (2 * maps if op.startswith("norm") else 0))
+        yield part, block, ops, params, kept
 
 
 def cost_report(kind, cfg: NetworkConfig, batch=1) -> CostReport:
-    if kind not in KINDS:
-        raise InputError(f"kind must be one of {KINDS}, got {kind!r}")
-    cfg.validate()
-    breakdown = []
-    trunk_ops = _trunk_flops(cfg, batch, breakdown)
-    resnet_total = trunk_ops.total + _head_flops(cfg.stage_maps[-1], cfg.classes, batch).total
-    flops = {"trunk": trunk_ops.as_dict()}
-    h, params_lstm, step_total = 0, 0, 0
+    parts, params, breakdown = {}, {}, []
+    for part, block, ops, p, _ in _walk(kind, cfg, batch):
+        _add_into(parts.setdefault(part, OpCounter()), ops)
+        params[part] = params.get(part, 0) + p
+        if block is not None:
+            breakdown.append({"stage": block.stage, "index": block.index,
+                              "maps": block.out_maps, "extent": block.out_extent,
+                              "kernel": 3, "cost": ops.total})
+    flops = {part: ops.as_dict() for part, ops in parts.items()}
+    flops["total"] = sum(ops.total for ops in parts.values())
+    params_lstm, step_total, ratio = 0, 0, None
     if kind == "crmn":
-        h = cfg.hidden_size
-        width = max_lstm_width(cfg)
-        step = lstm_step_ops(width, h, batch)
-        lstm_ops = OpCounter()
-        _add_into(lstm_ops, step, times=3 * cfg.n)
-        flops["adapter"] = _adapter_flops(cfg, batch).as_dict()
-        flops["lstm"] = lstm_ops.as_dict()
+        width, h = max_lstm_width(cfg), cfg.hidden_size
         params_lstm = lstm_param_count(width, h, cfg.learn_c0)
-        step_total = step.total
-    flops["head"] = _head_flops(cfg.stage_maps[-1] + h, cfg.classes, batch).as_dict()
-    flops["total"] = sum(part["total"] for part in flops.values())
-    ratio = flops["total"] / resnet_total if kind == "crmn" else None
-    params_head = (cfg.stage_maps[-1] + h) * cfg.classes + cfg.classes
-    return CostReport(kind, cfg.as_dict(), trunk_param_count(cfg), params_lstm, params_head,
+        step_total = lstm_step_ops(width, h, batch).total
+        ratio = flops["total"] / cost_report("resnet", cfg, batch).flops["total"]
+    return CostReport(kind, cfg.as_dict(), params["trunk"], params_lstm, params["head"],
                       flops, breakdown, step_total, ratio)
 
 
@@ -227,28 +235,11 @@ def tape_bytes(kind, cfg: NetworkConfig, batch=1):
     A training step peaks at about this plus its parameter gradients, since
     backward frees each entry once its closure has run.
     """
-    if kind not in KINDS:
-        raise InputError(f"kind must be one of {KINDS}, got {kind!r}")
-    cfg.validate()
-    size = np.dtype(np.float32).itemsize  # training runs in float32
-    trunk, blocks = 0, []
-    for block, rows in groupby(_trunk_layers(cfg), key=itemgetter(0)):
-        # each op keeps its output; a norm also its per-map mean and inverse std
-        kept = sum(size * (batch * maps * extent * extent
-                           + (2 * maps if op.startswith("norm") else 0))
-                   for _, op, maps, extent, _ in rows)
+    parts, blocks = {}, []
+    for part, block, _, _, kept in _walk(kind, cfg, batch):
+        parts[part] = parts.get(part, 0) + kept
         if block is not None:
             blocks.append({"stage": block.stage, "index": block.index, "bytes": kept})
-        trunk += kept
-    parts = {"trunk": trunk}
-    head = 2 * size * batch * cfg.classes  # product and bias add
-    if kind == "crmn":
-        # each adapter keeps its pooled row, which the LSTM step reads as it is
-        parts["adapter"] = size * batch * sum(row.pooled_width for row in adapter_trace(cfg))
-        # per step: the four gates, tanh(c), and the new c and h
-        parts["lstm"] = 3 * cfg.n * 7 * size * batch * cfg.hidden_size
-        head += size * batch * (cfg.stage_maps[-1] + cfg.hidden_size)  # concatenated features
-    parts["head"] = head
     parts["total"] = sum(parts.values())
     parts["blocks"] = blocks
     return parts

@@ -65,7 +65,7 @@ from .model import Taped, Values, adapt_tap, build_crmn
 # trunk_forward is unused here: bench/tracer.py wraps it in this module
 from .resnet import NetworkConfig, trunk_forward
 from .tensor import (Tape, Tensor, _softmax_xent, add, backward, concat_cols, matmul, mul,
-                     pad_cols, pad_maps, relu, rows_from_vector, sigmoid,
+                     pad_cols, pad_maps, relu, reshape, rows_from_vector, sigmoid,
                      softmax_cross_entropy, space_subsample, sum_all, tanh)
 
 DEFAULT_EPS = 1e-5
@@ -238,8 +238,9 @@ def check_ops(seed=0, eps=DEFAULT_EPS) -> GradReport:
         return shortcut
 
     fa_train, fa_eval = off_kink(True), off_kink(False)
-    # a tap, and the ResNet's pad shortcut
+    # a tap, the ResNet's pad shortcut, and a reshape's input
     tx, mx, rv = _t(rng, 2, 2, 4, 4), _t(rng, 2, 3, 2, 2), _t(rng, 4)
+    rs = _t(rng, 2, 3, 4)
     # (name, seed of the fixed random weighting of the op's output, op, inputs);
     # the cross-entropy is a loss already and takes no weighting
     checks = [
@@ -270,6 +271,7 @@ def check_ops(seed=0, eps=DEFAULT_EPS) -> GradReport:
         ("pad_maps", 27, lambda: pad_maps(mx, 5), [mx]),
         ("space_subsample", 28, lambda: space_subsample(tx), [tx]),
         ("rows_from_vector", 29, lambda: rows_from_vector(rv, 3), [rv]),
+        ("reshape", 30, lambda: reshape(rs, (4, 6)), [rs]),
     ]
     report = GradReport("ops")
     for name, weighting, op, inputs in checks:

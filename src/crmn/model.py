@@ -26,8 +26,6 @@ baseline (trunk + pool + dense) on the identical trunk.
 
 from __future__ import annotations
 
-from collections import namedtuple
-
 import numpy as np
 
 from . import layers, lstm
@@ -36,8 +34,7 @@ from .layers import (Dense, global_avg_pool, global_pool_values, he_dense_weight
                      pool2x2_values)
 # run_sequence and trunk_forward are unused here: bench/tracer.py wraps them in this module
 from .lstm import LstmState, gate_values, init_lstm, initial_state, run_sequence
-from .resnet import (NetworkConfig, ResidualTrunk, block_plan, build_trunk, seeded_rng,
-                     trunk_forward)
+from .resnet import NetworkConfig, ResidualTrunk, build_trunk, seeded_rng, trunk_forward
 from .tensor import Tensor, _bump, _taped, _tensor, concat_cols
 
 TAP_FLATTEN_ORDER = "map,row,col"
@@ -69,20 +66,6 @@ def adapt_tap(tap):
         accum(tap, pool2x2_grad(g.reshape(b, maps, h // 2, w // 2)))
 
     return _taped(adapt_values(tap.data), backward_fn, tap)
-
-
-TapTrace = namedtuple("TapTrace", "stage index maps extent pooled_width pad")
-
-
-def adapter_trace(cfg: NetworkConfig):
-    """Static per-tap record of pooled widths and pad amounts."""
-    width = max_lstm_width(cfg)
-    rows = []
-    for spec in block_plan(cfg):
-        pooled = spec.out_maps * (spec.out_extent // 2) ** 2
-        rows.append(TapTrace(spec.stage, spec.index, spec.out_maps,
-                             spec.out_extent, pooled, width - pooled))
-    return rows
 
 
 class Taped(layers.Taped):

@@ -18,7 +18,7 @@ from crmn.analysis import config_for, cost_report, lstm_step_ops
 from crmn.cli import main
 from crmn.data import split_train_val, synth_dataset
 from crmn.gradcheck import check_full, check_lstm
-from crmn.model import adapter_trace, build_crmn, build_resnet, max_lstm_width
+from crmn.model import adapt_tap, build_crmn, build_resnet, max_lstm_width
 from crmn.resnet import NetworkConfig
 from crmn.tensor import Tensor, count_ops
 from crmn.training import (PatienceController, TrainConfig, evaluate_model,
@@ -111,18 +111,17 @@ def test_acceptance_5_architecture_invariants():
         cfg = NetworkConfig(n=n, base_maps=base, classes=10,
                             hidden_size=5).validate()
         assert config_for(6 * n + 2, base / 16, classes=10).n == n
-        assert max_lstm_width(cfg) == base * 256
-        trace = adapter_trace(cfg)
-        assert len(trace) == 3 * n
         width = base * 256
-        expected_pad = {1: 0, 2: width // 2, 3: 3 * width // 4}
-        for row in trace:
-            assert row.pad == expected_pad[row.stage], row
+        assert max_lstm_width(cfg) == width
         model = build_crmn(cfg, seed=0)
         x = Tensor(np.random.default_rng(n).random((1, 3, 32, 32),
                                                    dtype=np.float32))
         _, parts = model.forward(x, return_parts=True)
         assert len(parts["taps"]) == 3 * n
+        # the LSTM charges every tap the full width, the rest of it as padding
+        adapted = {1: width, 2: width // 2, 3: width // 4}
+        for t, tap in enumerate(parts["taps"]):
+            assert adapt_tap(tap).shape[1] == adapted[t // n + 1], (t, tap.shape)
 
     cfg = NetworkConfig(n=2, base_maps=8, classes=10, hidden_size=9).validate()
     with_memory = build_crmn(cfg, seed=3)

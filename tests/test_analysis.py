@@ -7,11 +7,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import crmn.lstm
+import crmn.model
 from crmn.analysis import (
     config_for, cost_report, default_grid, lstm_param_count, lstm_step_ops,
     render_table, tape_bytes, trunk_param_count,
 )
 from crmn.errors import InputError
+from crmn.layers import Dense
 from crmn.model import build_crmn, build_resnet
 from crmn.resnet import NetworkConfig
 from crmn.tensor import Tape, Tensor, backward, count_ops, relu, softmax_cross_entropy
@@ -131,6 +134,42 @@ def test_instrumented_forward_matches_the_estimate():
         for key in ("mults", "adds", "activations"):
             assert getattr(measured, key) == sum(p[key] for p in parts)
         assert measured.total == expected["total"]
+
+
+@pytest.mark.parametrize("kind", ["crmn", "resnet"])
+@pytest.mark.parametrize("options", [
+    {},
+    {"variant": "preactivation", "shortcut": "projection", "output_gate": "sigmoid",
+     "learn_c0": False},
+], ids=["default", "non-default"])
+def test_each_part_counts_what_the_report_charges(kind, options, monkeypatch):
+    # each memory-path and head op counts into its own part; the trunk is the rest
+    cfg = NetworkConfig(n=2, base_maps=4, classes=3, hidden_size=5, input_extent=16,
+                        **options).validate()
+    batch = 2
+    model = (build_crmn if kind == "crmn" else build_resnet)(cfg, seed=0)
+    x = Tensor(np.random.default_rng(0).random((batch, 3, 16, 16), dtype=np.float32))
+    counted = {}
+
+    def counting(part, fn):
+        def wrapped(*args, **kwargs):
+            with count_ops() as ops:
+                out = fn(*args, **kwargs)
+            totals = counted.setdefault(part, dict.fromkeys(ops.as_dict(), 0))
+            for key, value in ops.as_dict().items():
+                totals[key] += value
+            return out
+        return wrapped
+
+    monkeypatch.setattr(crmn.model, "adapt_tap", counting("adapter", crmn.model.adapt_tap))
+    monkeypatch.setattr(crmn.lstm, "lstm_step", counting("lstm", crmn.lstm.lstm_step))
+    monkeypatch.setattr(Dense, "forward", counting("head", Dense.forward))
+    with count_ops() as total:
+        model.forward(x, training=False)
+    counted["trunk"] = {key: value - sum(part[key] for part in counted.values())
+                        for key, value in total.as_dict().items()}
+    flops = cost_report(kind, cfg, batch).flops
+    assert counted == {part: ops for part, ops in flops.items() if part != "total"}
 
 
 def _taped_growth(fn):

@@ -12,7 +12,7 @@ from crmn.errors import DimensionError
 from crmn.layers import batch_norm, conv2d, global_avg_pool, meanpool2x2
 from crmn.lstm import initial_state, lstm_step, run_sequence
 from crmn.model import (
-    CrmnModel, TAP_FLATTEN_ORDER, adapt_tap, adapter_trace, build_crmn,
+    CrmnModel, TAP_FLATTEN_ORDER, adapt_tap, build_crmn,
     build_resnet, max_lstm_width,
 )
 from crmn.resnet import NetworkConfig, ResidualBlock, trunk_forward
@@ -30,21 +30,6 @@ def test_max_width_is_stage_one_pooled_width():
     assert max_lstm_width(cfg_for(3, 16)) == 16 * 256  # 4096
     assert max_lstm_width(cfg_for(3, 64)) == 64 * 256
     assert max_lstm_width(cfg_for(3, 16, input_extent=16)) == 16 * 64
-
-
-def test_adapter_trace_widths_and_pads():
-    trace = adapter_trace(cfg_for(2, 16))
-    width = 4096
-    by_stage = {1: [], 2: [], 3: []}
-    for row in trace:
-        by_stage[row.stage].append(row)
-    for row in by_stage[1]:
-        assert row.pooled_width == width and row.pad == 0
-    for row in by_stage[2]:
-        assert row.pooled_width == width // 2 and row.pad == width // 2
-    for row in by_stage[3]:
-        assert row.pooled_width == width // 4 and row.pad == 3 * width // 4
-    assert len(trace) == 6
 
 
 def test_adapt_tap_flattens_map_major_without_padding():
