@@ -20,9 +20,11 @@ alive until its backward, per part and per block. Every recorded op keeps
 its output and nothing else of size; a batch norm also keeps its per-map
 mean and inverse std, and an LSTM step its seven hidden-width arrays. A ReLU
 or shortcut add fused into its norm keeps nothing: the fused op has one
-output. Views (subsampling, broadcast initial states) and pads that leave
-their input as it is keep nothing new. Python object headers are not
-counted, so traced growth exceeds the count by a few hundred bytes per op.
+output. A norm+ReLU run inside the conv that reads it keeps only its
+statistics, since the conv's backward recomputes its output. Views
+(subsampling, broadcast initial states) and pads that leave their input as
+it is keep nothing new. Python object headers are not counted, so traced
+growth exceeds the count by a few hundred bytes per op.
 """
 
 from __future__ import annotations
@@ -95,11 +97,13 @@ def _model_ops(kind, cfg: NetworkConfig):
     None for the stem, the final norm, the pool and every op outside the
     trunk. ``op`` names the op, or the parts of a fused one joined by "+": a
     norm with the ReLU after it ("norm+relu"), and the original variant's
-    block tail ("norm+add+relu"). ``maps`` and ``extent`` describe the op's
-    output, an LSTM step's hidden state; ``fan_in`` is the number of inputs
-    summed into each output value (a conv's in_maps * k * k, a pool's
-    window, the dense product's features, a step's input width) and 1 for
-    every other op. The stride-2 subsample is a view and is not listed; the
+    block tail ("norm+add+relu"). A norm+relu that only the conv on the next
+    row reads runs inside that conv's op ("norm+relu>conv"): the original
+    block's bn1, and the preactivation block's bn1 and bn2. ``maps`` and
+    ``extent`` describe the op's output, an LSTM step's hidden state;
+    ``fan_in`` is the number of inputs summed into each output value (a
+    conv's in_maps * k * k, a pool's window, the dense product's features, a
+    step's input width) and 1 for every other op. The stride-2 subsample is a view and is not listed; the
     map pad copies and is. Each tap's adapter is a 2x2 pool; every step is
     charged the widest tap's width.
     """
@@ -115,11 +119,11 @@ def _model_ops(kind, cfg: NetworkConfig):
     for spec in plan:
         m_in, m, e_in, e = spec.in_maps, spec.out_maps, spec.in_extent, spec.out_extent
         conv1, conv2 = ("conv", m, e, 9 * m_in), ("conv", m, e, 9 * m)
-        norm_relu = ("norm+relu", m, e, 1)
+        fused = ("norm+relu>conv", m, e, 1)
         if original:
-            ops = [conv1, norm_relu, conv2]
+            ops = [conv1, fused, conv2]
         else:
-            ops = [("norm+relu", m_in, e_in, 1), conv1, norm_relu, conv2]
+            ops = [("norm+relu>conv", m_in, e_in, 1), conv1, fused, conv2]
         if spec.changes_shape and cfg.shortcut == "projection":
             ops += [("conv", m, e, m_in), ("norm", m, e, 1)]
         elif m_in < m:
@@ -176,7 +180,7 @@ def lstm_step_ops(i, h, batch=1):
 def _charge(ops, op, values, fan_in):
     """Add the operations of one op with ``values`` output values to ``ops``, as
     tensor and layers charge them. A fused op charges the sum of its parts."""
-    for part in op.split("+"):
+    for part in op.removesuffix(">conv").split("+"):
         if part in ("conv", "dense", "norm"):  # a norm's fan_in is 1: one scale and one shift
             ops.mults += values * fan_in
             ops.adds += values * fan_in
@@ -203,8 +207,10 @@ def _walk(kind, cfg: NetworkConfig, batch):
             else:
                 _charge(ops, op, values, fan_in)
             params += _params(op, maps, fan_in)
-            # each op keeps its output; a norm also its per-map mean and inverse std
-            kept += size * (values + (2 * maps if op.startswith("norm") else 0))
+            # each op keeps its output, but a norm run inside a conv op keeps
+            # none; every norm keeps its per-map mean and inverse std
+            output = 0 if op.endswith(">conv") else values
+            kept += size * (output + (2 * maps if op.startswith("norm") else 0))
         yield part, block, ops, params, kept
 
 

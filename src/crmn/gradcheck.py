@@ -241,6 +241,28 @@ def check_ops(seed=0, eps=DEFAULT_EPS) -> GradReport:
     # a tap, the ResNet's pad shortcut, and a reshape's input
     tx, mx, rv = _t(rng, 2, 2, 4, 4), _t(rng, 2, 3, 2, 2), _t(rng, 4)
     rs = _t(rng, 2, 3, 4)
+    # a conv of a norm+ReLU as one op, the norm on fixed running estimates
+    # (fresh copies per call, as in ``fused``)
+    cbn = BatchNorm(3, dtype=np.float64)
+    cbn.scale.data += rng.standard_normal(3) * 0.2
+    cbn.shift.data += rng.standard_normal(3) * 0.2
+    cstats = rng.standard_normal(3) * 0.3, 0.5 + rng.random(3)
+
+    def conv_norm(x, training):
+        cbn.running_mean, cbn.running_var = cstats[0].copy(), cstats[1].copy()
+        return conv2d(x, cw, norm=cbn, training=training)
+
+    def off_kink_input(training):
+        # an input that keeps every value before the ReLU at least 0.05 from it
+        x = _t(rng, 2, 3, 5, 5)
+        while True:
+            before = batch_norm(x, cbn.scale, cbn.shift, *map(np.copy, cstats), training).data
+            near = np.abs(before) < 0.05
+            if not near.any():
+                return x
+            x.data[near] += 0.1
+
+    cn_train, cn_eval = off_kink_input(True), off_kink_input(False)
     # (name, seed of the fixed random weighting of the op's output, op, inputs);
     # the cross-entropy is a loss already and takes no weighting
     checks = [
@@ -272,6 +294,10 @@ def check_ops(seed=0, eps=DEFAULT_EPS) -> GradReport:
         ("space_subsample", 28, lambda: space_subsample(tx), [tx]),
         ("rows_from_vector", 29, lambda: rows_from_vector(rv, 3), [rv]),
         ("reshape", 30, lambda: reshape(rs, (4, 6)), [rs]),
+        ("conv2d_norm_relu_train", 31, lambda: conv_norm(cn_train, True),
+         [cn_train, cw, cbn.scale, cbn.shift]),
+        ("conv2d_norm_relu_eval", 32, lambda: conv_norm(cn_eval, False),
+         [cn_eval, cw, cbn.scale, cbn.shift]),
     ]
     report = GradReport("ops")
     for name, weighting, op, inputs in checks:

@@ -73,6 +73,17 @@ kept per-map mean with the forward's expression. Each activation is
 therefore retained once, as some op's output, and the recomputation changes
 no gradient.
 
+A convolution can also take a batch norm and its ReLU on its input, as one
+op (``conv2d``'s ``norm``), when no other op reads the norm's output: the
+original block's bn1, and the preactivation block's bn1 and bn2. The op
+keeps its input and the norm's per-map mean and inverse std, not the
+normalized map, and its backward rebuilds that map bit for bit from them
+(Chen et al. 2016, arXiv:1604.06174; Pleiss et al. 2017, arXiv:1707.06990).
+A taped block so keeps three maps, not four (original) or five
+(preactivation), for one more norm pass per fused norm in the backward.
+The norm's checks, running-estimate update, count and backward arithmetic
+are ``batch_norm``'s, through the helpers both ops call.
+
 A batch norm makes few passes over its maps. The training forward takes the
 mean (one sum), writes d = x - mean once into its output buffer, takes the
 biased variance from d (one pass) and finishes in place: the per-map
@@ -94,9 +105,9 @@ Each op's forward arithmetic is a NumPy value function (``conv_values``,
 ``norm_values``, ``pool2x2_values``, ``global_pool_values``) that takes
 leading axes (``conv_values`` on one operand only, images or kernels, not
 both); the taped op checks shapes, charges its count, records its closure
-and calls it. The trunk
-runs over an op table, ``Taped`` or ``Values``: ``conv``, ``norm`` (with
-its optional add and ReLU), ``pad_maps`` and ``block``. ``Values`` takes
+and calls it. The trunk runs over an op table, ``Taped`` or ``Values``:
+``conv`` (with its optional norm and ReLU on the input), ``norm`` (with its
+optional add and ReLU), ``pad_maps`` and ``block``. ``Values`` takes
 the value functions on a stand-in for any parameter, such as the gradient
 check's stack of probes, each slice equal to the unstacked value bit for
 bit.
@@ -361,8 +372,19 @@ def _col2im(x, weight, g, stride):
     return gxp[:, :, pad:pad + h, pad:pad + w]
 
 
-def conv2d(x, weight, stride=1):
-    """Cross-correlate ``x`` (b*ci*H*W) with ``weight`` (co*ci*k*k)."""
+def conv2d(x, weight, stride=1, norm=None, training=False):
+    """Cross-correlate ``x`` (b*ci*H*W) with ``weight`` (co*ci*k*k).
+
+    With ``norm``, a ``BatchNorm`` on x's maps, the op cross-correlates
+    relu(norm(x)) instead, in ``training`` or eval mode: it runs the norm's
+    checks, running-estimate update and count as ``batch_norm`` does, and
+    its closure keeps x, the weight, the scale, the shift and the per-map
+    mean and inverse std, but not the normalized map. The backward takes
+    d = x - mean once, rebuilds y = relu(d * (inv_std * scale) + shift) in
+    the forward's order, so y is the same bit for bit, runs the convolution's
+    backward on y, and passes its input gradient, masked by y > 0, through
+    the norm's backward on d (Chen et al. 2016, arXiv:1604.06174).
+    """
     x, weight = _tensor(x), _tensor(weight)
     if x.ndim != 4 or weight.ndim != 4:
         raise DimensionError(
@@ -377,18 +399,37 @@ def conv2d(x, weight, stride=1):
     if ho < 1 or wo < 1:
         raise DimensionError(f"conv2d: kernel {k} too large for input {x.shape}")
 
-    out_data = conv_values(x.data, weight.data, stride)
+    if norm is None:
+        out_data = conv_values(x.data, weight.data, stride)
+    else:
+        scale, shift = norm.scale, norm.shift
+        y, mean, inv_std = _norm_forward(x, scale, shift, norm.running_mean, norm.running_var,
+                                         training, norm.momentum, relu=True)
+        out_data = conv_values(y, weight.data, stride)
     n = b * co * ho * wo * ci * k * k
     _bump(mults=n, adds=n)
 
-    # the closure keeps only its three inputs: every local it read would be
-    # kept on the tape with it, until the backward
-    def backward_fn(g, accum):
-        gx, gw = _conv_backward(x.data, weight.data, stride, g, x.requires_grad)
-        accum(x, gx)  # None exactly when x needs no gradient, which accum skips
-        accum(weight, gw)
+    # each closure keeps only its inputs and the norm's per-map statistics, not
+    # y: every local it read would be kept on the tape with it, until the backward
+    if norm is None:
+        def backward_fn(g, accum):
+            gx, gw = _conv_backward(x.data, weight.data, stride, g, x.requires_grad)
+            accum(x, gx)  # None exactly when x needs no gradient, which accum skips
+            accum(weight, gw)
 
-    return _taped(out_data, backward_fn, x, weight)
+        return _taped(out_data, backward_fn, x, weight)
+
+    def fused_backward(g, accum):
+        d = x.data - _per_map(mean)
+        # y in the forward's order: d * (inv_std * scale), + shift, the ReLU
+        y = np.multiply(d, _per_map(inv_std * scale.data))
+        y += _per_map(shift.data)
+        np.maximum(y, 0, out=y)
+        gy, gw = _conv_backward(y, weight.data, stride, g, True)
+        accum(weight, gw)
+        _norm_backward(gy * (y > 0), d, x, scale, shift, inv_std, training, accum)
+
+    return _taped(out_data, fused_backward, x, weight, scale, shift)
 
 
 class Conv2d:
@@ -398,8 +439,8 @@ class Conv2d:
         self.weight = weight
         self.stride = stride
 
-    def forward(self, x):
-        return conv2d(x, self.weight, self.stride)
+    def forward(self, x, norm=None, training=False):
+        return conv2d(x, self.weight, self.stride, norm=norm, training=training)
 
     def params(self):
         return [("weight", self.weight)]
@@ -453,6 +494,58 @@ def norm_values(x, scale, shift, running=None, add=None, relu=False):
     return out, mean, var, inv_std
 
 
+def _norm_forward(x, scale, shift, running_mean, running_var, training, momentum,
+                  add=None, relu=False):
+    """A batch norm's checks, values, running-estimate update and count on the
+    Tensors x, scale, shift and add: (out, mean, inv_std)."""
+    if x.ndim != 4:
+        raise DimensionError(f"batch_norm: expected rank-4 input, got {x.shape}")
+    b, c, h, w = x.shape
+    if scale.shape != (c,) or shift.shape != (c,):
+        raise DimensionError(
+            f"batch_norm: scale/shift {scale.shape}/{shift.shape} for {c} maps")
+    if add is not None and add.shape != x.shape:
+        raise DimensionError(f"batch_norm: add {add.shape} does not fit input {x.shape}")
+    if training and b < 2:
+        raise ContractError(f"batch_norm: training mode needs batch >= 2, got {b}")
+    # eval's mean is a copy: at float64 the backward must not see a later in-place update
+    running = None if training else (running_mean.astype(x.data.dtype),
+                                     running_var.astype(x.data.dtype, copy=False))
+    out, mean, var, inv_std = norm_values(
+        x.data, scale.data, shift.data, running, None if add is None else add.data, relu)
+    if training:
+        running_mean *= 1.0 - momentum
+        running_mean += momentum * mean
+        running_var *= 1.0 - momentum
+        running_var += momentum * var
+    n = out.size
+    _bump(mults=n, adds=2 * n if add is not None else n, activations=n if relu else 0)
+    return out, mean, inv_std
+
+
+def _norm_backward(g, d, x, scale, shift, inv_std, training, accum):
+    """A batch norm's gradients from g, its output's gradient (ReLU-masked), and
+    d = x - mean, on which x's is built in place."""
+    sum_g = np.einsum("bchw->c", g)
+    sum_gd = _map_dot(g, d)
+    accum(scale, inv_std * sum_gd)
+    accum(shift, sum_g)
+    if not x.requires_grad:
+        return
+    a = _per_map(inv_std * scale.data)
+    if training:
+        b, _, h, w = g.shape
+        m = b * h * w
+        # g - sum(g) / m - d * inv_std^2 * sum(g * d) / m, on d
+        d *= _per_map(inv_std * inv_std * sum_gd / m)
+        d += _per_map(sum_g / m)
+        gx = np.subtract(g, d, out=d)
+        gx *= a
+        accum(x, gx)
+    else:
+        accum(x, g * a)
+
+
 def batch_norm(x, scale, shift, running_mean, running_var,
                training, momentum=BN_MOMENTUM, add=None, relu=False):
     """Normalize each map over the batch and spatial axes, then rescale; then add
@@ -478,55 +571,16 @@ def batch_norm(x, scale, shift, running_mean, running_var,
     centered, as in the forward (Ioffe & Szegedy 2015, arXiv:1502.03167).
     """
     x, scale, shift = _tensor(x), _tensor(scale), _tensor(shift)
-    if x.ndim != 4:
-        raise DimensionError(f"batch_norm: expected rank-4 input, got {x.shape}")
-    b, c, h, w = x.shape
-    if scale.shape != (c,) or shift.shape != (c,):
-        raise DimensionError(
-            f"batch_norm: scale/shift {scale.shape}/{shift.shape} for {c} maps")
-    if add is not None:
-        add = _tensor(add)
-        if add.shape != x.shape:
-            raise DimensionError(f"batch_norm: add {add.shape} does not fit input {x.shape}")
-
-    if training and b < 2:
-        raise ContractError(f"batch_norm: training mode needs batch >= 2, got {b}")
-    # eval's mean is a copy: at float64 the backward must not see a later in-place update
-    running = None if training else (running_mean.astype(x.data.dtype),
-                                     running_var.astype(x.data.dtype, copy=False))
-    out_data, mean, var, inv_std = norm_values(
-        x.data, scale.data, shift.data, running, None if add is None else add.data, relu)
-    if training:
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
-        running_var *= 1.0 - momentum
-        running_var += momentum * var
-    n = out_data.size
-    _bump(mults=n, adds=2 * n if add is not None else n, activations=n if relu else 0)
+    add = None if add is None else _tensor(add)
+    out_data, mean, inv_std = _norm_forward(x, scale, shift, running_mean, running_var,
+                                            training, momentum, add, relu)
 
     def backward_fn(g, accum):
         if relu:
             g = g * (out_data > 0)
         if add is not None:
             accum(add, g)
-        d = x.data - _per_map(mean)
-        sum_g = np.einsum("bchw->c", g)
-        sum_gd = _map_dot(g, d)
-        accum(scale, inv_std * sum_gd)
-        accum(shift, sum_g)
-        if not x.requires_grad:
-            return
-        a = _per_map(inv_std * scale.data)
-        if training:
-            m = b * h * w
-            # g - sum(g) / m - d * inv_std^2 * sum(g * d) / m, on d
-            d *= _per_map(inv_std * inv_std * sum_gd / m)
-            d += _per_map(sum_g / m)
-            gx = np.subtract(g, d, out=d)
-            gx *= a
-            accum(x, gx)
-        else:
-            accum(x, g * a)
+        _norm_backward(g, x.data - _per_map(mean), x, scale, shift, inv_std, training, accum)
 
     if add is None:
         return _taped(out_data, backward_fn, x, scale, shift)
@@ -620,13 +674,14 @@ class Dense:
 
 class Taped:
     """Taped ops. ``conv2d`` and ``batch_norm`` are looked up here at call time and a block
-    is entered through ``ResidualBlock.forward``, so wrappers on those names see every call."""
+    is entered through ``ResidualBlock.forward``, so wrappers on those names see every call;
+    a norm run inside a conv is that conv's ``conv2d`` call with ``norm``."""
 
     def __init__(self, training):
         self.training = training
 
-    def conv(self, layer, x):
-        return layer.forward(x)
+    def conv(self, layer, x, norm=None):
+        return layer.forward(x, norm, self.training)
 
     def norm(self, layer, x, add=None, relu=False):
         return layer.forward(x, self.training, add, relu)
@@ -645,7 +700,9 @@ class Values:
     def __init__(self, value_of):
         self.value_of = value_of
 
-    def conv(self, layer, x):
+    def conv(self, layer, x, norm=None):
+        if norm is not None:
+            x = self.norm(norm, x, relu=True)
         return conv_values(x, self.value_of(layer.weight), layer.stride)
 
     def norm(self, layer, x, add=None, relu=False):

@@ -24,8 +24,11 @@ gradient check over ``Values``, the training forward in NumPy with any
 parameter replaced by a stand-in such as a stack of perturbed copies. Every
 ReLU follows a norm and is fused into it, and so is the original variant's
 shortcut add: the block tail (bn2, the add, the ReLU) is one op, run after
-the shortcut's ops. A taped original block so keeps four maps (conv1, bn1
-with its ReLU, conv2, the tail), not seven.
+the shortcut's ops. A norm+ReLU that only one convolution reads (the
+original block's bn1, the preactivation block's bn1 and bn2) runs inside
+that convolution's op, which recomputes it in its backward. A taped
+original block so keeps three maps (conv1, conv2, the tail), not four or
+seven, and a preactivation block three (conv1, conv2, the sum), not five.
 """
 
 from __future__ import annotations
@@ -163,16 +166,16 @@ class ResidualBlock:
 
         Every ReLU is fused into the norm before it, and in the original
         variant so is the shortcut add: bn2, the add and the ReLU are one op,
-        run after the shortcut's ops.
+        run after the shortcut's ops. A norm+ReLU whose only reader is a conv
+        runs inside that conv's op: bn1 in conv2's (original), bn1 in conv1's
+        and bn2 in conv2's (preactivation).
         """
         # y is rebound once its maps are dead, so an untaped forward frees them early
         if self.variant == "original":
-            y = ops.norm(self.bn1, ops.conv(self.conv1, x), relu=True)
-            y = ops.conv(self.conv2, y)
+            y = ops.conv(self.conv2, ops.conv(self.conv1, x), norm=self.bn1)
             return ops.norm(self.bn2, y, add=self._shortcut(x, ops), relu=True)
-        y = ops.conv(self.conv1, ops.norm(self.bn1, x, relu=True))
-        y = ops.norm(self.bn2, y, relu=True)
-        y = ops.conv(self.conv2, y)
+        y = ops.conv(self.conv1, x, norm=self.bn1)
+        y = ops.conv(self.conv2, y, norm=self.bn2)
         return y + self._shortcut(x, ops)  # the shortcut runs after the branch, in tape order
 
     def _shortcut(self, x, ops):

@@ -271,6 +271,39 @@ def test_a_training_step_peaks_at_its_tape_plus_its_gradients():
     assert peak <= tape_bytes("crmn", cfg, batch)["total"] + gradients + margin_maps * stage1_map
 
 
+@pytest.mark.parametrize("variant", ["original", "preactivation"])
+def test_a_training_step_peaks_under_52_stage1_maps(variant):
+    # each norm+ReLU that only one conv reads is recomputed in that conv's
+    # backward, not kept: measured 47.6 maps (original) and 46.6
+    # (preactivation), against 56.4 and 64.9 when those norms kept their outputs
+    batch = 10
+    cfg = config_for(32, 1, variant=variant)
+    model = build_crmn(cfg, seed=0)
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.random((batch, 3, 32, 32), dtype=np.float32))
+    labels = rng.integers(0, cfg.classes, batch)
+    optimizer = SgdOptimizer(model.named_params())
+
+    def step():
+        optimizer.zero_grads()
+        with Tape():
+            backward(softmax_cross_entropy(model.forward(x, training=True), labels))
+        optimizer.step(dict.fromkeys(GROUPS, 0.1))
+
+    step()  # first calls allocate one-off state
+    optimizer.zero_grads()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        step()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    stage1_map = batch * cfg.stage_maps[0] * cfg.input_extent ** 2 * 4  # float32
+    assert peak < 52 * stage1_map
+
+
 def test_lstm_step_cost_is_linear_in_input_width():
     h = 100
     widths = (1024, 2048, 4096)

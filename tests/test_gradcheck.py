@@ -387,8 +387,8 @@ def test_full_scope_flags_exactly_a_sabotaged_trunk_tensor(monkeypatch):
         seen["model"] = build(*args, **kwargs)
         return seen["model"]
 
-    def leaky_conv(x, weight, stride=1):
-        out = original(x, weight, stride)
+    def leaky_conv(x, weight, stride=1, **kwargs):
+        out = original(x, weight, stride, **kwargs)
         tape = active_tape()
         # the numeric probes run with no tape open, and the stacked ones never call conv2d
         if tape is not None and weight is seen["model"].trunk.blocks[-1].conv2.weight:

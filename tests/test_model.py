@@ -33,8 +33,9 @@ def test_max_width_is_stage_one_pooled_width():
 
 
 def test_adapt_tap_flattens_map_major_without_padding():
-    # two maps, 2x2 each: pooled means land in (map, row, col) order; the LSTM
-    # step, not the adapter, pads a row narrower than its input width
+    # two maps, 2x2 each: pooled means land in (map, row, col) order; nothing
+    # pads a row narrower than the LSTM's input width, whose step multiplies
+    # it by W_x's first rows
     tap = Tensor(np.zeros((1, 2, 2, 2)), dtype=np.float64)
     tap.data[0, 0] = [[1.0, 2.0], [3.0, 4.0]]   # mean 2.5
     tap.data[0, 1] = [[-4.0, 0.0], [0.0, 0.0]]  # mean -1.0
@@ -209,7 +210,8 @@ def test_config_roundtrips_through_dict():
                          ids=lambda kw: f"{kw['variant']}-{kw['shortcut']}")
 def test_a_taped_forward_calls_conv2d_and_batch_norm_through_the_layers_module(
         monkeypatch, kw):
-    """Every conv and norm of the trunk is a call-time lookup a profiler can wrap."""
+    """Every conv and norm of the trunk is a call-time lookup a profiler can wrap;
+    a norm run inside a conv is counted as its ``conv2d`` call with a norm."""
     calls = {"conv2d": 0, "batch_norm": 0}
 
     def counting(name):
@@ -217,6 +219,8 @@ def test_a_taped_forward_calls_conv2d_and_batch_norm_through_the_layers_module(
 
         def wrapped(*args, **kwargs):
             calls[name] += 1
+            if kwargs.get("norm") is not None:
+                calls["batch_norm"] += 1
             return original(*args, **kwargs)
         return wrapped
 
