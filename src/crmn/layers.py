@@ -186,7 +186,8 @@ _TAP_MIN_MACS = 2**16
 # step made glibc give the heap top back to the kernel and fault it in again,
 # step after step: acceptance criterion 8 read 1.3M minor faults and 2.7-2.9 s
 # of system time (1 BLAS thread), against 0.28-0.59M and 0.8-1.5 s with kept
-# buffers.
+# buffers. Each pool thread of a sliced eval forward (``model.CrmnModel.forward``)
+# so keeps its own set, sized to the chunks of its slice.
 _scratch = threading.local()
 
 

@@ -18,6 +18,12 @@ pool, so an untaped forward holds one tap, not all 3n. The lag keeps the
 tape order of reading every tap after the trunk: each tap's gradient sums
 its terms (adapter, next block's shortcut and first op) in that order.
 
+An untaped, uncounted eval forward of two or more images runs the trunk on
+one contiguous slice of them per CPU at once, over the same loop: the
+calling thread's op table (``_Merged``) appends the pool threads' adapted
+rows and pool features (``_Feed``) to its own, so the LSTM and the head see
+the whole batch, and the logits are the serial ones bit for bit.
+
 The LSTM only reads tap values; nothing feeds back into the trunk, so
 trunk activations are identical with and without the LSTM attached. One
 model class covers both: built without an LSTM it is the plain ResNet
@@ -25,6 +31,8 @@ baseline (trunk + pool + dense) on the identical trunk.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
@@ -35,7 +43,7 @@ from .layers import (Dense, global_avg_pool, global_pool_values, he_dense_weight
 # run_sequence and trunk_forward are unused here: bench/tracer.py wraps them in this module
 from .lstm import LstmState, gate_values, init_lstm, initial_state, run_sequence
 from .resnet import NetworkConfig, ResidualTrunk, build_trunk, seeded_rng, trunk_forward
-from .tensor import Tensor, _bump, _taped, _tensor, concat_cols
+from .tensor import _ACTIVE, Tensor, _bump, _taped, _tensor, concat_cols
 
 TAP_FLATTEN_ORDER = "map,row,col"
 
@@ -115,6 +123,74 @@ class Values(layers.Values):
         return pool @ self.value_of(head.weight) + self.value_of(head.bias)
 
 
+class _Feed(Taped):
+    """A pool thread's eval ops on one slice: each adapted tap and the pool features go
+    to ``put``, in the order the calling thread's ``run`` reads them; no LSTM or head runs."""
+
+    def __init__(self, put):
+        super().__init__(False)
+        self.put = put
+
+    def start(self, *args):
+        return None
+
+    step = head = start
+
+    def adapt(self, tap):
+        self.put(adapt_tap(tap).data)
+
+    def pool(self, features):
+        self.put(global_avg_pool(features).data)
+
+
+class _Merged(Taped):
+    """The calling thread's eval ops on slice 0: each adapted tap and the pool features
+    take the other slices' rows from their ``queues`` in image order, so the LSTM, from
+    a ``batch``-row initial state, and the head run on the whole batch."""
+
+    def __init__(self, batch, queues):
+        super().__init__(False)
+        self.batch = batch
+        self.queues = queues
+
+    def start(self, p, batch):
+        return initial_state(p, self.batch)
+
+    def adapt(self, tap):
+        return self._merge(adapt_tap(tap))
+
+    def pool(self, features):
+        return self._merge(global_avg_pool(features))
+
+    def _merge(self, rows):
+        parts = [rows.data]
+        for queue in self.queues:
+            part = queue.get()
+            if isinstance(part, BaseException):
+                raise part  # a pool thread's, its type unchanged
+            parts.append(part)
+        return Tensor(np.concatenate(parts))
+
+
+def _cpus():
+    """How many CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_workers = None  # the sliced eval's ThreadPoolExecutor, made by its first call
+
+
+def _forget_workers():
+    global _workers
+    _workers = None  # a forked child has none of its parent's threads
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_workers)
+
+
 def _decays(name):
     no_decay = (".shift", ".bias", ".b_i", ".b_f", ".b_c", ".b_o", ".h0", ".c0")
     return not name.endswith(no_decay)
@@ -136,13 +212,55 @@ class CrmnModel:
 
     def forward(self, x, training=False, return_parts=False):
         """Logits of x; with ``return_parts`` also the pool features, the taps and
-        (CRMN only) the final hidden state. Taps are kept only for ``return_parts``."""
+        (CRMN only) the final hidden state. Taps are kept only for ``return_parts``.
+
+        An eval forward of b >= 2 images without ``return_parts``, and with no
+        tape or ``count_ops`` counter open in this thread, splits them into
+        k = min(b, CPUs) contiguous slices: k - 1 pool threads each run one
+        slice's trunk, adapters and pool, while this thread runs slice 0's and
+        steps the LSTM and the head on the whole batch. The logits are the
+        serial ones bit for bit: in eval mode each image's trunk output does
+        not depend on its batch (every norm uses its running estimates), and
+        the LSTM and head get the serial operands. Run per slice they would
+        not be, as a GEMM's rows depend on its row count. Every other forward
+        runs on this thread alone.
+        """
+        if not (training or return_parts or _ACTIVE.tapes or _ACTIVE.counters):
+            x = _tensor(x)
+            k = min(x.shape[0], _cpus()) if x.ndim == 4 else 1
+            if k > 1:
+                return self._sliced(x, k)
         taps = [] if return_parts else None
         logits, pool_out, hidden = self.run(x, Taped(training), taps=taps)
         parts = {"pool_out": pool_out, "taps": taps}
         if hidden is not None:
             parts["hidden"] = hidden
         return (logits, parts) if return_parts else logits
+
+    def _sliced(self, x, k):
+        """The eval logits of x over k contiguous slices at once; see ``forward``."""
+        global _workers
+        # imported here: importing crmn, and every forward that does not slice, pay nothing
+        from concurrent.futures import ThreadPoolExecutor
+        from queue import SimpleQueue
+        if _workers is None:
+            _workers = ThreadPoolExecutor(max(1, _cpus() - 1), "crmn-eval")
+        edges = [x.shape[0] * i // k for i in range(k + 1)]
+        slices = [Tensor(x.data[a:b]) for a, b in zip(edges, edges[1:])]
+        queues = [SimpleQueue() for _ in slices[1:]]
+        jobs = [_workers.submit(self._feed, s, q.put) for s, q in zip(slices[1:], queues)]
+        try:
+            return self.run(slices[0], _Merged(x.shape[0], queues))[0]
+        finally:
+            for job in jobs:
+                job.exception()  # waits for it, also when this thread raises
+
+    def _feed(self, x, put):
+        """A pool thread's share of ``_sliced``: slice x's rows, or what it raised, to ``put``."""
+        try:
+            self.run(x, _Feed(put))
+        except BaseException as exc:
+            put(exc)
 
     def run(self, x, ops, start=0, state=None, taps=None):
         """(logits, pool features, final hidden or None) of x through ``ops``.

@@ -179,7 +179,13 @@ def _batch_tensor(images, dtype=np.float32):
 
 
 def evaluate_model(model, ds: ImageDataset, batch_size=100):
-    """Mean cross-entropy and accuracy in eval mode; no tape, no shuffle."""
+    """Mean cross-entropy and accuracy in eval mode; no tape, no shuffle.
+
+    Each batch of two or more images runs on one contiguous slice of them per
+    CPU at once (``CrmnModel.forward``), and scores the same bit for bit as on
+    one thread: an eval trunk computes each image alone, and the LSTM and the
+    head run on the whole batch.
+    """
     n = len(ds)
     if n == 0:
         raise ContractError("evaluate_model: empty dataset")

@@ -10,9 +10,10 @@ import crmn.layers
 import crmn.lstm
 from crmn.errors import ContractError, InputError
 from crmn.gradcheck import (
-    DEFAULT_EPS, GradEntry, GradReport, check_full, check_lstm, check_ops,
+    DEFAULT_EPS, DEFAULT_TOLERANCE, GradEntry, GradReport, check_full, check_lstm, check_ops,
     check_tensors, micro_config, numeric_gradient, relative_error, run_scope,
 )
+from crmn.layers import conv2d
 from crmn.model import build_crmn, build_resnet
 from crmn.resnet import SHORTCUTS, VARIANTS, NetworkConfig, ResidualBlock
 from crmn.tensor import (Tape, Tensor, active_tape, backward, count_ops, matmul, mul,
@@ -64,6 +65,25 @@ def test_ops_scope_passes_tightly():
     assert payload["scope"] == "ops"
     assert payload["passed"] is True
     assert all(e["checked"] > 0 for e in payload["entries"])
+
+
+def test_the_per_tap_conv_forward_matches_its_finite_differences(monkeypatch):
+    """A 16-map 16 x 16 conv reaches ``_TAP_MIN_MACS`` exactly, so its forward takes
+    ``_tap_sums``; every probe of the weight's 2,304 scalars scores that forward. Kept
+    out of check_ops, whose own bound is tighter."""
+    calls = []
+    tap_sums = crmn.layers._tap_sums
+    monkeypatch.setattr(crmn.layers, "_tap_sums",
+                        lambda *args: calls.append(None) or tap_sums(*args))
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.standard_normal((1, 16, 16, 16)))
+    w = Tensor(rng.standard_normal((16, 16, 3, 3)), requires_grad=True)
+    r = Tensor(rng.standard_normal((1, 16, 16, 16)))
+    assert 16 * 16 * 16 * 16 == crmn.layers._TAP_MIN_MACS
+    entry = check_tensors("conv2d_per_tap", lambda: sum_all(mul(conv2d(x, w), r)), [w])
+    assert entry.checked == 2304
+    assert len(calls) == 1 + 2 * 2304  # the taped forward and two per probe
+    assert entry.max_rel_err < DEFAULT_TOLERANCE
 
 
 def test_ops_scope_covers_every_op_a_training_step_records(monkeypatch):

@@ -1,6 +1,13 @@
 """Model assembly: tap adaptation, widths, head wiring, snapshots."""
 
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +15,10 @@ import pytest
 import crmn.layers
 import crmn.lstm
 import crmn.model
+from crmn.checkpoint import load_model, save_model
+from crmn.data import ImageDataset
 from crmn.errors import DimensionError
+from crmn.gradcheck import check_full
 from crmn.layers import batch_norm, conv2d, global_avg_pool, meanpool2x2
 from crmn.lstm import initial_state, lstm_step, run_sequence
 from crmn.model import (
@@ -18,7 +28,7 @@ from crmn.model import (
 from crmn.resnet import NetworkConfig, ResidualBlock, trunk_forward
 from crmn.tensor import (Tape, Tensor, add, concat_cols, count_ops, pad_cols, pad_maps, relu,
                          reshape, softmax_cross_entropy, space_subsample)
-from crmn.training import SgdOptimizer
+from crmn.training import GROUPS, SgdOptimizer, evaluate_model
 
 
 def cfg_for(n, base, **kw):
@@ -310,14 +320,16 @@ def test_the_depthwise_loop_keeps_the_composed_tape_order(kw, dtype, build):
 @pytest.mark.parametrize("build", [build_crmn, build_resnet])
 def test_the_loop_looks_up_the_adapter_step_and_blocks_at_call_time(monkeypatch, kw, build):
     """Wrappers on ``model.adapt_tap``, ``lstm.lstm_step`` and ``ResidualBlock.forward``
-    see every call: 3n each for the CRMN, and no adapter or step for the ResNet."""
-    calls = {"adapt_tap": 0, "lstm_step": 0, "forward": 0}
+    see every call: at k = 1 and 2 slices, a batch-2 eval forward enters every block and
+    (CRMN) adapter once per slice, and the LSTM steps 3n times on the whole batch; the
+    ResNet has no adapter or step."""
+    calls = {"adapt_tap": [], "lstm_step": [], "forward": []}  # appends are thread-safe
 
     def counting(owner, name):
         original = getattr(owner, name)
 
         def wrapped(*args, **kwargs):
-            calls[name] += 1
+            calls[name].append(None)
             return original(*args, **kwargs)
         monkeypatch.setattr(owner, name, wrapped)
 
@@ -326,9 +338,164 @@ def test_the_loop_looks_up_the_adapter_step_and_blocks_at_call_time(monkeypatch,
     counting(ResidualBlock, "forward")
     cfg = cfg_for(2, 4, hidden_size=3, input_extent=8, **kw)
     model = build(cfg, seed=5)
-    model.forward(Tensor(np.random.default_rng(6).random((2, 3, 8, 8), dtype=np.float32)))
     memory = 3 * cfg.n if build is build_crmn else 0
-    assert calls == {"adapt_tap": memory, "lstm_step": memory, "forward": 3 * cfg.n}
+    for slices in (1, 2):
+        monkeypatch.setattr(crmn.model, "_cpus", lambda: slices)
+        for seen in calls.values():
+            seen.clear()
+        model.forward(Tensor(np.random.default_rng(6).random((2, 3, 8, 8), dtype=np.float32)))
+        assert {name: len(seen) for name, seen in calls.items()} == {
+            "adapt_tap": memory * slices, "lstm_step": memory, "forward": 3 * cfg.n * slices}
+
+
+@SWITCHES
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("build", [build_crmn, build_resnet])
+def test_a_sliced_eval_equals_the_serial_one_bit_for_bit(monkeypatch, kw, dtype, build):
+    """Eval logits, and ``evaluate_model``'s loss and accuracy, are the same at 1, 2
+    and 3 slices, for batches of 1, 2, 7 and 100 images."""
+    cfg = cfg_for(1, 4, hidden_size=5, classes=3, input_extent=16, **kw)
+    model = build(cfg, seed=8, dtype=dtype)
+    rng = np.random.default_rng(9)
+    for name, a in model.named_state():  # running estimates off their initial zeros and ones
+        var = name.endswith("var")
+        a[...] = rng.uniform(0.5, 1.5, a.shape) if var else rng.normal(0.0, 0.1, a.shape)
+    for b in (1, 2, 7, 100):
+        ds = ImageDataset(rng.random((b, 3, 16, 16), dtype=np.float32),
+                          rng.integers(0, 3, b), 3, "val")
+        x = Tensor(ds.images.astype(dtype))
+        seen = set()
+        for slices in (1, 2, 3):
+            monkeypatch.setattr(crmn.model, "_cpus", lambda: slices)
+            logits = model.forward(x).data
+            seen.add((logits.dtype.name, logits.tobytes(), evaluate_model(model, ds, b)))
+        assert len(seen) == 1, b
+
+
+def test_no_thread_starts_outside_a_sliced_eval(monkeypatch, tmp_path):
+    """Importing crmn, building, loading, a training step, the full gradient check and
+    every eval forward that does not slice (batch 1, counted, taped) start no thread
+    and make no pool."""
+    code = ("import pkgutil, threading; n = threading.active_count(); import crmn; "
+            "[__import__(f'crmn.{m.name}') for m in pkgutil.iter_modules(crmn.__path__)]; "
+            "assert threading.active_count() == n, threading.enumerate()")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env=dict(os.environ, PYTHONPATH=str(Path(crmn.__file__).parents[1])))
+    monkeypatch.setattr(crmn.model, "_workers", None)
+    monkeypatch.setattr(crmn.model, "_cpus", lambda: 2)
+    threads = threading.active_count()
+    model = build_crmn(cfg_for(1, 4, hidden_size=3, input_extent=8), seed=0)
+    save_model(model, tmp_path / "m.crmn")
+    model = load_model(tmp_path / "m.crmn")
+    x = Tensor(np.random.default_rng(0).random((2, 3, 8, 8), dtype=np.float32))
+    opt = SgdOptimizer(model.named_params())
+    with Tape() as tape:
+        tape.backward(softmax_cross_entropy(model.forward(x, training=True), [0, 1]))
+    opt.step({group: 0.1 for group in GROUPS})
+    check_full()
+    model.forward(Tensor(x.data[:1]))
+    with count_ops():
+        model.forward(x)
+    with Tape():
+        model.forward(x)
+    assert threading.active_count() == threads
+    assert crmn.model._workers is None
+
+
+@pytest.mark.parametrize("slices", [2, 3])
+def test_the_first_sliced_eval_starts_its_pool_and_the_next_reuses_it(monkeypatch, slices):
+    """The first sliced eval starts k - 1 threads, which run their slices at once (a
+    barrier holds each until all have started), and the next starts none."""
+    monkeypatch.setattr(crmn.model, "_workers", None)
+    monkeypatch.setattr(crmn.model, "_cpus", lambda: slices)
+    together, feed = threading.Barrier(slices - 1, timeout=30), CrmnModel._feed
+
+    def feed_together(*args):
+        together.wait()
+        feed(*args)
+
+    monkeypatch.setattr(CrmnModel, "_feed", feed_together)
+    model = build_crmn(cfg_for(1, 4, hidden_size=3, input_extent=8), seed=0)
+    x = Tensor(np.random.default_rng(0).random((5, 3, 8, 8), dtype=np.float32))
+    threads = threading.active_count()
+    try:
+        model.forward(x)
+        assert threading.active_count() == threads + slices - 1
+        model.forward(x)
+        assert threading.active_count() == threads + slices - 1
+    finally:
+        crmn.model._workers.shutdown()
+
+
+def test_more_slices_than_cpus_under_fast_thread_switches_stay_bit_identical(monkeypatch):
+    """Four slices on a fresh pool of three threads, the interpreter switching threads
+    every microsecond: every run's logits are the serial ones."""
+    model = build_crmn(cfg_for(1, 4, hidden_size=5, input_extent=16), seed=1)
+    x = Tensor(np.random.default_rng(2).random((9, 3, 16, 16), dtype=np.float32))
+    monkeypatch.setattr(crmn.model, "_cpus", lambda: 1)
+    want = model.forward(x).data.tobytes()
+    monkeypatch.setattr(crmn.model, "_workers", None)
+    monkeypatch.setattr(crmn.model, "_cpus", lambda: 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert all(model.forward(x).data.tobytes() == want for _ in range(5))
+    finally:
+        sys.setswitchinterval(interval)
+        crmn.model._workers.shutdown()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_makes_its_own_pool(monkeypatch):
+    """A child forked after a sliced eval has none of the pool's threads; a sliced
+    eval there would wait for them forever if it reused the pool."""
+    monkeypatch.setattr(crmn.model, "_cpus", lambda: 2)
+    model = build_crmn(cfg_for(1, 4, hidden_size=3, input_extent=8), seed=0)
+    x = Tensor(np.random.default_rng(0).random((3, 3, 8, 8), dtype=np.float32))
+    want = model.forward(x).data
+    pid = os.fork()
+    if pid == 0:  # the child leaves at once, whatever happens
+        ok = False
+        try:
+            ok = np.array_equal(model.forward(x).data, want)
+        finally:
+            os._exit(0 if ok else 1)
+    deadline = time.monotonic() + 30
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+
+
+def test_one_cpu_takes_the_serial_path(monkeypatch):
+    monkeypatch.setattr(crmn.model, "_workers", None)
+    monkeypatch.setattr(crmn.model, "_cpus", lambda: 1)
+    monkeypatch.setattr(CrmnModel, "_sliced", None)  # calling it would raise
+    model = build_crmn(cfg_for(1, 4, hidden_size=3, input_extent=8), seed=0)
+    model.forward(Tensor(np.random.default_rng(0).random((5, 3, 8, 8), dtype=np.float32)))
+    assert crmn.model._workers is None
+
+
+def test_a_pool_threads_error_reaches_the_caller_after_every_slice_ends(monkeypatch):
+    """The caller waits for every pool thread, then raises a failed slice's exception
+    as it was, its type unchanged."""
+    monkeypatch.setattr(crmn.model, "_cpus", lambda: 3)
+    model = build_crmn(cfg_for(1, 4, hidden_size=3, input_extent=8), seed=0)
+    run, ended = CrmnModel.run, []
+
+    def failing_run(self, x, ops, *args):
+        if isinstance(ops, crmn.model._Feed) and x.shape[0] == 2:
+            raise DimensionError("slice 1")
+        out = run(self, x, ops, *args)
+        ended.append(x.shape[0])
+        return out
+
+    monkeypatch.setattr(CrmnModel, "run", failing_run)
+    with pytest.raises(DimensionError, match="slice 1"):
+        model.forward(Tensor(np.random.default_rng(0).random((7, 3, 8, 8), dtype=np.float32)))
+    assert sorted(ended) == [3]  # slice 2 (3 images) ran to its end; slice 0 stopped
 
 
 def _unfused_norm(bn, x, training):
