@@ -153,11 +153,6 @@ def _params(op, maps, fan_in):
     return maps if op == "bias" else 0
 
 
-def trunk_param_count(cfg: NetworkConfig):
-    return sum(_params(op, maps, fan_in)
-               for part, _, op, maps, _, fan_in in _model_ops("resnet", cfg) if part == "trunk")
-
-
 def lstm_param_count(i, h, learn_c0=True):
     """4 gate matrices/biases + 3 peepholes + learned initial state."""
     total = 4 * (h * i + h * h + h) + 3 * h + h

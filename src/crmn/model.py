@@ -20,7 +20,7 @@ its terms (adapter, next block's shortcut and first op) in that order.
 
 An untaped, uncounted eval forward of two or more images runs the trunk on
 one contiguous slice of them per CPU at once, over the same loop: the
-calling thread's op table (``_Merged``) appends the pool threads' adapted
+calling thread's op table (``_Merged``) appends the slice threads' adapted
 rows and pool features (``_Feed``) to its own, so the LSTM and the head see
 the whole batch, and the logits are the serial ones bit for bit.
 
@@ -33,6 +33,7 @@ baseline (trunk + pool + dense) on the identical trunk.
 from __future__ import annotations
 
 import os
+import threading
 
 import numpy as np
 
@@ -124,7 +125,7 @@ class Values(layers.Values):
 
 
 class _Feed(Taped):
-    """A pool thread's eval ops on one slice: each adapted tap and the pool features go
+    """A slice thread's eval ops on one slice: each adapted tap and the pool features go
     to ``put``, in the order the calling thread's ``run`` reads them; no LSTM or head runs."""
 
     def __init__(self, put):
@@ -167,7 +168,7 @@ class _Merged(Taped):
         for queue in self.queues:
             part = queue.get()
             if isinstance(part, BaseException):
-                raise part  # a pool thread's, its type unchanged
+                raise part  # a slice thread's, its type unchanged
             parts.append(part)
         return Tensor(np.concatenate(parts))
 
@@ -177,18 +178,6 @@ def _cpus():
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-_workers = None  # the sliced eval's ThreadPoolExecutor, made by its first call
-
-
-def _forget_workers():
-    global _workers
-    _workers = None  # a forked child has none of its parent's threads
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_workers)
 
 
 def _decays(name):
@@ -216,14 +205,14 @@ class CrmnModel:
 
         An eval forward of b >= 2 images without ``return_parts``, and with no
         tape or ``count_ops`` counter open in this thread, splits them into
-        k = min(b, CPUs) contiguous slices: k - 1 pool threads each run one
-        slice's trunk, adapters and pool, while this thread runs slice 0's and
-        steps the LSTM and the head on the whole batch. The logits are the
-        serial ones bit for bit: in eval mode each image's trunk output does
-        not depend on its batch (every norm uses its running estimates), and
-        the LSTM and head get the serial operands. Run per slice they would
-        not be, as a GEMM's rows depend on its row count. Every other forward
-        runs on this thread alone.
+        k = min(b, CPUs) contiguous slices: k - 1 threads of its own, joined
+        before it returns, each run one slice's trunk, adapters and pool, while
+        this thread runs slice 0's and steps the LSTM and the head on the whole
+        batch. The logits are the serial ones bit for bit: in eval mode each
+        image's trunk output does not depend on its batch (every norm uses its
+        running estimates), and the LSTM and head get the serial operands. Run
+        per slice they would not be, as a GEMM's rows depend on its row count.
+        Every other forward runs on this thread alone.
         """
         if not (training or return_parts or _ACTIVE.tapes or _ACTIVE.counters):
             x = _tensor(x)
@@ -239,24 +228,22 @@ class CrmnModel:
 
     def _sliced(self, x, k):
         """The eval logits of x over k contiguous slices at once; see ``forward``."""
-        global _workers
-        # imported here: importing crmn, and every forward that does not slice, pay nothing
-        from concurrent.futures import ThreadPoolExecutor
-        from queue import SimpleQueue
-        if _workers is None:
-            _workers = ThreadPoolExecutor(max(1, _cpus() - 1), "crmn-eval")
+        from queue import SimpleQueue  # here: importing crmn pays nothing for it
         edges = [x.shape[0] * i // k for i in range(k + 1)]
         slices = [Tensor(x.data[a:b]) for a, b in zip(edges, edges[1:])]
         queues = [SimpleQueue() for _ in slices[1:]]
-        jobs = [_workers.submit(self._feed, s, q.put) for s, q in zip(slices[1:], queues)]
+        threads = [threading.Thread(target=self._feed, args=(s, q.put), name="crmn-eval")
+                   for s, q in zip(slices[1:], queues)]
+        for thread in threads:
+            thread.start()
         try:
             return self.run(slices[0], _Merged(x.shape[0], queues))[0]
         finally:
-            for job in jobs:
-                job.exception()  # waits for it, also when this thread raises
+            for thread in threads:
+                thread.join()  # also when this thread raises
 
     def _feed(self, x, put):
-        """A pool thread's share of ``_sliced``: slice x's rows, or what it raised, to ``put``."""
+        """A slice thread's whole run in ``_sliced``: slice x's rows, or what it raised, to ``put``."""
         try:
             self.run(x, _Feed(put))
         except BaseException as exc:

@@ -1,7 +1,17 @@
+import threading
+
 import numpy as np
 import pytest
 
 from crmn.data import synth_dataset
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_its_test():
+    """Every test ends with as many live threads as it started with."""
+    threads = threading.active_count()
+    yield
+    assert threading.active_count() == threads, threading.enumerate()
 
 
 @pytest.fixture(scope="session")

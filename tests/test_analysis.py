@@ -11,7 +11,7 @@ import crmn.lstm
 import crmn.model
 from crmn.analysis import (
     config_for, cost_report, default_grid, lstm_param_count, lstm_step_ops,
-    render_table, tape_bytes, trunk_param_count,
+    render_table, tape_bytes,
 )
 from crmn.errors import InputError
 from crmn.layers import Dense
@@ -71,7 +71,7 @@ def test_memory_path_cost_is_depth_independent():
 
 
 def test_trunk_params_are_affine_in_depth():
-    counts = [trunk_param_count(NetworkConfig(n=n, base_maps=16).validate())
+    counts = [cost_report("resnet", NetworkConfig(n=n, base_maps=16).validate()).params_trunk
               for n in (2, 3, 4, 5)]
     diffs = np.diff(counts)
     assert diffs[0] == diffs[1] == diffs[2]

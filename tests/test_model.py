@@ -374,14 +374,12 @@ def test_a_sliced_eval_equals_the_serial_one_bit_for_bit(monkeypatch, kw, dtype,
 
 def test_no_thread_starts_outside_a_sliced_eval(monkeypatch, tmp_path):
     """Importing crmn, building, loading, a training step, the full gradient check and
-    every eval forward that does not slice (batch 1, counted, taped) start no thread
-    and make no pool."""
+    every eval forward that does not slice (batch 1, counted, taped) start no thread."""
     code = ("import pkgutil, threading; n = threading.active_count(); import crmn; "
             "[__import__(f'crmn.{m.name}') for m in pkgutil.iter_modules(crmn.__path__)]; "
             "assert threading.active_count() == n, threading.enumerate()")
     subprocess.run([sys.executable, "-c", code], check=True,
                    env=dict(os.environ, PYTHONPATH=str(Path(crmn.__file__).parents[1])))
-    monkeypatch.setattr(crmn.model, "_workers", None)
     monkeypatch.setattr(crmn.model, "_cpus", lambda: 2)
     threads = threading.active_count()
     model = build_crmn(cfg_for(1, 4, hidden_size=3, input_extent=8), seed=0)
@@ -399,42 +397,42 @@ def test_no_thread_starts_outside_a_sliced_eval(monkeypatch, tmp_path):
     with Tape():
         model.forward(x)
     assert threading.active_count() == threads
-    assert crmn.model._workers is None
 
 
 @pytest.mark.parametrize("slices", [2, 3])
-def test_the_first_sliced_eval_starts_its_pool_and_the_next_reuses_it(monkeypatch, slices):
-    """The first sliced eval starts k - 1 threads, which run their slices at once (a
-    barrier holds each until all have started), and the next starts none."""
-    monkeypatch.setattr(crmn.model, "_workers", None)
+def test_each_sliced_eval_runs_its_own_threads_and_ends_them(monkeypatch, slices):
+    """Each of two back-to-back sliced evals runs k - 1 threads of its own at once (a
+    barrier holds each until all have started, and counts the live threads), and
+    none is left when ``forward`` returns."""
     monkeypatch.setattr(crmn.model, "_cpus", lambda: slices)
-    together, feed = threading.Barrier(slices - 1, timeout=30), CrmnModel._feed
+    threads = threading.active_count()
+    running = []
+    together = threading.Barrier(slices - 1, lambda: running.append(threading.active_count()),
+                                 timeout=30)
+    feed = CrmnModel._feed
 
     def feed_together(*args):
-        together.wait()
-        feed(*args)
+        try:
+            together.wait()
+        finally:  # a broken barrier still feeds: too few threads fail the count, not hang
+            feed(*args)
 
     monkeypatch.setattr(CrmnModel, "_feed", feed_together)
     model = build_crmn(cfg_for(1, 4, hidden_size=3, input_extent=8), seed=0)
     x = Tensor(np.random.default_rng(0).random((5, 3, 8, 8), dtype=np.float32))
-    threads = threading.active_count()
-    try:
+    for _ in range(2):
         model.forward(x)
-        assert threading.active_count() == threads + slices - 1
-        model.forward(x)
-        assert threading.active_count() == threads + slices - 1
-    finally:
-        crmn.model._workers.shutdown()
+        assert threading.active_count() == threads
+    assert running == [threads + slices - 1] * 2
 
 
 def test_more_slices_than_cpus_under_fast_thread_switches_stay_bit_identical(monkeypatch):
-    """Four slices on a fresh pool of three threads, the interpreter switching threads
+    """Four slices on three threads of their own, the interpreter switching threads
     every microsecond: every run's logits are the serial ones."""
     model = build_crmn(cfg_for(1, 4, hidden_size=5, input_extent=16), seed=1)
     x = Tensor(np.random.default_rng(2).random((9, 3, 16, 16), dtype=np.float32))
     monkeypatch.setattr(crmn.model, "_cpus", lambda: 1)
     want = model.forward(x).data.tobytes()
-    monkeypatch.setattr(crmn.model, "_workers", None)
     monkeypatch.setattr(crmn.model, "_cpus", lambda: 4)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -442,13 +440,12 @@ def test_more_slices_than_cpus_under_fast_thread_switches_stay_bit_identical(mon
         assert all(model.forward(x).data.tobytes() == want for _ in range(5))
     finally:
         sys.setswitchinterval(interval)
-        crmn.model._workers.shutdown()
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_makes_its_own_pool(monkeypatch):
-    """A child forked after a sliced eval has none of the pool's threads; a sliced
-    eval there would wait for them forever if it reused the pool."""
+    """A child forked after a sliced eval runs its own sliced eval to the same logits:
+    the parent's eval left no thread behind for the child to wait on."""
     monkeypatch.setattr(crmn.model, "_cpus", lambda: 2)
     model = build_crmn(cfg_for(1, 4, hidden_size=3, input_extent=8), seed=0)
     x = Tensor(np.random.default_rng(0).random((3, 3, 8, 8), dtype=np.float32))
@@ -470,16 +467,34 @@ def test_a_forked_child_makes_its_own_pool(monkeypatch):
 
 
 def test_one_cpu_takes_the_serial_path(monkeypatch):
-    monkeypatch.setattr(crmn.model, "_workers", None)
     monkeypatch.setattr(crmn.model, "_cpus", lambda: 1)
     monkeypatch.setattr(CrmnModel, "_sliced", None)  # calling it would raise
     model = build_crmn(cfg_for(1, 4, hidden_size=3, input_extent=8), seed=0)
     model.forward(Tensor(np.random.default_rng(0).random((5, 3, 8, 8), dtype=np.float32)))
-    assert crmn.model._workers is None
+
+
+def test_a_sliced_eval_keeps_no_memory_after_it_returns(monkeypatch):
+    """A 2-slice eval, after a serial one has grown this thread's convolution buffers,
+    leaves no NumPy data behind but its logits: the other slice's thread took its own
+    buffers (0.63 MiB here) with it when it ended."""
+    model = build_resnet(cfg_for(1, 16, input_extent=32), seed=0)
+    x = Tensor(np.random.default_rng(0).random((6, 3, 32, 32), dtype=np.float32))
+    monkeypatch.setattr(crmn.layers, "_scratch", threading.local())  # no thread's buffers yet
+    monkeypatch.setattr(crmn.model, "_cpus", lambda: 1)
+    model.forward(x)
+    monkeypatch.setattr(crmn.model, "_cpus", lambda: 2)
+    tracemalloc.start()
+    try:
+        logits = model.forward(x)
+        arrays = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+    finally:
+        tracemalloc.stop()
+    assert logits.data.nbytes <= sum(t.size for t in arrays.traces) < 2**14
 
 
 def test_a_pool_threads_error_reaches_the_caller_after_every_slice_ends(monkeypatch):
-    """The caller waits for every pool thread, then raises a failed slice's exception
+    """The caller waits for every slice thread, then raises a failed slice's exception
     as it was, its type unchanged."""
     monkeypatch.setattr(crmn.model, "_cpus", lambda: 3)
     model = build_crmn(cfg_for(1, 4, hidden_size=3, input_extent=8), seed=0)
