@@ -50,10 +50,29 @@ block j, the LSTM's hidden state for the back half) in 256 KiB, at most 32.
 For the micro model that is 4 for the stem and block 0, 8 for stage 2, 16
 for stage 3 and 32 for the LSTM and head. The K copies of the probed tensor
 are not counted; the widest, of a 1024 x 5 LSTM input weight, take 1.25 MiB.
+
+After the analytic pass and the caches, the full sweep scores its tensors on
+k = min(tensors, CPUs) processes: this one and k - 1 children forked from it,
+which share the model, the caches and the analytic gradients copy-on-write.
+Processes and not threads, as the sweep's cost is Python per-op overhead:
+two threads running the +eps and -eps stacks at once read no faster under
+the GIL. The tensors are handed out one at a time from a queue of indices,
+so a process that draws a large trunk kernel simply takes fewer; split by
+even and odd position, one process's share took 1.07 s and the other's
+0.90. Each tensor is scored as on one process, so the report is the serial
+one bit for bit. The sweep stays in this process where ``os.fork`` is
+missing, one CPU is available, or another thread is alive, since a forked
+child inherits the locks that other threads hold but not the threads. The
+k processes take up to k times the serial memory between them.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import struct
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,7 +80,7 @@ import numpy as np
 from .errors import ContractError, InputError
 from .layers import BatchNorm, Dense, batch_norm, conv2d, global_avg_pool, meanpool2x2
 from .lstm import LstmState, init_lstm, run_sequence
-from .model import Taped, Values, adapt_tap, build_crmn
+from .model import Taped, Values, _cpus, adapt_tap, build_crmn
 # trunk_forward is unused here: bench/tracer.py wraps it in this module
 from .resnet import NetworkConfig, trunk_forward
 from .tensor import (Tape, Tensor, _softmax_xent, add, backward, concat_cols, matmul, mul,
@@ -74,8 +93,10 @@ DEFAULT_TOLERANCE = 1e-4
 # probes per stacked evaluation: as many as fit K copies of one probe's widest
 # stacked activation (f.probe_bytes) in _STACK_BYTES, at most _PROBES; four
 # probes of the micro model's 2 x 4 x 32 x 32 float64 stage-1 maps fill it.
-# Sized so, check_full(0)'s process peak is 43.1 MB, against 48.2 MB at one
-# K = 32 (x86_64, NumPy 2.4, one BLAS thread)
+# Sized so, check_full(0) peaks at 42.5 MB resident on one process, against
+# 48.2 MB at one K = 32; on two CPUs the calling process peaks at 42.3 MB and
+# its forked child at 30.6 MB, so the check's processes take up to k times
+# the serial memory between them (x86_64, NumPy 2.4, one BLAS thread)
 _PROBES = 32
 _STACK_BYTES = 2**18
 # the LSTM check's input width per step, its hidden size, and the batch of both
@@ -384,10 +405,87 @@ def check_full(seed=0, eps=DEFAULT_EPS) -> GradReport:
     starts = {id(t): j for j, block in enumerate(model.trunk.blocks)
               for _, layer in block.layers() for _, t in layer.params()}
 
-    for name, t, _ in model.named_params():
+    params = model.named_params()
+
+    def score(i):
+        name, t, _ = params[i]
         start = starts.get(id(t), 0) if name.startswith("trunk.") else None
-        report.entries.append(GradEntry(name, _max_error(t, probe_loss(t, start), eps), t.size))
+        return _max_error(t, probe_loss(t, start), eps)
+
+    errors = _scored(score, len(params))
+    report.entries = [GradEntry(name, errors[i], t.size) for i, (name, t, _) in enumerate(params)]
     return report
+
+
+def _scored(score, n):
+    """{i: score(i)} for i in range(n), on k = min(n, CPUs) processes at once.
+
+    This process and k - 1 children forked from it take the indices one at a
+    time from one pipe, queued before the fork; each child pickles its
+    scores, or what it raised, to a pipe of its own and leaves by ``os._exit``.
+    k is 1 where ``os.fork`` is missing or another thread is alive (a fork
+    copies only the calling thread, so a lock another thread holds stays held
+    in the child). Every child is reaped before this returns or raises.
+    """
+    k = min(n, _cpus()) if hasattr(os, "fork") and threading.active_count() == 1 else 1
+    tasks, put = os.pipe()
+    pids, results = [], []  # each child's pid and the read end of its pipe
+    try:
+        # n 4-byte records: a few dozen tensors, well within a pipe's buffer
+        with open(put, "wb") as queue:
+            queue.write(struct.pack(f"={n}I", *range(n)))
+        for _ in range(k - 1):
+            r, w = os.pipe()
+            results.append(r)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(w, tasks, score)
+            finally:
+                os.close(w)  # the child never gets here: _child exits
+            pids.append(pid)
+        errors = _take(tasks, score)
+        for pid, r in zip(pids, results):
+            with open(r, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            if not data:
+                raise ChildProcessError(f"check_full: child {pid} ended with no result")
+            out = pickle.loads(data)
+            if isinstance(out, BaseException):
+                raise out  # the child's, its type and message unchanged
+            errors.update(out)
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid in pids:
+            os.waitpid(pid, 0)
+        for fd in [tasks] + results:
+            os.close(fd)
+    return errors
+
+
+def _take(tasks, score):
+    """{i: score(i)} for each index taken from the ``tasks`` pipe, until it is empty."""
+    out = {}
+    while record := os.read(tasks, 4):
+        (i,) = struct.unpack("=I", record)
+        out[i] = score(i)
+    return out
+
+
+def _child(w, tasks, score):
+    """A forked child's whole life: its ``_take`` scores, or what it raised, pickled to w."""
+    try:
+        try:
+            out = _take(tasks, score)
+        except BaseException as exc:
+            out = exc
+        with open(w, "wb", closefd=False) as pipe:
+            pipe.write(pickle.dumps(out))
+    finally:
+        os._exit(0)  # never back into the caller's stack
 
 
 SCOPES = {"ops": check_ops, "lstm": check_lstm, "full": check_full}

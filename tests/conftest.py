@@ -1,3 +1,4 @@
+import os
 import threading
 
 import numpy as np
@@ -12,6 +13,17 @@ def no_thread_outlives_its_test():
     threads = threading.active_count()
     yield
     assert threading.active_count() == threads, threading.enumerate()
+
+
+@pytest.fixture(autouse=True)
+def no_child_outlives_its_test():
+    """Every test ends with no child process left, running or unreaped."""
+    yield
+    try:
+        left = os.waitpid(-1, os.WNOHANG)  # (0, 0) while one runs; reaps one that ended
+    except ChildProcessError:
+        return  # no child at all
+    pytest.fail(f"a child process outlived its test: waitpid gave {left}")
 
 
 @pytest.fixture(scope="session")

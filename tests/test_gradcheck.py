@@ -1,5 +1,9 @@
 """The gradient checker itself: oracles, report plumbing, sabotage detection."""
 
+import json
+import os
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -196,6 +200,7 @@ def test_full_scope_replays_each_loss_bit_identically(monkeypatch):
     monkeypatch.setattr(crmn.gradcheck, "softmax_cross_entropy", capture_labels)
     monkeypatch.setattr(ResidualBlock, "forward", record_block)
     monkeypatch.setattr(crmn.gradcheck, "numeric_gradient", probe)
+    monkeypatch.setattr(crmn.gradcheck, "_cpus", lambda: 1)  # the spies see only this process
     check_full()
     assert probed == [n for n, _, _ in seen["model"].named_params()]
 
@@ -227,6 +232,7 @@ def capture_probes(monkeypatch):
     monkeypatch.setattr(crmn.gradcheck, "build_crmn", capture_model)
     monkeypatch.setattr(crmn.gradcheck, "softmax_cross_entropy", capture_labels)
     monkeypatch.setattr(crmn.gradcheck, "numeric_gradient", keep)
+    monkeypatch.setattr(crmn.gradcheck, "_cpus", lambda: 1)  # the spies see only this process
     check_full(seed=0)
     monkeypatch.undo()
     return seen
@@ -312,6 +318,7 @@ def test_check_full_stacks_probes_by_the_maps_they_add(monkeypatch, switches):
 
     monkeypatch.setattr(crmn.gradcheck, "micro_config", lambda: cfg)
     monkeypatch.setattr(crmn.gradcheck, "_stacked_probes", record)
+    monkeypatch.setattr(crmn.gradcheck, "_cpus", lambda: 1)  # the spies see only this process
     check_full(seed=0)
     names = [n for n, _, _ in build_crmn(cfg, seed=0, dtype=np.float64).named_params()]
     want = {"trunk.stage2": 8, "trunk.stage3": 16, "lstm": 32, "head": 32}
@@ -433,6 +440,96 @@ def test_full_scope_flags_exactly_a_sabotaged_trunk_tensor(monkeypatch):
     failed = [e.name for e in report.entries if e.max_rel_err >= report.tolerance]
     assert failed == ["trunk.stage3.block0.conv2.weight"]
     assert len(report.entries) > 30
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+
+@pytest.fixture(scope="module")
+def one_cpu_reports():
+    """check_full's JSON report, serialized, at seed 0 (it passes) and 1 (it fails) on one CPU."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(crmn.gradcheck, "_cpus", lambda: 1)
+        return {seed: json.dumps(check_full(seed).as_json()) for seed in (0, 1)}
+
+
+def counted_forks(monkeypatch):
+    """A list that gains one entry per ``os.fork`` this process calls."""
+    calls, fork = [], os.fork
+
+    def spy():
+        calls.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", spy)
+    return calls
+
+
+@needs_fork
+@pytest.mark.parametrize("seed", [0, 1])
+def test_forked_check_full_reports_the_one_cpu_report(monkeypatch, one_cpu_reports, seed):
+    """On 2 CPUs this process and one forked child score the tensors, to the same report."""
+    monkeypatch.setattr(crmn.gradcheck, "_cpus", lambda: 2)
+    forks = counted_forks(monkeypatch)
+    assert json.dumps(check_full(seed).as_json()) == one_cpu_reports[seed]
+    assert len(forks) == 1
+
+
+@needs_fork
+@pytest.mark.parametrize("where", ["child", "parent"])
+def test_an_error_in_either_process_reaches_the_caller_and_no_child_is_left(monkeypatch,
+                                                                            where):
+    """The process named by ``where`` raises when it probes lstm.w_xi; the other one is
+    slowed so that it does not take that tensor. check_full raises the error as it was
+    raised and reaps its child at once: a child still probing when the parent raises
+    is killed, not waited for."""
+    parent, build, seen = os.getpid(), crmn.gradcheck.build_crmn, {}
+
+    def keep_model(*args, **kwargs):
+        seen["model"] = build(*args, **kwargs)
+        return seen["model"]
+
+    def probe(f, tensor, eps=DEFAULT_EPS):
+        side = "parent" if os.getpid() == parent else "child"
+        if side != where:
+            time.sleep(0.02 if side == "parent" else 2.0)
+        elif tensor is seen["model"].lstm.w_xi:
+            raise ContractError(f"w_xi probed in the {side}")
+        return np.zeros_like(tensor.data)
+
+    monkeypatch.setattr(crmn.gradcheck, "_cpus", lambda: 2)
+    monkeypatch.setattr(crmn.gradcheck, "build_crmn", keep_model)
+    monkeypatch.setattr(crmn.gradcheck, "numeric_gradient", probe)
+    began = time.monotonic()
+    with pytest.raises(ContractError) as raised:
+        check_full(seed=0)
+    assert time.monotonic() - began < 2.0  # no 2 s child probe was waited out
+    assert str(raised.value) == f"w_xi probed in the {where}"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+@pytest.mark.parametrize("why", ["another thread", "no os.fork"])
+def test_check_full_runs_serially_where_it_must_not_fork(monkeypatch, one_cpu_reports, why):
+    """A second live thread, or no ``os.fork``, keeps check_full in this process."""
+    monkeypatch.setattr(crmn.gradcheck, "_cpus", lambda: 2)
+    forks = counted_forks(monkeypatch)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    if why == "another thread":
+        thread.start()
+    else:
+        monkeypatch.delattr(os, "fork")
+    try:
+        report = check_full(seed=0)
+    finally:
+        release.set()
+        if thread.ident is not None:
+            thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert forks == []
+    assert json.dumps(report.as_json()) == one_cpu_reports[0]
 
 
 def test_micro_config_is_the_documented_one():
