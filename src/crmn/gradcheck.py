@@ -13,6 +13,13 @@ Three scopes:
   full  - an end-to-end micro model (n=1, base 4, hidden 5, 3 classes,
           batch 2, training mode)
 
+Every probe is scored one way: ``numeric_gradient(f, tensor)`` hands its
+loss f a (K, *tensor.shape) stack of copies of the tensor, each with one
+scalar moved by +eps (or -eps), and f returns the K losses; tensor.data is
+only read. K is ``_PROBES``, 16 for every loss. The ops and lstm scopes bind
+each copy in turn as the tensor's data and run their taped loss once per
+copy; the full sweep runs its replay once per stack.
+
 The full sweep exploits the model's one-way dataflow, caching every block's
 input, the adapted taps, the LSTM state before each tap and the pool
 features of the analytic pass:
@@ -23,33 +30,26 @@ features of the analytic pass:
   back half    - perturbing LSTM or head parameters cannot change trunk
                  activations, so those evaluations run only the LSTM steps
                  over the cached adapted taps, then the head
-Both go through an op table, ``model.Taped`` for one probe. Every replayed
-loss is bit-identical to a whole-model evaluation. The analytic side is
-still one whole-graph backward pass.
+Both run over ``model.Values``, with the K copies on a leading probe axis:
+the arithmetic of ``conv2d`` and ``batch_norm`` through their value
+functions, the adapter, the LSTM step through ``lstm.gate_values``, then the
+head. Stacked arrays are kernels (K, co, ci, k, k), matrices (K, rows,
+cols), per-map vectors (K, c), per-unit vectors (K, 1, n) and activations
+(K, batch, ...). ``np.matmul`` then runs one GEMM per probe (per probe and
+image in a conv), each of the unstacked shape, and the batch-norm statistics
+of a (K, b, c, h, w) stack reduce each slice in the unstacked order, so
+every replayed loss is bit-identical to a whole-model evaluation and each
+scalar still gets its own central difference. Concatenating the copies into
+one wide GEMM would be cheaper but is not bit-identical: BLAS picks its
+kernel, and with it the summation order, by the matrix shape. The replay
+records nothing and charges no count; the analytic side is still one
+whole-graph backward pass.
 
-Every tensor is also scored many probes per evaluation. Its loss function
-carries a ``stacked`` form that takes K copies of the probed tensor, each
-with one scalar moved by +eps (or -eps), and runs the same replay once with
-the copies on a leading probe axis, in NumPy, over ``model.Values``: the
-arithmetic of ``conv2d`` and ``batch_norm`` through their value functions,
-the adapter, the LSTM step through ``lstm.gate_values``, then the head.
-Stacked arrays are kernels (K, co, ci, k, k), matrices (K, rows, cols),
-per-map vectors (K, c), per-unit vectors (K, 1, n) and activations
-(K, batch, ...). ``np.matmul`` then runs one GEMM per probe
-(per probe and image in a conv), each of the unstacked shape, and the
-batch-norm statistics of a (K, b, c, h, w) stack reduce each slice in the
-unstacked order, so every loss is bit-identical to its one-at-a-time
-evaluation and each scalar still gets its own central difference.
-Concatenating the copies into one wide GEMM would be cheaper but is not
-bit-identical: BLAS picks its kernel, and with it the summation order, by
-the matrix shape. The stacked path records nothing and charges no count.
-
-K is sized by the activations it stacks: as many probes as fit K copies of
-the widest activation one probe adds (block j's output for a replay from
-block j, the LSTM's hidden state for the back half) in 256 KiB, at most 32.
-For the micro model that is 4 for the stem and block 0, 8 for stage 2, 16
-for stage 3 and 32 for the LSTM and head. The K copies of the probed tensor
-are not counted; the widest, of a 1024 x 5 LSTM input weight, take 1.25 MiB.
+K bounds the memory: the widest stack, 16 copies of the micro model's
+2 x 4 x 32 x 32 float64 stage-1 maps, holds 1 MiB per activation, and the
+copies of a 1024 x 5 LSTM input weight take 640 KiB. On one process
+check_full(0) peaks at 43.8 MB resident, against 47.8 MB at K = 32 (x86_64,
+NumPy 2.4, one BLAS thread).
 
 After the analytic pass and the caches, the full sweep scores its tensors on
 k = min(tensors, CPUs) processes: this one and k - 1 children forked from it,
@@ -63,7 +63,8 @@ even and odd position, one process's share took 1.07 s and the other's
 one bit for bit. The sweep stays in this process where ``os.fork`` is
 missing, one CPU is available, or another thread is alive, since a forked
 child inherits the locks that other threads hold but not the threads. The
-k processes take up to k times the serial memory between them.
+k processes take up to k times the serial memory between them: on two CPUs
+check_full(0)'s calling process peaks at 43.7 MB and its child at 31.4 MB.
 """
 
 from __future__ import annotations
@@ -77,10 +78,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, InputError
+from .errors import InputError
 from .layers import BatchNorm, Dense, batch_norm, conv2d, global_avg_pool, meanpool2x2
-from .lstm import LstmState, init_lstm, run_sequence
-from .model import Taped, Values, _cpus, adapt_tap, build_crmn
+from .lstm import init_lstm, run_sequence
+from .model import Values, _cpus, adapt_tap, build_crmn
 # trunk_forward is unused here: bench/tracer.py wraps it in this module
 from .resnet import NetworkConfig, trunk_forward
 from .tensor import (Tape, Tensor, _softmax_xent, add, backward, concat_cols, matmul, mul,
@@ -90,15 +91,9 @@ from .tensor import (Tape, Tensor, _softmax_xent, add, backward, concat_cols, ma
 DEFAULT_EPS = 1e-5
 ERROR_FLOOR = 1e-3
 DEFAULT_TOLERANCE = 1e-4
-# probes per stacked evaluation: as many as fit K copies of one probe's widest
-# stacked activation (f.probe_bytes) in _STACK_BYTES, at most _PROBES; four
-# probes of the micro model's 2 x 4 x 32 x 32 float64 stage-1 maps fill it.
-# Sized so, check_full(0) peaks at 42.5 MB resident on one process, against
-# 48.2 MB at one K = 32; on two CPUs the calling process peaks at 42.3 MB and
-# its forked child at 30.6 MB, so the check's processes take up to k times
-# the serial memory between them (x86_64, NumPy 2.4, one BLAS thread)
-_PROBES = 32
-_STACK_BYTES = 2**18
+# probes per numeric_gradient call, K, for every loss; the module docstring gives
+# what it costs in memory
+_PROBES = 16
 # the LSTM check's input width per step, its hidden size, and the batch of both
 # model checks
 _WIDTHS, _HIDDEN, _BATCH = (8, 6, 4), 5, 2
@@ -113,53 +108,24 @@ def relative_error(analytic, numeric, floor=ERROR_FLOOR):
 
 
 def numeric_gradient(f, tensor, eps=DEFAULT_EPS):
-    """Central-difference gradient of scalar-valued f() w.r.t. tensor.
+    """Central-difference gradient of a loss w.r.t. tensor, ``_PROBES`` scalars per call.
 
-    f() scores tensor's current value, which each probe moves in place. An f
-    that also has ``f.stacked(values)``, scoring each copy in a
-    (K, *tensor.shape) stack of values, is probed many scalars per call
-    instead, on copies, and tensor.data is never written. Its
-    ``f.probe_bytes``, the bytes of the widest activation one probe adds to
-    the stack, sizes K.
+    ``f(copies)`` takes a (K, *tensor.shape) stack of copies of tensor's value,
+    each with one scalar moved by +eps (or -eps), and returns the K losses.
+    tensor.data is only read.
     """
-    grad = np.zeros(tensor.shape, dtype=tensor.dtype)
-    gflat = grad.reshape(-1)
-    stacked = getattr(f, "stacked", None)
-    probes = _looped_probes(f, tensor, eps) if stacked is None else _stacked_probes(
-        stacked, tensor, eps, max(1, min(_PROBES, _STACK_BYTES // f.probe_bytes)))
-    for idx, f_plus, f_minus in probes:
-        gflat[idx] = (f_plus - f_minus) / (2.0 * eps)
-    return grad
-
-
-def _looped_probes(f, tensor, eps):
-    """(index, f() at +eps, f() at -eps) for each scalar, moved in place and restored."""
-    if not tensor.data.flags.writeable:
-        raise ContractError(f"numeric_gradient: cannot probe read-only {tensor}")
-    data = tensor.data
-    for idx in range(data.size):
-        at = np.unravel_index(idx, data.shape)  # through data's own strides
-        saved = data[at]
-        data[at] = saved + eps
-        f_plus = f()
-        data[at] = saved - eps
-        f_minus = f()
-        data[at] = saved
-        yield idx, f_plus, f_minus
-
-
-def _stacked_probes(stacked, tensor, eps, per_call):
-    """The same triples, per_call scalars at a time, each probe its own copy of tensor."""
     flat = tensor.data.reshape(-1)
-    for start in range(0, flat.size, per_call):
-        idx = np.arange(start, min(start + per_call, flat.size))
+    grad = np.empty(flat.size, dtype=tensor.dtype)
+    for start in range(0, flat.size, _PROBES):
+        idx = np.arange(start, min(start + _PROBES, flat.size))
         rows = np.arange(idx.size)
         copies = np.tile(flat, (idx.size, 1))
         shape = (idx.size,) + tensor.shape
         copies[rows, idx] = flat[idx] + eps
-        f_plus = stacked(copies.reshape(shape))
+        f_plus = f(copies.reshape(shape))
         copies[rows, idx] = flat[idx] - eps
-        yield idx, f_plus, stacked(copies.reshape(shape))
+        grad[idx] = (f_plus - f(copies.reshape(shape))) / (2.0 * eps)
+    return grad.reshape(tensor.shape)
 
 
 @dataclass
@@ -201,14 +167,28 @@ def check_tensors(name, loss_fn, tensors, eps=DEFAULT_EPS):
         t.zero_grad()
     with Tape() as tape:
         tape.backward(loss_fn())
-    value = lambda: loss_fn().item()
-    worst = max(_max_error(t, value, eps) for t in tensors)
+    worst = max(_max_error(t, _one_at_a_time(loss_fn, t), eps) for t in tensors)
     return GradEntry(name, worst, sum(t.size for t in tensors))
 
 
-def _max_error(tensor, value, eps):
-    """Worst element error of tensor's taped gradient against value()'s numeric one."""
-    numeric = numeric_gradient(value, tensor, eps)
+def _one_at_a_time(loss_fn, tensor):
+    """loss_fn() as numeric_gradient's loss: each copy bound in turn as tensor.data, which
+    loss_fn reads at call time, and tensor.data put back after the stack."""
+    def losses(copies):
+        data, out = tensor.data, []
+        try:
+            for copy in copies:
+                tensor.data = copy
+                out.append(loss_fn().item())
+        finally:
+            tensor.data = data
+        return np.array(out)
+    return losses
+
+
+def _max_error(tensor, losses, eps):
+    """Worst element error of tensor's taped gradient against the numeric one of losses."""
+    numeric = numeric_gradient(losses, tensor, eps)
     analytic = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
     return float(relative_error(analytic, numeric).max())
 
@@ -240,10 +220,12 @@ def check_ops(seed=0, eps=DEFAULT_EPS) -> GradReport:
     logits = _t(rng, 4, 5)
     ca, cb = _t(rng, 2, 3), _t(rng, 2, 4)
     pc = _t(rng, 2, 3)
-    norm = lambda training: batch_norm(bx, bn.scale, bn.shift, bn.running_mean,
-                                       bn.running_var, training)
+    # the norm on the layer's initial estimates, fresh copies per call, so a
+    # training probe moves nothing the next one reads
+    initial = bn.running_mean.copy(), bn.running_var.copy()
+    norm = lambda training: batch_norm(bx, bn.scale, bn.shift, *map(np.copy, initial), training)
     # the fused norm + shortcut add + ReLU, on fixed running estimates (fresh
-    # copies per call, so a training probe moves nothing the next one reads)
+    # copies per call, as in ``norm``)
     fx = _t(rng, 3, 2, 4, 4)
     stats = rng.standard_normal(2) * 0.3, 0.5 + rng.random(2)
 
@@ -373,32 +355,23 @@ def check_full(seed=0, eps=DEFAULT_EPS) -> GradReport:
     for a in adapted:
         states.append(plain.step(model.lstm, a, states[-1]))
 
-    def replay(ops, wrap, start):
-        """The logits through ``ops``, the cached values taken by ``wrap``: the model
-        from block ``start`` on, or with ``start`` None the LSTM and the head alone."""
-        if start is not None:
-            state = LstmState(wrap(states[start].h), wrap(states[start].c))
-            return model.run(wrap(inputs[start]), ops, start, state)[0]
-        state = ops.start(model.lstm, _BATCH)
-        for a in adapted:
-            state = ops.step(model.lstm, wrap(a), state)
-        return ops.head(model.head, wrap(pool_out), state.h)
-
     def probe_loss(tensor, start):
-        """tensor's loss for numeric_gradient, taped for one probe or stacked for many."""
-        def stacked(values):
-            # an LSTM or head vector (K, n) -> (K, 1, n), broadcast over the batch
-            if start is None and values.ndim == 2:
-                values = values[:, None, :]
-            ops = Values(lambda t: values if t is tensor else t.data)
-            return _softmax_xent(replay(ops, np.asarray, start), labels)[1]
-
-        value = lambda: softmax_cross_entropy(replay(Taped(True), Tensor, start), labels).item()
-        value.stacked = stacked
-        # block start's output (no later map of the replay is wider), or the back
-        # half's hidden state
-        value.probe_bytes = (states[-1].h if start is None else inputs[start + 1]).nbytes
-        return value
+        """tensor's loss for numeric_gradient: the model from block ``start`` on, or with
+        ``start`` None the LSTM and the head alone, on the cached values, through
+        ``Values`` with the stacked copies of tensor on a leading probe axis."""
+        def losses(copies):
+            if start is None and copies.ndim == 2:
+                copies = copies[:, None, :]  # an LSTM or head vector: (K, 1, n) over the batch
+            ops = Values(lambda t: copies if t is tensor else t.data)
+            if start is not None:
+                logits = model.run(inputs[start], ops, start, states[start])[0]
+            else:
+                state = ops.start(model.lstm, _BATCH)
+                for a in adapted:
+                    state = ops.step(model.lstm, a, state)
+                logits = ops.head(model.head, pool_out, state.h)
+            return _softmax_xent(logits, labels)[1]
+        return losses
 
     # the first block each trunk parameter reaches; any other (the stem)
     # replays the whole trunk

@@ -33,9 +33,9 @@ def test_relative_error_uses_a_floor_near_zero():
 
 def test_numeric_gradient_of_a_quadratic():
     x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True, dtype=np.float64)
-    grad = numeric_gradient(lambda: float((x.data ** 2).sum()), x)
+    grad = numeric_gradient(lambda copies: (copies ** 2).sum(axis=1), x)
     assert np.allclose(grad, 2.0 * x.data, atol=1e-9)
-    assert np.array_equal(x.data, [1.0, -2.0, 3.0])  # probes are undone
+    assert np.array_equal(x.data, [1.0, -2.0, 3.0])  # only copies are probed
 
 
 def test_check_tensors_flags_a_broken_gradient():
@@ -69,6 +69,18 @@ def test_ops_scope_passes_tightly():
     assert payload["scope"] == "ops"
     assert payload["passed"] is True
     assert all(e["checked"] > 0 for e in payload["entries"])
+
+
+@pytest.mark.parametrize("entry", ["batch_norm_train", "batch_norm_eval"])
+def test_a_batch_norm_entry_reads_the_same_without_the_entries_before_it(monkeypatch, entry):
+    """Every call of the norm gets fresh copies of the layer's initial running estimates,
+    so no earlier entry's probes move what the eval entry scores against."""
+    after_all = next(e for e in check_ops(seed=0).entries if e.name == entry)
+    real = crmn.gradcheck.check_tensors
+    monkeypatch.setattr(crmn.gradcheck, "check_tensors", lambda name, *args: (
+        real(name, *args) if name == entry else GradEntry(name, 0.0, 0)))
+    alone = next(e for e in check_ops(seed=0).entries if e.name == entry)
+    assert alone == after_all
 
 
 def test_the_per_tap_conv_forward_matches_its_finite_differences(monkeypatch):
@@ -167,11 +179,11 @@ def test_full_scope_replays_each_loss_bit_identically(monkeypatch):
         return loss(logits, labels)
 
     ran = []
-    block_forward = ResidualBlock.forward
+    block_run = ResidualBlock.run  # the block op of the Values replay
 
-    def record_block(block, x, training):
+    def record_block(block, x, ops):
         ran.append(block)
-        return block_forward(block, x, training)
+        return block_run(block, x, ops)
 
     probed = []
 
@@ -186,23 +198,60 @@ def test_full_scope_replays_each_loss_bit_identically(monkeypatch):
         idx = flat.size // 2
         saved = flat[idx]
         for step in (eps, -eps):
-            flat[idx] = saved + step
+            copy = tensor.data.copy()
+            copy.reshape(-1)[idx] = saved + step
             ran.clear()
-            replayed = f()
+            (replayed,) = f(copy[None])  # a one-copy stack
             assert ran == expected_blocks, name
+            flat[idx] = saved + step
             whole = loss(model.forward(seen["x"], training=True), seen["labels"]).item()
+            flat[idx] = saved
             assert replayed == whole, (name, step)
-        flat[idx] = saved
         probed.append(name)
         return np.zeros_like(tensor.data)
 
     monkeypatch.setattr(crmn.gradcheck, "build_crmn", capture_model)
     monkeypatch.setattr(crmn.gradcheck, "softmax_cross_entropy", capture_labels)
-    monkeypatch.setattr(ResidualBlock, "forward", record_block)
+    monkeypatch.setattr(ResidualBlock, "run", record_block)
     monkeypatch.setattr(crmn.gradcheck, "numeric_gradient", probe)
     monkeypatch.setattr(crmn.gradcheck, "_cpus", lambda: 1)  # the spies see only this process
     check_full()
     assert probed == [n for n, _, _ in seen["model"].named_params()]
+
+
+def test_a_forwarding_wrapper_keeps_check_full_stacked(monkeypatch):
+    """A loss wrapped as a span wrapper wraps it is still called with 16 copies at a time,
+    and no probe runs a taped convolution or LSTM step."""
+    real = crmn.gradcheck.numeric_gradient
+    probing, taped, calls, sizes = [], [], {}, {}
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            if probing:
+                taped.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    def wrapped_probe(f, tensor, eps=DEFAULT_EPS):
+        def w(*a):
+            calls[id(tensor)] += 1
+            return f(*a)
+
+        calls[id(tensor)], sizes[id(tensor)] = 0, tensor.size
+        probing.append(tensor)
+        try:
+            return real(w, tensor, eps)
+        finally:
+            probing.pop()
+
+    monkeypatch.setattr(crmn.lstm, "lstm_step", spy("lstm_step", crmn.lstm.lstm_step))
+    monkeypatch.setattr(crmn.layers, "conv2d", spy("conv2d", crmn.layers.conv2d))
+    monkeypatch.setattr(crmn.gradcheck, "numeric_gradient", wrapped_probe)
+    monkeypatch.setattr(crmn.gradcheck, "_cpus", lambda: 1)  # the spies see only this process
+    report = check_full(seed=0)
+    assert taped == []
+    assert len(calls) == len(report.entries)
+    assert all(calls[i] == 2 * -(-sizes[i] // 16) for i in calls)
 
 
 def capture_probes(monkeypatch):
@@ -247,28 +296,6 @@ def _sampled_stacks(tensor, rng, step):
     return picks, copies.reshape((picks.size,) + tensor.shape)
 
 
-def test_stacked_losses_equal_whole_model_losses(monkeypatch):
-    """Every probed tensor: each stacked loss is the whole model's loss bit for bit."""
-    seen = capture_probes(monkeypatch)
-    model, x, labels = seen["model"], seen["x"], seen["labels"]
-    names = {id(t): n for n, t, _ in model.named_params()}
-    assert sorted(names[id(t)] for t, _ in seen["probes"]) == sorted(names.values())
-    rng = np.random.default_rng(3)
-    for tensor, f in seen["probes"]:
-        flat = tensor.data.reshape(-1)
-        for step in (DEFAULT_EPS, -DEFAULT_EPS):
-            picks, copies = _sampled_stacks(tensor, rng, step)
-            with count_ops() as ops:  # the stacked path charges nothing
-                stacked = f.stacked(copies)
-            assert ops.total == 0
-            for k, idx in enumerate(picks):
-                saved = flat[idx]
-                flat[idx] = saved + step
-                whole = softmax_cross_entropy(model.forward(x, training=True), labels).item()
-                assert stacked[k] == f() == whole, (names[id(tensor)], idx, step)
-                flat[idx] = saved
-
-
 # every architecture switch the micro model leaves at its default
 SWITCHES = [
     {"variant": "preactivation", "shortcut": "projection"},
@@ -278,58 +305,37 @@ SWITCHES = [
 ]
 
 
-@pytest.mark.parametrize("switches", SWITCHES)
-def test_stacked_trunk_losses_equal_their_loop_on_every_switch(monkeypatch, switches):
-    """Each architecture switch: stacked trunk losses equal the one-at-a-time suffix losses."""
+@pytest.mark.parametrize("switches", [{}] + SWITCHES)
+def test_stacked_losses_equal_whole_model_losses(monkeypatch, switches):
+    """Each architecture switch, every probed tensor: each stacked loss is the whole
+    model's loss bit for bit."""
     cfg = micro_config()
     monkeypatch.setattr(crmn.gradcheck, "micro_config", lambda: replace(cfg, **switches))
     seen = capture_probes(monkeypatch)
-    model = seen["model"]
+    model, x, labels = seen["model"], seen["x"], seen["labels"]
     assert all(getattr(model.cfg, k) == v for k, v in switches.items())
-    trunk = {id(t): n for n, t in model.trunk.named_params()}
-    rng = np.random.default_rng(4)
-    probed = []
+    names = {id(t): n for n, t, _ in model.named_params()}
+    assert sorted(names[id(t)] for t, _ in seen["probes"]) == sorted(names.values())
+    rng = np.random.default_rng(3)
     for tensor, f in seen["probes"]:
-        if id(tensor) not in trunk:
-            continue
         flat = tensor.data.reshape(-1)
         for step in (DEFAULT_EPS, -DEFAULT_EPS):
             picks, copies = _sampled_stacks(tensor, rng, step)
-            stacked = f.stacked(copies)
+            with count_ops() as ops:  # the stacked replay charges nothing
+                stacked = f(copies)
+            assert ops.total == 0
             for k, idx in enumerate(picks):
                 saved = flat[idx]
                 flat[idx] = saved + step
-                assert stacked[k] == f(), (trunk[id(tensor)], idx, step)
+                whole = softmax_cross_entropy(model.forward(x, training=True), labels).item()
+                assert stacked[k] == whole, (names[id(tensor)], idx, step)
                 flat[idx] = saved
-        probed.append(trunk[id(tensor)])
-    assert sorted(probed) == sorted(trunk.values())
 
 
-@pytest.mark.parametrize("switches", [{}] + SWITCHES)
-def test_check_full_stacks_probes_by_the_maps_they_add(monkeypatch, switches):
-    """K per stacked call: 4 for the stem, block 0 and a final norm (each replays stage 1),
-    8 for stage 2, 16 for stage 3, and 32 for the LSTM and head."""
-    cfg = replace(micro_config(), **switches)
-    per_call = []
-
-    def record(stacked, tensor, eps, k):
-        per_call.append(k)
-        return iter(())  # nothing evaluated: only the sizing is under test
-
-    monkeypatch.setattr(crmn.gradcheck, "micro_config", lambda: cfg)
-    monkeypatch.setattr(crmn.gradcheck, "_stacked_probes", record)
-    monkeypatch.setattr(crmn.gradcheck, "_cpus", lambda: 1)  # the spies see only this process
-    check_full(seed=0)
-    names = [n for n, _, _ in build_crmn(cfg, seed=0, dtype=np.float64).named_params()]
-    want = {"trunk.stage2": 8, "trunk.stage3": 16, "lstm": 32, "head": 32}
-    assert per_call == [next((k for p, k in want.items() if n.startswith(p + ".")), 4)
-                        for n in names]
-
-
-def test_numeric_gradient_stacked_equals_its_loop(monkeypatch):
-    """Chunks of at most 7 leave a partial last chunk on most tensors checked here."""
+def test_numeric_gradient_is_the_same_in_chunks_of_7_and_16(monkeypatch):
+    """Chunks of at most 7 leave a partial last chunk on most tensors checked here; each
+    probe scores its own copy, so the gradient does not depend on the chunking."""
     seen = capture_probes(monkeypatch)
-    monkeypatch.setattr(crmn.gradcheck, "_PROBES", 7)
     names = {id(t): n for n, t, _ in seen["model"].named_params()}
     checked = []
     for tensor, f in seen["probes"]:
@@ -338,13 +344,15 @@ def test_numeric_gradient_stacked_equals_its_loop(monkeypatch):
                                      "lstm.p_o", "lstm.h0", "head.bias"):
             continue
         before = tensor.data.copy()
-        tensor.data.flags.writeable = False  # the stacked path probes copies only
+        tensor.data.flags.writeable = False  # only copies are probed
+        grads = []
         try:
-            stacked = numeric_gradient(f, tensor)
+            for k in (7, 16):
+                monkeypatch.setattr(crmn.gradcheck, "_PROBES", k)
+                grads.append(numeric_gradient(f, tensor))
         finally:
             tensor.data.flags.writeable = True
-        looped = numeric_gradient(lambda: f(), tensor)
-        assert np.array_equal(stacked, looped), names[id(tensor)]
+        assert np.array_equal(*grads), names[id(tensor)]
         assert np.array_equal(tensor.data, before)
         checked.append(names[id(tensor)])
     assert len(checked) == 7
@@ -358,11 +366,13 @@ def test_numeric_gradient_probes_a_transposed_tensor():
     assert entry.max_rel_err < 1e-8
 
 
-def test_numeric_gradient_refuses_a_read_only_tensor():
+def test_numeric_gradient_probes_a_read_only_view():
     v = Tensor(np.array([1.0, 2.0]), requires_grad=True)
     rows = rows_from_vector(v, 3)  # a broadcast view
-    with pytest.raises(ContractError):
-        numeric_gradient(lambda: float(rows.data.sum()), rows)
+    assert not rows.data.flags.writeable
+    grad = numeric_gradient(lambda copies: copies.sum(axis=(1, 2)), rows)
+    assert grad.shape == (3, 2)
+    assert np.allclose(grad, 1.0, rtol=0, atol=1e-9)
 
 
 def test_full_scope_flags_exactly_a_sabotaged_lstm_tensor(monkeypatch):
@@ -479,32 +489,26 @@ def test_forked_check_full_reports_the_one_cpu_report(monkeypatch, one_cpu_repor
 @pytest.mark.parametrize("where", ["child", "parent"])
 def test_an_error_in_either_process_reaches_the_caller_and_no_child_is_left(monkeypatch,
                                                                             where):
-    """The process named by ``where`` raises when it probes lstm.w_xi; the other one is
-    slowed so that it does not take that tensor. check_full raises the error as it was
-    raised and reaps its child at once: a child still probing when the parent raises
-    is killed, not waited for."""
-    parent, build, seen = os.getpid(), crmn.gradcheck.build_crmn, {}
-
-    def keep_model(*args, **kwargs):
-        seen["model"] = build(*args, **kwargs)
-        return seen["model"]
+    """The process named by ``where`` raises at the first tensor it probes; the other one
+    is slowed, so that each process probes at least one tensor whichever indices it draws.
+    check_full raises the error as it was raised and reaps its child at once: a child
+    still probing when the parent raises is killed, not waited for."""
+    parent = os.getpid()
 
     def probe(f, tensor, eps=DEFAULT_EPS):
         side = "parent" if os.getpid() == parent else "child"
-        if side != where:
-            time.sleep(0.02 if side == "parent" else 2.0)
-        elif tensor is seen["model"].lstm.w_xi:
-            raise ContractError(f"w_xi probed in the {side}")
+        if side == where:
+            raise ContractError(f"a tensor probed in the {side}")
+        time.sleep(0.02 if side == "parent" else 2.0)
         return np.zeros_like(tensor.data)
 
     monkeypatch.setattr(crmn.gradcheck, "_cpus", lambda: 2)
-    monkeypatch.setattr(crmn.gradcheck, "build_crmn", keep_model)
     monkeypatch.setattr(crmn.gradcheck, "numeric_gradient", probe)
     began = time.monotonic()
     with pytest.raises(ContractError) as raised:
         check_full(seed=0)
     assert time.monotonic() - began < 2.0  # no 2 s child probe was waited out
-    assert str(raised.value) == f"w_xi probed in the {where}"
+    assert str(raised.value) == f"a tensor probed in the {where}"
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

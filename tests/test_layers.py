@@ -9,7 +9,7 @@ import pytest
 
 from crmn import layers
 from crmn.errors import ContractError, DimensionError
-from crmn.gradcheck import numeric_gradient, relative_error
+from crmn.gradcheck import check_tensors
 from crmn.layers import (
     BatchNorm, Dense, batch_norm, conv2d, global_avg_pool, he_conv_weight,
     he_dense_weight, meanpool2x2,
@@ -70,15 +70,8 @@ def test_conv_gradients_match_finite_differences():
     w = t64(0.3 * rng.standard_normal((3, 2, 3, 3)))
 
     for stride in (1, 2):
-        def loss_fn():
-            return sum_all(conv2d(x, w, stride=stride))
-        with Tape() as tape:
-            x.zero_grad()
-            w.zero_grad()
-            tape.backward(loss_fn())
-        for tensor in (x, w):
-            numeric = numeric_gradient(lambda: loss_fn().item(), tensor)
-            assert relative_error(tensor.grad, numeric).max() < 1e-6
+        entry = check_tensors("conv2d", lambda: sum_all(conv2d(x, w, stride=stride)), [x, w])
+        assert entry.max_rel_err < 1e-6
 
 
 @pytest.mark.parametrize("ci, co, extent, k, stride, x_grad", [
@@ -103,10 +96,9 @@ def test_conv_gradients_under_a_weighted_loss(ci, co, extent, k, stride, x_grad)
     with Tape() as tape:
         tape.backward(loss_fn())
     assert (x.grad is not None) == x_grad
-    for tensor in (x, w) if x_grad else (w,):
-        numeric = numeric_gradient(lambda: loss_fn().item(), tensor)
-        assert tensor.grad.shape == tensor.shape
-        assert relative_error(tensor.grad, numeric).max() < 1e-6
+    probed = [x, w] if x_grad else [w]
+    assert all(tensor.grad.shape == tensor.shape for tensor in probed)
+    assert check_tensors("conv2d", loss_fn, probed).max_rel_err < 1e-6
 
 
 def _rows_first_conv_forward(x, weight, stride):
@@ -741,13 +733,8 @@ def test_batch_norm_gradients_match_finite_differences():
         return sum_all(out * Tensor(weights))
 
     for training in (True, False):
-        with Tape() as tape:
-            for t in (x, bn.scale, bn.shift):
-                t.zero_grad()
-            tape.backward(loss_fn(training))
-        for t in (x, bn.scale, bn.shift):
-            numeric = numeric_gradient(lambda: loss_fn(training).item(), t)
-            assert relative_error(t.grad, numeric).max() < 1e-6
+        entry = check_tensors("batch_norm", lambda: loss_fn(training), [x, bn.scale, bn.shift])
+        assert entry.max_rel_err < 1e-6
 
 
 def test_eval_backward_ignores_a_later_update_of_the_running_statistics():
