@@ -38,6 +38,46 @@ def test_numeric_gradient_of_a_quadratic():
     assert np.array_equal(x.data, [1.0, -2.0, 3.0])  # only copies are probed
 
 
+def test_numeric_gradient_moves_one_scalar_per_copy_16_copies_a_call():
+    """35 scalars: calls of 16, 16 and 3 copies, each +eps then -eps; every copy differs
+    from the tensor in one scalar, and every scalar is moved once each way."""
+    x = Tensor(np.arange(35.0).reshape(5, 7), requires_grad=True, dtype=np.float64)
+    stacks = []
+
+    def f(copies):
+        stacks.append(copies.copy())
+        return copies.sum(axis=(1, 2))
+
+    numeric_gradient(f, x, eps=0.5)
+    assert [s.shape for s in stacks] == [(16, 5, 7)] * 4 + [(3, 5, 7)] * 2
+    moved = {0.5: [], -0.5: []}
+    for call, stack in enumerate(stacks):
+        delta = (stack - x.data).reshape(len(stack), -1)
+        for row in delta:
+            (idx,) = np.flatnonzero(row)
+            assert row[idx] == (0.5 if call % 2 == 0 else -0.5)
+            moved[row[idx]].append(idx)
+    assert moved[0.5] == moved[-0.5] == list(range(35))
+
+
+def test_check_tensors_puts_the_tensor_data_back_even_when_a_probe_raises():
+    x = Tensor(np.array([0.5, 1.5, 2.5]), requires_grad=True, dtype=np.float64)
+    data, probes = x.data, []
+
+    def loss_fn():
+        probes.append(x.data is not data)
+        if sum(probes) == 2:
+            raise RuntimeError("probe failed")
+        return sum_all(mul(x, x))
+
+    with pytest.raises(RuntimeError, match="probe failed"):
+        check_tensors("square", loss_fn, [x])
+    assert x.data is data
+    assert np.array_equal(data, [0.5, 1.5, 2.5])
+    assert check_tensors("square", lambda: sum_all(mul(x, x)), [x]).max_rel_err < 1e-8
+    assert x.data is data
+
+
 def test_check_tensors_flags_a_broken_gradient():
     x = Tensor(np.array([0.5, 1.5]), requires_grad=True, dtype=np.float64)
 
